@@ -10,19 +10,16 @@ override file values.  Exit codes: 0 success, 2 configuration error,
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import __version__, fock, functional, gates, montecarlo, noise, polytope, tomography
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, StepSizeError, ToolkitError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-THREADS_ENV = "FERMITOPE_THREADS"
 
 
 def _config_hash(params: dict) -> str:
@@ -32,17 +29,13 @@ def _config_hash(params: dict) -> str:
 
 def _meta(command: str, params: dict) -> dict:
     hashed = {k: v for k, v in params.items() if k not in ("out",)}
-    meta = {
+    return {
         "tool": "fermitope",
         "version": __version__,
         "command": command,
         "seed": params.get("seed"),
         "config_sha256": _config_hash({"command": command, **hashed}),
     }
-    threads = os.environ.get(THREADS_ENV)
-    if threads is not None:
-        meta["threads"] = threads
-    return meta
 
 
 def _emit(payload: dict, rows: list[dict] | None, params: dict) -> None:
@@ -98,8 +91,8 @@ def _jsonable(obj):
 
 def _require_target(params: dict) -> str:
     target = (params.get("target") or "").lower()
-    if target not in gates.TARGET_LABELS:
-        raise ConfigError(f"target must be one of {gates.TARGET_LABELS}, got {target!r}")
+    if target not in polytope.CLASS_LABELS:
+        raise ConfigError(f"target must be one of {polytope.CLASS_LABELS}, got {target!r}")
     return target
 
 
@@ -107,6 +100,13 @@ def _positive_int(params: dict, key: str) -> int:
     value = params.get(key)
     if not isinstance(value, int) or value < 1:
         raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
+def _unit_interval(params: dict, key: str) -> float:
+    value = params[key]
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{key} must lie in [0, 1], got {value!r}")
     return value
 
 
@@ -119,7 +119,7 @@ def _cmd_prepare(params: dict) -> None:
     protocol = gates.build_protocol(target)
     final = gates.apply_protocol(gates.target_state("slater"), protocol)
     lam, _ = fock.natural_occupations(fock.one_rdm(final))
-    expected = np.array(gates.TARGET_OCCUPATIONS[target])
+    expected = np.array(polytope.CLASS_OCCUPATIONS[target])
     entropy = functional.quantum_functional(polytope.class_polytope(target))
     payload = {
         "meta": _meta("prepare", params),
@@ -157,15 +157,17 @@ def _lambda_from_params(params: dict) -> np.ndarray:
             lam = np.array([float(x) for x in occs.split(",")])
         except ValueError as exc:
             raise ConfigError(f"could not parse occupations {occs!r}") from exc
+        if lam.shape != (6,) or not np.all(np.isfinite(lam)):
+            raise ConfigError(f"occupations must be six finite numbers, got {occs!r}")
         return lam
     target = _require_target(params)
-    return np.array(gates.TARGET_OCCUPATIONS[target])
+    return np.array(polytope.CLASS_OCCUPATIONS[target])
 
 
 def _cmd_polytope(params: dict) -> None:
     lam = _lambda_from_params(params)
     report, member = polytope.check_pure_bd(lam)
-    weak = polytope.check_weakened(lam, params["epsilon"])
+    weak = polytope.check_weakened(lam, _unit_interval(params, "epsilon"))
     memberships = {
         label: polytope.class_polytope(label).contains(lam)
         for label in polytope.CLASS_LABELS
@@ -217,7 +219,7 @@ def _cmd_noisy(params: dict) -> None:
         _noise_params(params),
         dt=params["dt"],
         free_time=params["free_time"],
-        margin_epsilon=params["margin_epsilon"],
+        margin_epsilon=_unit_interval(params, "margin_epsilon"),
     )
     payload = {
         "meta": _meta("noisy", params),
@@ -282,6 +284,8 @@ def _cmd_montecarlo(params: dict) -> None:
         _emit(payload, rows, params)
         return
 
+    if not 0.5 < params["confidence"] < 1.0:
+        raise ConfigError(f"confidence must lie in (0.5, 1), got {params['confidence']!r}")
     sigma_star = montecarlo.max_tolerated_sigma(
         base,
         merit,
@@ -419,7 +423,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = _resolve_params(args)
         _HANDLERS[args.command](params)
-    except ConfigError as exc:
+    except (ConfigError, StepSizeError) as exc:
+        # StepSizeError only ever rejects a step size or rate taken from input.
         print(f"fermitope: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ToolkitError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -341,73 +341,60 @@ def _pair_transitions(
     return src, dst, signs
 
 
-@lru_cache(maxsize=None)
-def _hop_tensor(d: int, n_particles: int) -> np.ndarray:
-    """Dense (d, d, dim, dim) tensor with H[i-1, j-1] the matrix of a_j^+ a_i.
-
-    gamma_ij = <psi| H[i-1, j-1] |psi>.  Only intended for small sectors.
-    """
-    dim = sector_dim(d, n_particles)
-    if d * d * dim * dim > 64_000_000:
-        raise InvalidDimensionError("hop tensor too large for this sector")
-    occ = _occupation_table(d, n_particles)
-    tensor = np.zeros((d, d, dim, dim), dtype=np.complex128)
-    for i in range(1, d + 1):
-        tensor[i - 1, i - 1] = np.diag(occ[:, i - 1])
-        for j in range(1, d + 1):
-            if i == j:
-                continue
-            src, dst, sign = _pair_transitions(d, n_particles, i, j)
-            tensor[i - 1, j - 1][dst, src] = sign
-    tensor.flags.writeable = False
-    return tensor
-
-
-def _rdm_from_columns(
-    d: int, n_particles: int, columns: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """1-RDM of the mixture sum_r weights[r] |col_r><col_r| / <col_r|col_r>."""
-    norms = np.einsum("ar,ar->r", columns.conj(), columns).real
-    scaled = np.asarray(weights, dtype=np.float64) / norms
-    hops = _hop_tensor(d, n_particles)
-    return np.einsum("ijab,ar,br,r->ij", hops, columns.conj(), columns, scaled)
-
-
 # ---------------------------------------------------------------------------
 # One-body reduced density matrix
 # ---------------------------------------------------------------------------
+#
+# Every 1-RDM in the package comes from _rdm_kernel, which reads one cached
+# table per sector: the creation table over the (N-1)-particle states k.
+# C[k, i] is the N-sector index of a_{i+1}^+ |k> and S[k, i] its fermionic
+# sign, 0 where site i+1 is already occupied in k.  Since
+# <k| a_{i+1} |psi> = S[k, i] psi[C[k, i]], amplitudes give
+# gamma = Phi^T Phi^* with Phi = S * psi[C] (one gather and one matrix
+# product), and a density matrix gives
+# gamma_ij = sum_k S[k, i] S[k, j] rho[C[k, i], C[k, j]], diagonal included.
+
+@lru_cache(maxsize=None)
+def _creation_table(d: int, n_particles: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S), both (binomial(d, N-1), d); empty for N = 0."""
+    _check_sector(d, n_particles)
+    masks = _sector_masks(d, n_particles - 1) if n_particles else np.zeros(0, np.int64)
+    bits = np.arange(d - 1, -1, -1)
+    empty = ((masks[:, None] >> bits) & 1) == 0
+    parity = np.bitwise_count(masks[:, None] >> (bits + 1)) & 1
+    signs = np.where(empty, 1.0 - 2.0 * parity, 0.0)
+    out_masks = _sector_masks(d, n_particles)
+    # out_masks is descending; searchsorted needs ascending order.
+    pos = np.searchsorted(out_masks[::-1], masks[:, None] | (1 << bits))
+    index = np.where(empty, len(out_masks) - 1 - pos, 0)
+    for arr in (index, signs):
+        arr.flags.writeable = False
+    return index, signs
+
+
+def _rdm_kernel(
+    d: int, n_particles: int, x: np.ndarray, density: bool = False
+) -> np.ndarray:
+    """<a_j^+ a_i> for amplitudes (..., dim) or density matrices (..., dim, dim).
+
+    Nothing is normalized: amplitudes of norm r give r^2 times the 1-RDM.
+    """
+    index, signs = _creation_table(d, n_particles)
+    if density:
+        gathered = x[..., index[:, :, None], index[:, None, :]]
+        return np.einsum("kij,...kij->...ij", signs[:, :, None] * signs[:, None, :], gathered)
+    phi = np.take(x, index, axis=-1) * signs
+    return np.swapaxes(phi, -1, -2) @ phi.conj()
+
 
 def one_rdm(state: PureState | MixedState) -> np.ndarray:
     """gamma_ij = <a_j^+ a_i>, a Hermitian d x d matrix with trace N."""
-    d, n = state.d, state.n_particles
-    occ = _occupation_table(d, n)
-    gamma = np.zeros((d, d), dtype=np.complex128)
-
-    if isinstance(state, PureState):
-        norm2 = float(np.vdot(state.amplitudes, state.amplitudes).real)
-        if norm2 <= ATOL_STATE**2:
-            raise DegenerateInputError("one_rdm of a zero-norm state")
-        psi = state.amplitudes
-        weights = np.abs(psi) ** 2
-        np.fill_diagonal(gamma, occ.T @ weights / norm2)
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                if i == j:
-                    continue
-                src, dst, sign = _pair_transitions(d, n, i, j)
-                gamma[i - 1, j - 1] = np.sum(
-                    psi[dst].conj() * sign * psi[src]
-                ) / norm2
-    else:
-        rho = state.matrix
-        np.fill_diagonal(gamma, occ.T @ np.diag(rho).real)
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                if i == j:
-                    continue
-                src, dst, sign = _pair_transitions(d, n, i, j)
-                gamma[i - 1, j - 1] = np.sum(sign * rho[src, dst])
-    return gamma
+    if isinstance(state, MixedState):
+        return _rdm_kernel(state.d, state.n_particles, state.matrix, density=True)
+    norm2 = float(np.vdot(state.amplitudes, state.amplitudes).real)
+    if norm2 <= ATOL_STATE**2:
+        raise DegenerateInputError("one_rdm of a zero-norm state")
+    return _rdm_kernel(state.d, state.n_particles, state.amplitudes) / norm2
 
 
 def natural_occupations(

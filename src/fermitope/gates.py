@@ -214,8 +214,6 @@ def invert_protocol(protocol: Protocol) -> Protocol:
 # Characteristic states and their preparation protocols
 # ---------------------------------------------------------------------------
 
-TARGET_LABELS = ("slater", "epr", "w", "ghz")
-
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
 
@@ -238,14 +236,6 @@ def target_state(label: str) -> PureState:
             6, {"101010": 1 / _SQ3, "010110": 1 / _SQ3, "011001": -1 / _SQ3}
         )
     raise InvalidDimensionError(f"unknown target {label!r}")
-
-
-TARGET_OCCUPATIONS = {
-    "slater": (1.0, 1.0, 1.0, 0.0, 0.0, 0.0),
-    "epr": (1.0, 0.5, 0.5, 0.5, 0.5, 0.0),
-    "w": (2 / 3, 2 / 3, 2 / 3, 1 / 3, 1 / 3, 1 / 3),
-    "ghz": (0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
-}
 
 
 def build_protocol(

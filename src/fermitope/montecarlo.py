@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, gates
+from . import fock, gates, polytope
 from .errors import InvalidDimensionError
 
 MERIT_LABELS = ("f_slater", "f_epr", "f_w")
@@ -38,7 +38,7 @@ class PerturbationSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.base_state.lower() not in gates.TARGET_LABELS:
+        if self.base_state.lower() not in polytope.CLASS_LABELS:
             raise InvalidDimensionError(f"unknown base state {self.base_state!r}")
         if self.sigma < 0:
             raise InvalidDimensionError("sigma must be non-negative")
@@ -51,15 +51,11 @@ def theoretical_rdm(base_state: str) -> np.ndarray:
     return fock.one_rdm(gates.target_state(base_state))
 
 
-def merit_of_lambdas(lam: np.ndarray, merit: str) -> np.ndarray:
-    """Merit function over a (..., 6) array of descending eigenvalues."""
-    if merit == "f_slater":
-        return lam[..., 1] - 1.0
-    if merit == "f_epr":
-        return lam[..., 0] - 1.0
-    if merit == "f_w":
-        return lam[..., 0] + lam[..., 1] + lam[..., 2] - 2.0
-    raise InvalidDimensionError(f"unknown merit {merit!r}; choose from {MERIT_LABELS}")
+def _merit(merit: str):
+    """The merit function over (..., 6) arrays of descending eigenvalues."""
+    if merit not in MERIT_LABELS:
+        raise InvalidDimensionError(f"unknown merit {merit!r}; choose from {MERIT_LABELS}")
+    return polytope._MERITS[merit]
 
 
 def _standard_draws(n_samples: int, seed: int) -> np.ndarray:
@@ -106,7 +102,7 @@ def merit_samples(
     draws = _standard_draws(n_samples, seed)
     batch = _perturbed_batch(base_state, sigma, draws)
     lam = np.linalg.eigvalsh(batch)[:, ::-1]
-    return merit_of_lambdas(lam, merit)
+    return _merit(merit)(lam)
 
 
 def violation_probability(
@@ -141,12 +137,13 @@ def max_tolerated_sigma(
     if not 0.5 < confidence < 1.0:
         raise InvalidDimensionError("confidence must lie in (0.5, 1)")
     base = base_state.lower()
+    merit_fn = _merit(merit)
     draws = _standard_draws(n_samples, seed)
 
     def prob(sigma: float) -> float:
         batch = _perturbed_batch(base, sigma, draws)
         lam = np.linalg.eigvalsh(batch)[:, ::-1]
-        return float(np.mean(merit_of_lambdas(lam, merit) < 0.0))
+        return float(np.mean(merit_fn(lam) < 0.0))
 
     lo, hi = 0.0, sigma_max
     if prob(hi) >= confidence:

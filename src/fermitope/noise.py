@@ -32,7 +32,6 @@ class NoiseParams:
 
     dephasing_rate: float = PAPER_DEPHASING_RATE
     emission_rate: float = 0.0
-    temperature_tag: str = "4K"
 
     def __post_init__(self) -> None:
         if self.dephasing_rate < 0 or self.emission_rate < 0:
@@ -171,13 +170,12 @@ def evolve_noisy_protocol(
 def _snapshot(rho: np.ndarray, psi_ideal: np.ndarray, d: int, n: int, eps: float):
     fid = float(np.real(psi_ideal.conj() @ rho @ psi_ideal))
     pur = float(np.sum(np.abs(rho) ** 2))
-    hops = fock._hop_tensor(d, n)
-    gamma = np.einsum("ijab,ba->ij", hops, rho)
+    gamma = fock._rdm_kernel(d, n, rho, density=True)
     lam = np.linalg.eigvalsh((gamma + gamma.conj().T) / 2.0)[::-1]
     if d == 6:
         report = polytope.check_weakened(lam, eps)
-        f1 = float(lam[0] + lam[1] - lam[2])
-        f2 = float(lam[0] + lam[1] + lam[3])
+        f1 = float(polytope._MERITS["f1"](lam))
+        f2 = float(polytope._MERITS["f2"](lam))
         return (fid, pur, lam, f1, f2, report.member)
     # The margin check is specific to six modes; other sectors report
     # lambdas only.

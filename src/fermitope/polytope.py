@@ -28,6 +28,15 @@ CLASS_OCCUPATIONS = {
     "ghz": np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5]),
 }
 
+# Merit functions over (..., 6) arrays of descending occupations.
+_MERITS = {
+    "f_slater": lambda lam: lam[..., 1] - 1.0,
+    "f_epr": lambda lam: lam[..., 0] - 1.0,
+    "f_w": lambda lam: lam[..., 0] + lam[..., 1] + lam[..., 2] - 2.0,
+    "f1": lambda lam: lam[..., 0] + lam[..., 1] - lam[..., 2],
+    "f2": lambda lam: lam[..., 0] + lam[..., 1] + lam[..., 3],
+}
+
 
 def _as_lambda(occupations, length: int = 6) -> np.ndarray:
     lam = np.asarray(occupations, dtype=np.float64)
@@ -184,18 +193,13 @@ def merit_values(occupations) -> MeritReport:
     """
     lam = _as_lambda(occupations)
     slacks = {
-        "bd": 2.0 - (lam[0] + lam[1] + lam[3]),
+        "bd": 2.0 - _MERITS["f2"](lam),
         "pair_16": -abs(lam[0] + lam[5] - 1.0),
         "pair_25": -abs(lam[1] + lam[4] - 1.0),
         "pair_34": -abs(lam[2] + lam[3] - 1.0),
     }
     return MeritReport(
-        f_slater=float(lam[1] - 1.0),
-        f_epr=float(lam[0] - 1.0),
-        f_w=float(lam[0] + lam[1] + lam[2] - 2.0),
-        f1=float(lam[0] + lam[1] - lam[2]),
-        f2=float(lam[0] + lam[1] + lam[3]),
-        slacks=slacks,
+        **{name: float(merit(lam)) for name, merit in _MERITS.items()}, slacks=slacks
     )
 
 
@@ -295,8 +299,8 @@ def check_weakened(
     if not 0.0 <= epsilon <= 1.0:
         raise InvalidDimensionError("epsilon must lie in [0, 1]")
     lam = _as_lambda(occupations)
-    s1 = (1.0 + epsilon) - (lam[0] + lam[1] - lam[2])
-    s2 = (2.0 + epsilon) - (lam[0] + lam[1] + lam[3])
+    s1 = (1.0 + epsilon) - _MERITS["f1"](lam)
+    s2 = (2.0 + epsilon) - _MERITS["f2"](lam)
     return WeakenedReport(
         epsilon=epsilon,
         slack_f1=float(s1),
@@ -322,19 +326,12 @@ class HillClimbResult:
 def _mixture_lambdas(psi0: np.ndarray, block: np.ndarray, epsilon: float) -> np.ndarray:
     """Sorted 1-RDM eigenvalues of (1-eps)|psi0><psi0| + eps * BB^+/tr(BB^+)."""
     trace = np.einsum("cr,cr->", block.conj(), block).real
-    rho = (1.0 - epsilon) * np.outer(psi0, psi0.conj())
-    rho += (epsilon / trace) * (block @ block.conj().T)
-    hops_flat = fock._hop_tensor(6, 3).reshape(36, -1)
-    gamma = (hops_flat @ rho.T.ravel()).reshape(6, 6)
+    # Purification rows: the mixture's 1-RDM is the sum of their unnormalized ones.
+    rows = np.concatenate(
+        [math.sqrt(1.0 - epsilon) * psi0[None], math.sqrt(epsilon / trace) * block.T]
+    )
+    gamma = fock._rdm_kernel(6, 3, rows).sum(axis=0)
     return np.linalg.eigvalsh(gamma)[::-1]
-
-
-def _objective_from_lambda(lam: np.ndarray, objective: str) -> float:
-    if objective == "f1":
-        return float(lam[0] + lam[1] - lam[2])
-    if objective == "f2":
-        return float(lam[0] + lam[1] + lam[3])
-    raise InvalidDimensionError(f"objective must be 'f1' or 'f2', got {objective!r}")
 
 
 def _orthonormalize_block(block: np.ndarray, psi0: np.ndarray) -> np.ndarray:
@@ -366,7 +363,9 @@ def hill_climb_extremal(
         raise InvalidDimensionError("epsilon must lie in (0, 1)")
     if iterations < 1:
         raise InvalidDimensionError("iterations must be >= 1")
-    _objective_from_lambda(np.ones(6), objective)
+    if objective not in ("f1", "f2"):
+        raise InvalidDimensionError(f"objective must be 'f1' or 'f2', got {objective!r}")
+    merit = _MERITS[objective]
 
     rng = np.random.default_rng(seed)
     dim = fock.sector_dim(6, 3)
@@ -378,7 +377,7 @@ def hill_climb_extremal(
     psi0 = random_unit(dim)
     block = _orthonormalize_block(random_unit((dim, rank)), psi0)
 
-    best = _objective_from_lambda(_mixture_lambdas(psi0, block, epsilon), objective)
+    best = float(merit(_mixture_lambdas(psi0, block, epsilon)))
     step = initial_step
     rejections = 0
     accepted = 0
@@ -393,9 +392,7 @@ def hill_climb_extremal(
             cand_blk = _orthonormalize_block(block + d_blk, cand_psi)
         except ZeroDivisionError:
             continue
-        value = _objective_from_lambda(
-            _mixture_lambdas(cand_psi, cand_blk, epsilon), objective
-        )
+        value = float(merit(_mixture_lambdas(cand_psi, cand_blk, epsilon)))
         if value > best:
             best = value
             psi0, block = cand_psi, cand_blk

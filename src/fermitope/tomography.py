@@ -65,12 +65,18 @@ def simulate_occupation_counts(
     """Sample ``shots`` projective occupation measurements of one site."""
     if shots < 1:
         raise InvalidDimensionError("shots must be >= 1")
-    p = min(max(occupation_expectation(state, site), 0.0), 1.0)
-    rng = np.random.default_rng(seed)
-    ones = int(rng.binomial(shots, p))
-    estimate = ones / shots
-    sigma = math.sqrt(estimate * (1.0 - estimate) / shots)
+    p = occupation_expectation(state, site)
+    ones, estimate, sigma = _shot_sample(p, shots, np.random.default_rng(seed))
     return ShotResult(site=site, shots=shots, ones=ones, estimate=estimate, sigma=sigma)
+
+
+def _shot_sample(
+    p: float, shots: int, rng: np.random.Generator
+) -> tuple[int, float, float]:
+    """(ones, estimate, sigma) of ``shots`` readouts of an occupation of mean p."""
+    ones = int(rng.binomial(shots, min(max(p, 0.0), 1.0)))
+    estimate = ones / shots
+    return ones, estimate, math.sqrt(estimate * (1.0 - estimate) / shots)
 
 
 def readout_sequence_offdiag(i: int, j: int, part: str) -> Protocol:
@@ -115,24 +121,24 @@ def reconstruct_one_rdm(
     d = state.d
     n_pairs = d * (d - 1) // 2
     n_settings = d + 2 * n_pairs
-    seeds = np.random.SeedSequence(seed).spawn(n_settings)
-    setting = 0
+    seeds = iter(np.random.SeedSequence(seed).spawn(n_settings))
+
+    def read(measured, sites) -> list[tuple[float, float]]:
+        """(estimate, sigma) of each site's occupation in the next setting."""
+        setting_seed = next(seeds)
+        probs = [occupation_expectation(measured, site) for site in sites]
+        if shots is None:
+            return [(p, 0.0) for p in probs]
+        rng = np.random.default_rng(setting_seed)
+        return [_shot_sample(p, shots, rng)[1:] for p in probs]
 
     gamma = np.zeros((d, d), dtype=np.complex128)
     sigma = np.zeros((d, d), dtype=np.float64)
 
     for site in range(1, d + 1):
-        if shots is None:
-            est, sig = occupation_expectation(state, site), 0.0
-        else:
-            rng = np.random.default_rng(seeds[setting])
-            p = min(max(occupation_expectation(state, site), 0.0), 1.0)
-            ones = int(rng.binomial(shots, p))
-            est = ones / shots
-            sig = math.sqrt(est * (1.0 - est) / shots)
+        [(est, sig)] = read(state, [site])
         gamma[site - 1, site - 1] = est
         sigma[site - 1, site - 1] = sig
-        setting += 1
 
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
@@ -140,24 +146,9 @@ def reconstruct_one_rdm(
             errs = {}
             for part in ("real", "imag"):
                 transformed = _transformed(state, readout_sequence_offdiag(i, j, part))
-                if shots is None:
-                    lo, hi = (
-                        occupation_expectation(transformed, j - 1),
-                        occupation_expectation(transformed, j),
-                    )
-                    sig_lo = sig_hi = 0.0
-                else:
-                    rng = np.random.default_rng(seeds[setting])
-                    p_lo = min(max(occupation_expectation(transformed, j - 1), 0.0), 1.0)
-                    p_hi = min(max(occupation_expectation(transformed, j), 0.0), 1.0)
-                    ones_lo = int(rng.binomial(shots, p_lo))
-                    ones_hi = int(rng.binomial(shots, p_hi))
-                    lo, hi = ones_lo / shots, ones_hi / shots
-                    sig_lo = math.sqrt(lo * (1.0 - lo) / shots)
-                    sig_hi = math.sqrt(hi * (1.0 - hi) / shots)
+                (lo, sig_lo), (hi, sig_hi) = read(transformed, [j - 1, j])
                 parts[part] = (hi - lo) / 2.0
                 errs[part] = math.sqrt(sig_lo**2 + sig_hi**2) / 2.0
-                setting += 1
             gamma[i - 1, j - 1] = parts["real"] + 1j * parts["imag"]
             gamma[j - 1, i - 1] = parts["real"] - 1j * parts["imag"]
             sigma[i - 1, j - 1] = sigma[j - 1, i - 1] = math.sqrt(

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from fermitope import fock, gates, montecarlo, noise, polytope
+from fermitope import fock, montecarlo, noise, polytope
 from fermitope.cli import main as cli_main
 from fermitope.fock import (
     MixedState,
@@ -45,9 +45,7 @@ def batched_occupation_spectra(d: int, n: int, n_states: int, seed0: int) -> np.
     states = np.stack(
         [random_pure_state(d, n, seed0 + k).amplitudes for k in range(n_states)]
     )
-    hops = fock._hop_tensor(d, n)
-    gammas = np.einsum("ijab,sa,sb->sij", hops, states.conj(), states)
-    return np.linalg.eigvalsh(gammas)[:, ::-1]
+    return np.linalg.eigvalsh(fock._rdm_kernel(d, n, states))[:, ::-1]
 
 
 def test_criterion_1_reference_occupations_and_functional_values():
@@ -63,7 +61,7 @@ def test_criterion_1_reference_occupations_and_functional_values():
         final = apply_protocol(SLATER, build_protocol(label))
         lam, _ = natural_occupations(one_rdm(final))
         worst_lam = max(
-            worst_lam, float(np.max(np.abs(lam - gates.TARGET_OCCUPATIONS[label])))
+            worst_lam, float(np.max(np.abs(lam - polytope.CLASS_OCCUPATIONS[label])))
         )
         e_val = quantum_functional(class_polytope(label)).value
         worst_e = max(worst_e, abs(e_val - expected_e[label]))

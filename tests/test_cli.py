@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fermitope.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from fermitope.cli import EXIT_CONFIG, EXIT_OK, main
 
 
 def run(tmp_path, name, args):
@@ -50,7 +50,21 @@ class TestPolytopeAndFunctional:
         code, _ = run(
             tmp_path, "bad.json", ["polytope", "--occupations", "1,0.5,0.5,0.5,0.5"]
         )
-        assert code == EXIT_NUMERICAL  # wrong length reaches the module check
+        assert code == EXIT_CONFIG  # wrong length
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["polytope", "--target", "w", "--epsilon", "2"],
+            ["noisy", "--target", "w", "--dt", "1e-10"],
+            ["montecarlo", "--base", "epr", "--confidence", "0.3"],
+            ["noisy", "--target", "w", "--margin-epsilon", "3"],
+        ],
+        ids=["epsilon", "dt", "confidence", "margin-epsilon"],
+    )
+    def test_out_of_range_input_is_config_error(self, tmp_path, args):
+        code, _ = run(tmp_path, "bad.json", args)
+        assert code == EXIT_CONFIG
 
     def test_unparseable_occupations_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "bad.json", ["polytope", "--occupations", "a,b,c"])
@@ -158,14 +172,6 @@ class TestReproducibility:
         _, first = run(tmp_path, f"{name}-1.out", args)
         _, second = run(tmp_path, f"{name}-2.out", args)
         assert first.read_bytes() == second.read_bytes()
-
-
-class TestEnvironment:
-    def test_thread_env_var_recorded_in_meta(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FERMITOPE_THREADS", "4")
-        _, out = run(tmp_path, "t.json", ["functional", "--polytope", "slater"])
-        payload = json.loads(out.read_text())
-        assert payload["meta"]["threads"] == "4"
 
 
 class TestConfigFile:

@@ -155,6 +155,20 @@ class TestOneRDM:
         expected = 0.7 * one_rdm(a) + 0.3 * one_rdm(b)
         assert np.allclose(one_rdm(mixed), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_kernel_matches_dense_oracle_on_every_sector(self, d):
+        for n in range(d + 1):
+            states = [random_pure_state(d, n, seed=100 * d + 10 * n + r) for r in range(2)]
+            want = [oracles.dense_one_rdm(s) for s in states]
+            amps = np.stack([s.amplitudes for s in states])
+            rho = 0.7 * np.outer(amps[0], amps[0].conj()) + 0.3 * np.outer(amps[1], amps[1].conj())
+            single = fock._rdm_kernel(d, n, amps[0])
+            batch = fock._rdm_kernel(d, n, amps)
+            mixed = fock._rdm_kernel(d, n, rho, density=True)
+            assert np.max(np.abs(single - want[0])) <= 1e-12
+            assert np.max(np.abs(batch - np.stack(want))) <= 1e-12
+            assert np.max(np.abs(mixed - (0.7 * want[0] + 0.3 * want[1]))) <= 1e-12
+
 
 class TestNaturalOccupations:
     def test_permutation_sort(self):

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 import oracles
-from fermitope import gates
+from fermitope import polytope
 from fermitope.errors import InvalidGateError, InvalidPulseError
 from fermitope.fock import basis_vector, natural_occupations, one_rdm, sector_dim, superposition
 from fermitope.gates import (
@@ -190,7 +190,7 @@ class TestProtocols:
     def test_targets_reproduce_reference_occupations(self, label):
         final = apply_protocol(SLATER, build_protocol(label))
         lam, _ = natural_occupations(one_rdm(final))
-        assert np.allclose(lam, gates.TARGET_OCCUPATIONS[label], atol=1e-12)
+        assert np.allclose(lam, polytope.CLASS_OCCUPATIONS[label], atol=1e-12)
 
     def test_protocol_durations(self):
         protocol = build_protocol("w")

@@ -119,6 +119,17 @@ class TestEvolveNoisyProtocol:
         with pytest.raises(StepSizeError):
             evolve_noisy_protocol(build_protocol("epr"), PAPER_NOISE, dt=0.0)
 
+    def test_twelve_mode_sector(self):
+        initial = random_pure_state(12, 6, seed=3)
+        trajectory, final = evolve_noisy_protocol(
+            Protocol("idle", ()), PAPER_NOISE, DT, initial=initial, free_time=DT
+        )
+        assert trajectory.lambdas.shape == (2, 12)
+        want = np.linalg.eigvalsh(one_rdm(initial))[::-1]
+        assert np.max(np.abs(trajectory.lambdas[0] - want)) <= 1e-12
+        assert np.max(np.abs(trajectory.lambdas.sum(axis=1) - 6.0)) <= 1e-10
+        assert np.max(np.abs(trajectory.lambdas[1] - np.linalg.eigvalsh(one_rdm(final))[::-1])) <= 1e-12
+
     def test_missing_durations_rejected(self):
         protocol = Protocol("bare", (gates.rotation(1, 2, 1.0),))
         with pytest.raises(InvalidGateError):
