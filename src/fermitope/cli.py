@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, fock, functional, gates, montecarlo, noise, polytope, tomography
-from .errors import ConfigError, StepSizeError, ToolkitError
+from .errors import ConfigError, InvalidDimensionError, StepSizeError, ToolkitError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -166,7 +166,10 @@ def _lambda_from_params(params: dict) -> np.ndarray:
 
 def _cmd_polytope(params: dict) -> None:
     lam = _lambda_from_params(params)
-    report, member = polytope.check_pure_bd(lam)
+    try:
+        report, member = polytope.check_pure_bd(lam)
+    except InvalidDimensionError as exc:
+        raise ConfigError(str(exc)) from exc
     weak = polytope.check_weakened(lam, _unit_interval(params, "epsilon"))
     memberships = {
         label: polytope.class_polytope(label).contains(lam)

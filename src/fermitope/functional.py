@@ -3,26 +3,28 @@
 For a class polytope the functional is the maximum Shannon entropy of the
 scaled occupations lam/N over the polytope.  In the three-in-six setting
 the pairing equalities reduce the problem to the coordinates
-(lam1, lam2, lam3); maximization uses projected gradient ascent on the
-concave objective with alternating half-space projections, seeded from a
-coarse grid of starting points.
+(lam1, lam2, lam3).  The entropy is strictly concave and separable and the
+polytope is convex, so the local maximum SLSQP finds is the global one; a
+phase-1 linear program supplies a feasible start or proves the polytope
+empty.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.optimize import linprog, minimize
 
 from .errors import (
     InfeasiblePolytopeError,
     InvalidDistributionError,
+    ToolkitError,
     UnsupportedCaseError,
 )
 from .polytope import PolytopeSpec
 
 _N_PARTICLES = 3
 _CLIP = 1e-12
+_FEASIBILITY_TOL = 1e-9
 
 
 def shannon_entropy(distribution) -> float:
@@ -103,86 +105,43 @@ def _reduce_spec(spec: PolytopeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return A_eq, np.array(eq_b), A_ub, np.array(ub_b)
 
 
-def _project_halfspaces(
-    u: np.ndarray, G: np.ndarray, h: np.ndarray, sweeps: int
-) -> np.ndarray:
-    """Alternating projections of row vectors u onto {u : G u <= h}."""
-    if G.shape[0] == 0:
-        return u
-    norms2 = np.einsum("ij,ij->i", G, G)
-    for _ in range(sweeps):
-        for g, bound, n2 in zip(G, h, norms2):
-            if n2 <= 1e-30:
-                continue
-            viol = u @ g - bound
-            np.clip(viol, 0.0, None, out=viol)
-            u = u - (viol / n2)[:, None] * g[None, :]
-    return u
-
-
-def quantum_functional(
-    spec: PolytopeSpec,
-    seeds_per_axis: int = 9,
-    iterations: int = 320,
-    feasibility_tol: float = 1e-9,
-) -> EntropyValue:
+def quantum_functional(spec: PolytopeSpec) -> EntropyValue:
     """Maximize the scaled-occupation entropy over a polytope.
 
-    Returns the maximum (absolute accuracy ~1e-6 for the class polytopes)
-    together with the maximizing occupation vector.
+    Returns the maximum together with the maximizing occupation vector.
+    Occupations are confined to [0, 1] (the Pauli bound) on top of ``spec``.
+    SLSQP starts from the Chebyshev centre, since from a start outside the
+    polytope it can stall in a line search and end outside it.
     """
     A_eq, b_eq, A_ub, b_ub = _reduce_spec(spec)
-
-    if A_eq.shape[0]:
-        x0 = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0]
-        if np.linalg.norm(A_eq @ x0 - b_eq) > 1e-9:
-            raise InfeasiblePolytopeError(
-                f"equality system of {spec.label!r} is inconsistent"
-            )
-        Z = null_space(A_eq)
-    else:
-        x0 = np.zeros(3)
-        Z = np.eye(3)
-
-    if Z.shape[1] == 0:
-        # The polytope is a single point; nothing to optimize.
-        if A_ub.shape[0] and np.any(A_ub @ x0 - b_ub > feasibility_tol):
-            raise InfeasiblePolytopeError(f"{spec.label!r} has no feasible point")
-        lam = _full_lambda(x0)
-        return EntropyValue(float(_entropy_reduced(x0[None, :])[0]), lam)
-
-    G = A_ub @ Z
-    h = b_ub - A_ub @ x0
-
-    axis = np.linspace(0.5, 1.0, seeds_per_axis)
-    seeds_x = np.array(list(product(axis, repeat=3)))
-    u = (seeds_x - x0) @ Z
-    u = np.unique(np.round(u, 12), axis=0)
-    u = _project_halfspaces(u, G, h, sweeps=60)
-
-    step = 0.25
-    best_val = -np.inf
-    best_x = None
-    for it in range(iterations):
-        x = x0 + u @ Z.T
-        grad_u = _entropy_gradient(x) @ Z
-        u = _project_halfspaces(u + step * grad_u, G, h, sweeps=8)
-        if it % 15 == 14:
-            step *= 0.75
-        if it % 10 == 9 or it == iterations - 1:
-            x = x0 + u @ Z.T
-            feasible = (
-                np.ones(len(u), dtype=bool)
-                if G.shape[0] == 0
-                else np.all(x @ A_ub.T - b_ub <= feasibility_tol, axis=1)
-            )
-            if np.any(feasible):
-                vals = _entropy_reduced(x[feasible])
-                k = int(np.argmax(vals))
-                if vals[k] > best_val:
-                    best_val = float(vals[k])
-                    best_x = x[feasible][k]
-
-    if best_x is None:
+    # Phase 1 over (x, r) in [0, 1]^4: max r, A_eq x = b_eq, A_ub x + |a_i| r <= b_ub.
+    lp = linprog(
+        c=[0.0, 0.0, 0.0, -1.0],
+        A_ub=np.hstack([A_ub, np.linalg.norm(A_ub, axis=1)[:, None]]),
+        b_ub=b_ub,
+        A_eq=np.hstack([A_eq, np.zeros((len(A_eq), 1))]),
+        b_eq=b_eq,
+        bounds=[(0.0, 1.0)] * 4,
+    )
+    if lp.status == 2:
         raise InfeasiblePolytopeError(f"{spec.label!r} has no feasible point")
-    return EntropyValue(best_val, _full_lambda(best_x))
+    if lp.status != 0:
+        raise ToolkitError(f"phase-1 program of {spec.label!r} failed: {lp.message}")
+    res = minimize(
+        lambda x: -_entropy_reduced(x),
+        lp.x[:3],
+        jac=lambda x: -_entropy_gradient(x),
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * 3,
+        # The default ftol of 1e-6 stops up to 5e-7 short of E on cut polytopes.
+        options={"ftol": 1e-14},
+        constraints=[
+            {"type": "eq", "fun": lambda x: A_eq @ x - b_eq, "jac": lambda x: A_eq},
+            {"type": "ineq", "fun": lambda x: b_ub - A_ub @ x, "jac": lambda x: -A_ub},
+        ],
+    )
+    # res.success is no gate: SLSQP can report status 8 at a correct optimum.
+    lam = _full_lambda(res.x)
+    if not spec.contains(lam, tol=_FEASIBILITY_TOL):
+        raise InfeasiblePolytopeError(f"solver left {spec.label!r}: {res.message}")
+    return EntropyValue(float(_entropy_reduced(res.x)), lam)

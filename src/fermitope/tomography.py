@@ -63,8 +63,6 @@ def simulate_occupation_counts(
     state: PureState | MixedState, site: int, shots: int, seed: int
 ) -> ShotResult:
     """Sample ``shots`` projective occupation measurements of one site."""
-    if shots < 1:
-        raise InvalidDimensionError("shots must be >= 1")
     p = occupation_expectation(state, site)
     ones, estimate, sigma = _shot_sample(p, shots, np.random.default_rng(seed))
     return ShotResult(site=site, shots=shots, ones=ones, estimate=estimate, sigma=sigma)
@@ -74,6 +72,8 @@ def _shot_sample(
     p: float, shots: int, rng: np.random.Generator
 ) -> tuple[int, float, float]:
     """(ones, estimate, sigma) of ``shots`` readouts of an occupation of mean p."""
+    if shots < 1:
+        raise InvalidDimensionError("shots must be >= 1")
     ones = int(rng.binomial(shots, min(max(p, 0.0), 1.0)))
     estimate = ones / shots
     return ones, estimate, math.sqrt(estimate * (1.0 - estimate) / shots)

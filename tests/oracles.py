@@ -6,6 +6,7 @@ package's bit-twiddling code paths.
 """
 
 import numpy as np
+from scipy.optimize import linprog
 
 from fermitope import fock
 
@@ -110,6 +111,63 @@ def grid_entropy_maximum(label: str, step: float = 1e-3) -> float:
         vals = entropy_rows(np.full(mask.sum(), l1), l2g[mask], l3g[mask])
         best = max(best, float(vals.max()))
     return best
+
+
+def grid_spec_entropy_maximum(spec, step: float = 0.01, tol: float = 1e-12) -> float:
+    """Brute-force entropy maximum over any three-in-six polytope spec.
+
+    Evaluates every ``LinearInequality`` of ``spec`` directly on a regular
+    grid of (lam1, lam2, lam3) in [0, 1]^3 with lam4..lam6 = 1 - lam3,
+    1 - lam2, 1 - lam1 substituted; -inf if no grid point is feasible.
+    """
+    coeffs = np.array([ineq.coefficients for ineq in spec.inequalities], dtype=float)
+    bounds = np.array([ineq.bound for ineq in spec.inequalities])
+    senses = np.array([ineq.sense for ineq in spec.inequalities])
+    axis = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
+    l2g, l3g = np.meshgrid(axis, axis, indexing="ij")
+    l2g, l3g = l2g.ravel(), l3g.ravel()
+    best = -np.inf
+    for l1 in axis:
+        l1g = np.full_like(l2g, l1)
+        lam = np.stack([l1g, l2g, l3g, 1 - l3g, 1 - l2g, 1 - l1g], axis=-1)
+        excess = lam @ coeffs.T - bounds
+        ok = np.all(
+            np.where(senses == "<=", excess <= tol, True)
+            & np.where(senses == ">=", excess >= -tol, True)
+            & np.where(senses == "==", np.abs(excess) <= tol, True),
+            axis=1,
+        )
+        if not ok.any():
+            continue
+        p = lam[ok] / 3.0
+        t = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+        best = max(best, float(-t.sum(axis=-1).max()))
+    return best
+
+
+def entropy_optimality_gap(spec, lam) -> float:
+    """Upper bound on how far the entropy at ``lam`` lies below its maximum.
+
+    The scaled-occupation entropy is concave, so its maximum over the
+    polytope is at most its value at lam plus max_y grad . (y - lam), the
+    Frank-Wolfe gap.  One linear program over all six occupations of the
+    spec as written gives the max.  Needs every lam_i > 0.
+    """
+    lam = np.asarray(lam, dtype=float)
+    grad = -(np.log(lam / 3.0) + 1.0) / 3.0
+    sign = {"<=": 1.0, ">=": -1.0}
+    ub = [ineq for ineq in spec.inequalities if ineq.sense != "=="]
+    eq = [ineq for ineq in spec.inequalities if ineq.sense == "=="]
+    lp = linprog(
+        -grad,
+        A_ub=[np.multiply(sign[ineq.sense], ineq.coefficients) for ineq in ub],
+        b_ub=[sign[ineq.sense] * ineq.bound for ineq in ub],
+        A_eq=[ineq.coefficients for ineq in eq],
+        b_eq=[ineq.bound for ineq in eq],
+        bounds=(None, None),
+    )
+    assert lp.status == 0, lp.message
+    return float(-lp.fun - grad @ lam)
 
 
 def trapezoid_phase(omega0, omega1, detuning, duration, points: int = 1_000_000):

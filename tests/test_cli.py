@@ -59,8 +59,10 @@ class TestPolytopeAndFunctional:
             ["noisy", "--target", "w", "--dt", "1e-10"],
             ["montecarlo", "--base", "epr", "--confidence", "0.3"],
             ["noisy", "--target", "w", "--margin-epsilon", "3"],
+            ["polytope", "--occupations", "0,1,0.5,0.5,0.5,0.5"],
+            ["polytope", "--occupations", "1.2,1,0.5,0.5,0,-0.2"],
         ],
-        ids=["epsilon", "dt", "confidence", "margin-epsilon"],
+        ids=["epsilon", "dt", "confidence", "margin-epsilon", "unsorted", "outside-unit"],
     )
     def test_out_of_range_input_is_config_error(self, tmp_path, args):
         code, _ = run(tmp_path, "bad.json", args)

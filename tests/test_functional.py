@@ -44,12 +44,12 @@ class TestQuantumFunctional:
     @pytest.mark.parametrize("label", ["slater", "epr", "w", "ghz"])
     def test_reference_values(self, label):
         result = quantum_functional(class_polytope(label))
-        assert result.value == pytest.approx(REFERENCE[label], abs=1e-6)
+        assert result.value == pytest.approx(REFERENCE[label], abs=1e-12)
 
     @pytest.mark.parametrize("label", ["slater", "epr", "w", "ghz"])
     def test_argmax_is_characteristic_occupation(self, label):
         result = quantum_functional(class_polytope(label))
-        assert np.max(np.abs(result.argmax - CLASS_OCCUPATIONS[label])) < 1e-5
+        assert np.max(np.abs(result.argmax - CLASS_OCCUPATIONS[label])) < 1e-12
 
     def test_monotone_under_nesting(self):
         values = [
@@ -77,3 +77,31 @@ class TestQuantumFunctional:
         )
         with pytest.raises(InfeasiblePolytopeError):
             quantum_functional(PolytopeSpec("impossible", impossible))
+
+    def test_occupations_outside_unit_interval_are_infeasible(self):
+        ghz = class_polytope("ghz").inequalities
+        pairings = tuple(c for c in ghz if c.sense == "==")
+        beyond = LinearInequality((1, 0, 0, 0, 0, 0), 1.5, ">=", "lam1>=1.5")
+        with pytest.raises(InfeasiblePolytopeError):
+            quantum_functional(PolytopeSpec("beyond", pairings + (beyond,)))
+
+    @pytest.mark.parametrize("label", ["ghz", "w"])
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            LinearInequality((0, 0, 1, 0, 0, 0), 0.6, ">=", "lam3>=0.6"),
+            LinearInequality((0, 0, 1, 0, 0, 0), 0.7, ">=", "lam3>=0.7"),
+            LinearInequality((1, -1, 0, 0, 0, 0), 0.2, ">=", "lam1-lam2>=0.2"),
+            LinearInequality((0, 1, -1, 0, 0, 0), 0.1, ">=", "lam2-lam3>=0.1"),
+            LinearInequality((2, -2, 3, 0, 0, 0), 2.9, ">=", "2lam1-2lam2+3lam3>=2.9"),
+            LinearInequality((1, 0, 1, 0, 0, 0), 1.6, ">=", "lam1+lam3>=1.6"),
+        ],
+        ids=lambda cut: cut.label,
+    )
+    def test_cut_polytope_matches_spec_grid_oracle(self, label, cut):
+        base = class_polytope(label).inequalities
+        spec = PolytopeSpec(f"{label}+{cut.label}", base + (cut,))
+        result = quantum_functional(spec)
+        assert result.value >= oracles.grid_spec_entropy_maximum(spec, step=0.01) - 1e-12
+        assert spec.contains(result.argmax)
+        assert oracles.entropy_optimality_gap(spec, result.argmax) < 1e-8

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fermitope import gates, tomography
-from fermitope.errors import InvalidGateError
+from fermitope.errors import InvalidDimensionError, InvalidGateError
 from fermitope.fock import (
     MixedState,
     basis_vector,
@@ -93,6 +93,11 @@ class TestReadoutSequences:
 
 
 class TestReconstruction:
+    @pytest.mark.parametrize("shots", [0, -3])
+    def test_non_positive_shots_rejected(self, shots):
+        with pytest.raises(InvalidDimensionError):
+            reconstruct_one_rdm(target_state("w"), shots=shots)
+
     def test_setting_count_is_d_squared(self):
         estimate = reconstruct_one_rdm(target_state("ghz"), shots=None)
         assert estimate.settings == 36
