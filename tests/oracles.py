@@ -8,7 +8,7 @@ package's bit-twiddling code paths.
 import numpy as np
 from scipy.optimize import linprog
 
-from fermitope import fock
+from fermitope import fock, gates, polytope
 
 _SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
 _Z = np.diag([1.0, -1.0]).astype(complex)
@@ -168,6 +168,60 @@ def entropy_optimality_gap(spec, lam) -> float:
     )
     assert lp.status == 0, lp.message
     return float(-lp.fun - grad @ lam)
+
+
+def full_batch_merits(base_state: str, merit: str, sigma: float, draws) -> np.ndarray:
+    """Merits of all perturbed samples from one ``eigvalsh`` of the whole batch.
+
+    The perturbation of ``fermitope.montecarlo`` written out directly:
+    gamma0 + sigma * Delta with real diagonal draws (|draw| on epr's empty
+    mode), and real and imaginary upper-triangle draws mirrored.
+    """
+    d = 6
+    gamma0 = fock.one_rdm(gates.target_state(base_state))
+    n = draws.shape[0]
+    diag = draws[:, :d].copy()
+    if base_state.lower() == "epr":
+        diag[:, 5] = np.abs(diag[:, 5])
+    re = draws[:, d : d + 15]
+    im = draws[:, d + 15 :]
+
+    out = np.broadcast_to(gamma0, (n, d, d)).astype(np.complex128)
+    rows, cols = np.triu_indices(d, k=1)
+    out[:, rows, cols] += sigma * (re + 1j * im)
+    out[:, cols, rows] += sigma * (re - 1j * im)
+    idx = np.arange(d)
+    out[:, idx, idx] += sigma * diag
+    lam = np.linalg.eigvalsh(out)[:, ::-1]
+    return polytope._MERITS[merit](lam)
+
+
+def exhaustive_max_tolerated_sigma(
+    base_state: str,
+    merit: str,
+    confidence: float = 0.999,
+    n_samples: int = 10**5,
+    seed: int = 0,
+    sigma_max: float = 0.5,
+    iterations: int = 12,
+) -> float:
+    """sigma* by bisection that evaluates every sample at every step."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    draws = rng.standard_normal((n_samples, 36))
+
+    def prob(sigma: float) -> float:
+        return float(np.mean(full_batch_merits(base_state, merit, sigma, draws) < 0.0))
+
+    lo, hi = 0.0, sigma_max
+    if prob(hi) >= confidence:
+        return hi
+    for _ in range(iterations):
+        mid = (lo + hi) / 2.0
+        if prob(mid) >= confidence:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def trapezoid_phase(omega0, omega1, detuning, duration, points: int = 1_000_000):

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from fermitope import montecarlo as mc
+from fermitope import polytope
 from fermitope.errors import InvalidDimensionError
 from fermitope.montecarlo import (
     PerturbationSpec,
@@ -14,6 +18,22 @@ from fermitope.montecarlo import (
     theoretical_rdm,
     violation_probability,
 )
+
+CANONICAL = (("epr", "f_slater"), ("w", "f_epr"), ("ghz", "f_w"))
+
+
+def _status_is_monotone(base, merit):
+    """merit(lambda(gamma0)) <= 0 and lambda1(gamma0) <= 1: the pruning condition."""
+    lam0 = np.linalg.eigvalsh(theoretical_rdm(base))[::-1]
+    return polytope._MERITS[merit](lam0) <= 0.0 and lam0[0] <= 1.0
+
+
+MONOTONE_PAIRS = [
+    (base, merit)
+    for base in polytope.CLASS_LABELS
+    for merit in mc.MERIT_LABELS
+    if _status_is_monotone(base, merit)
+]
 
 
 class TestPerturbedSampling:
@@ -40,7 +60,7 @@ class TestPerturbedSampling:
     def test_sample_mean_concentrates_on_base(self):
         sigma, n = 0.05, 100_000
         draws = mc._standard_draws(n, 4)
-        batch = mc._perturbed_batch("ghz", sigma, draws)
+        batch = mc._perturbed_batch(theoretical_rdm("ghz"), sigma, draws)
         mean = batch.mean(axis=0)
         tol = 3 * sigma / np.sqrt(n)
         assert np.max(np.abs(mean - theoretical_rdm("ghz"))) < tol
@@ -55,6 +75,35 @@ class TestPerturbedSampling:
             PerturbationSpec("bell", 0.1, 10, 0)
         with pytest.raises(InvalidDimensionError):
             PerturbationSpec("epr", -0.1, 10, 0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: merit_samples("epr", "f_slater", 0.05, 0, 0), id="samples-n0"),
+            pytest.param(lambda: merit_samples("epr", "f_slater", -0.1, 10, 0), id="samples-neg"),
+            pytest.param(lambda: violation_probability("epr", "f_slater", 0.05, 0), id="prob-n0"),
+            pytest.param(lambda: violation_probability("epr", "f_slater", -0.1, 10), id="prob-neg"),
+            pytest.param(lambda: merit_histogram("epr", "f_slater", 0.05, 0), id="hist-n0"),
+            pytest.param(lambda: merit_histogram("epr", "f_slater", -0.1, 10), id="hist-neg"),
+            pytest.param(
+                lambda: max_tolerated_sigma("epr", "f_slater", n_samples=0), id="threshold-n0"
+            ),
+            pytest.param(
+                lambda: max_tolerated_sigma("epr", "f_slater", n_samples=-3), id="threshold-neg"
+            ),
+        ],
+    )
+    def test_sample_count_and_sigma_validated(self, call):
+        with pytest.raises(InvalidDimensionError):
+            call()
+
+    def test_chunked_merits_match_one_shot_batch(self):
+        n, k = 2 * mc._CHUNK_ROWS + 123, 1_000
+        draws = mc._standard_draws(n, 9)
+        for base, merit in CANONICAL:
+            got = merit_samples(base, merit, 0.05, n, seed=9)
+            assert np.array_equal(got, oracles.full_batch_merits(base, merit, 0.05, draws))
+            assert np.array_equal(got[:k], merit_samples(base, merit, 0.05, k, seed=9))
 
 
 class TestViolationProbability:
@@ -99,6 +148,28 @@ class TestMaxToleratedSigma:
         a = max_tolerated_sigma("ghz", "f_w", n_samples=5_000, seed=3)
         b = max_tolerated_sigma("ghz", "f_w", n_samples=5_000, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("seed, n_samples", [(0, 2_000), (7, 5_000), (42, 10_000)])
+    @pytest.mark.parametrize(
+        "base, merit", CANONICAL + (("w", "f_slater"), ("slater", "f_w"))
+    )
+    def test_matches_exhaustive_bisection(self, base, merit, seed, n_samples):
+        got = max_tolerated_sigma(base, merit, n_samples=n_samples, seed=seed)
+        ref = oracles.exhaustive_max_tolerated_sigma(base, merit, n_samples=n_samples, seed=seed)
+        assert got == ref
+
+    def test_pruning_condition_holds_off_slater(self):
+        expected = {(b, m) for b in ("epr", "w", "ghz") for m in mc.MERIT_LABELS}
+        assert expected <= set(MONOTONE_PAIRS)
+        assert ("slater", "f_w") not in MONOTONE_PAIRS
+
+    @settings(max_examples=25, deadline=None)
+    @given(pair=st.sampled_from(MONOTONE_PAIRS), seed=st.integers(0, 2**32 - 1))
+    def test_violation_status_non_increasing_in_sigma(self, pair, seed):
+        base, merit = pair
+        sigmas = np.linspace(0.0, 0.5, 51)[1:]
+        status = np.array([merit_samples(base, merit, s, 256, seed) < 0.0 for s in sigmas])
+        assert not np.any(status[1:] & ~status[:-1])
 
     def test_confidence_validated(self):
         with pytest.raises(InvalidDimensionError):
