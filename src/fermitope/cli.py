@@ -264,9 +264,10 @@ def _cmd_montecarlo(params: dict) -> None:
         sigma = params["sigma"]
         if sigma < 0:
             raise ConfigError("sigma must be non-negative")
-        prob = montecarlo.violation_probability(
-            base, merit, sigma, n_samples=n_samples, seed=params["seed"]
-        )
+        # One set of samples gives both the probability and the histogram.
+        montecarlo._warn_if_unpaired(base, merit)
+        values = montecarlo.merit_samples(base, merit, sigma, n_samples, params["seed"])
+        prob = montecarlo._violating_fraction(values)
         payload = {
             "meta": _meta("montecarlo", params),
             "base": base,
@@ -277,9 +278,7 @@ def _cmd_montecarlo(params: dict) -> None:
         }
         rows = None
         if params["format"] == "csv":
-            centers, counts = montecarlo.merit_histogram(
-                base, merit, sigma, n_samples=n_samples, seed=params["seed"]
-            )
+            centers, counts = montecarlo._histogram(values)
             rows = [
                 {"f_value": float(c), "count": int(k)}
                 for c, k in zip(centers, counts)

@@ -50,6 +50,9 @@ _N_MODES = 6
 # minor page faults of 2048 rows.  Per-chunk call overhead is below 1%.
 _CHUNK_ROWS = 2048
 
+# Bins of a merit histogram.
+_BINS = 200
+
 # The sigma bracket [0, _SIGMA_MAX] and its number of halvings.
 _SIGMA_MAX = 0.5
 _BISECTIONS = 12
@@ -134,11 +137,15 @@ def _merit_values(
 
 
 def sample_perturbed_rdm(spec: PerturbationSpec, sample_index: int = 0) -> np.ndarray:
-    """One Hermitian perturbed 1-RDM sample (sigma = 0 returns the base)."""
+    """One Hermitian perturbed 1-RDM sample (sigma = 0 returns the base).
+
+    Draws only the first ``sample_index + 1`` samples: Philox's first rows
+    do not depend on how many rows are drawn.
+    """
     if sample_index < 0 or sample_index >= spec.n_samples:
         raise InvalidDimensionError("sample_index outside 0..n_samples-1")
-    gamma0, draws = _base_and_draws(spec.base_state, spec.n_samples, spec.seed)
-    return _perturbed_batch(gamma0, spec.sigma, draws[sample_index : sample_index + 1])[0]
+    gamma0, draws = _base_and_draws(spec.base_state, sample_index + 1, spec.seed)
+    return _perturbed_batch(gamma0, spec.sigma, draws[sample_index:])[0]
 
 
 def merit_samples(
@@ -157,13 +164,21 @@ def violation_probability(
 ) -> float:
     """Fraction of perturbed samples with merit < 0."""
     base = base_state.lower()
+    _warn_if_unpaired(base, merit)
+    return _violating_fraction(merit_samples(base, merit, sigma, n_samples, seed))
+
+
+def _warn_if_unpaired(base: str, merit: str) -> None:
+    """Warn, on behalf of the caller's caller, when merit is not base's pairing."""
     if CANONICAL_PAIRING.get(base) != merit:
         warnings.warn(
             f"{base!r} is conventionally paired with {CANONICAL_PAIRING.get(base)!r},"
             f" not {merit!r}",
-            stacklevel=2,
+            stacklevel=3,
         )
-    values = merit_samples(base, merit, sigma, n_samples, seed)
+
+
+def _violating_fraction(values: np.ndarray) -> float:
     return float(np.mean(values < 0.0))
 
 
@@ -218,10 +233,13 @@ def merit_histogram(
     sigma: float,
     n_samples: int = 10**5,
     seed: int = 0,
-    bins: int = 200,
+    bins: int = _BINS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(bin_centers, counts) for the merit distribution at one sigma."""
-    values = merit_samples(base_state.lower(), merit, sigma, n_samples, seed)
+    return _histogram(merit_samples(base_state.lower(), merit, sigma, n_samples, seed), bins)
+
+
+def _histogram(values: np.ndarray, bins: int = _BINS) -> tuple[np.ndarray, np.ndarray]:
     counts, edges = np.histogram(values, bins=bins)
     centers = (edges[:-1] + edges[1:]) / 2.0
     return centers, counts

@@ -313,34 +313,78 @@ def check_weakened(
 # Stochastic search for extremal slightly mixed states
 # ---------------------------------------------------------------------------
 
+# The hill climb's settings: purification rank, first step, annealing
+# (step *= 0.95 after every 100 consecutive rejections), the block norm
+# at or below which a proposal is skipped, and the proposals scored per round.
+# Fewer than 1% of proposals are accepted, so scoring 32 at once from the
+# current state wastes little: those after an accepted one are scored
+# again from the new state.
+_RANK = 2
+_INITIAL_STEP = 0.5
+_ANNEAL_FACTOR = 0.95
+_ANNEAL_AFTER = 100
+_DEGENERATE_NORM = 1e-14
+_PROPOSALS = 32
+
+
 @dataclass(frozen=True)
 class HillClimbResult:
+    """The best state found; ``evaluations`` counts the proposals scored,
+    including those a round scores after the one it accepts."""
+
     state: MixedState
     value: float
     objective: str
     epsilon: float
     iterations: int
     accepted: int
+    evaluations: int
+    final_step: float
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of complex (..., n) vectors.
+
+    Summed as ``np.linalg.norm`` sums one vector, one dot product for the
+    real parts and one for the imaginary parts, so a batched climb
+    reproduces the sequential one bit for bit.
+    """
+    re, im = x.real[..., None, :], x.imag[..., None, :]
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
 def _mixture_lambdas(psi0: np.ndarray, block: np.ndarray, epsilon: float) -> np.ndarray:
-    """Sorted 1-RDM eigenvalues of (1-eps)|psi0><psi0| + eps * BB^+/tr(BB^+)."""
-    trace = np.einsum("cr,cr->", block.conj(), block).real
+    """Sorted 1-RDM eigenvalues of (1-eps)|psi0><psi0| + eps * BB^+/tr(BB^+).
+
+    Takes (..., 20) states psi0 and (..., 20, rank) blocks B, and returns
+    (..., 6) occupations.
+    """
+    trace = np.einsum("...cr,...cr->...", block.conj(), block).real
     # Purification rows: the mixture's 1-RDM is the sum of their unnormalized ones.
     rows = np.concatenate(
-        [math.sqrt(1.0 - epsilon) * psi0[None], math.sqrt(epsilon / trace) * block.T]
+        [
+            math.sqrt(1.0 - epsilon) * psi0[..., None, :],
+            np.sqrt(epsilon / trace)[..., None, None] * np.swapaxes(block, -1, -2),
+        ],
+        axis=-2,
     )
-    gamma = fock._rdm_kernel(6, 3, rows).sum(axis=0)
-    return np.linalg.eigvalsh(gamma)[::-1]
+    gamma = fock._rdm_kernel(6, 3, rows).sum(axis=-3)
+    return np.linalg.eigvalsh(gamma)[..., ::-1]
 
 
-def _orthonormalize_block(block: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    """Project the purification block onto the complement of psi0."""
-    block = block - np.outer(psi0, psi0.conj() @ block)
-    norm = np.linalg.norm(block)
-    if norm <= 1e-14:
-        raise ZeroDivisionError
-    return block / norm
+def _project_out(block: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(..., 20, rank) blocks without their psi component, and their norms."""
+    block = block - psi[..., :, None] * (psi.conj()[..., None, :] @ block)
+    return block, _norms(block.reshape(*block.shape[:-2], -1))
+
+
+def _annealed(step: float, rejections: int, n: int) -> tuple[float, int]:
+    """Step size and rejection count after ``n`` more consecutive rejections."""
+    rejections += n
+    for _ in range(rejections // _ANNEAL_AFTER):
+        step *= _ANNEAL_FACTOR
+    return step, rejections % _ANNEAL_AFTER
 
 
 def hill_climb_extremal(
@@ -348,16 +392,20 @@ def hill_climb_extremal(
     objective: str = "f1",
     seed: int = 0,
     iterations: int = 100_000,
-    rank: int = 2,
-    initial_step: float = 0.5,
 ) -> HillClimbResult:
     """Random search maximizing f1 or f2 over states of fixed mixedness.
 
     The state keeps the form rho = (1-eps)|psi0><psi0| + eps*rho1 with
-    rho1 orthogonal to psi0 (a rank-``rank`` purification block).  Both
-    psi0 and the block receive Gaussian perturbations; a move is accepted
-    when the objective increases, and the step size anneals by 0.95 after
-    every 100 consecutive rejections.
+    rho1 orthogonal to psi0 (a rank-2 purification block).  Both psi0 and
+    the block receive Gaussian perturbations; a move is accepted when the
+    objective increases, and the step size anneals by 0.95 after every
+    100 consecutive rejections.  A proposal whose block lies in the span
+    of psi0 is skipped.
+
+    Each proposal sees the normals and the step a one-at-a-time loop
+    would give it: its 120 normals come next from ``default_rng(seed)``,
+    and its step assumes every earlier proposal of its round was
+    rejected, which holds for every proposal up to the accepted one.
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidDimensionError("epsilon must lie in (0, 1)")
@@ -375,34 +423,47 @@ def hill_climb_extremal(
         return v / np.linalg.norm(v)
 
     psi0 = random_unit(dim)
-    block = _orthonormalize_block(random_unit((dim, rank)), psi0)
+    block, norm = _project_out(random_unit((dim, _RANK)), psi0)
+    block = block / norm
 
     best = float(merit(_mixture_lambdas(psi0, block, epsilon)))
-    step = initial_step
-    rejections = 0
-    accepted = 0
-    for _ in range(iterations):
-        d_psi = step * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        d_blk = step * (
-            rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-        )
-        cand_psi = psi0 + d_psi
-        cand_psi = cand_psi / np.linalg.norm(cand_psi)
-        try:
-            cand_blk = _orthonormalize_block(block + d_blk, cand_psi)
-        except ZeroDivisionError:
-            continue
-        value = float(merit(_mixture_lambdas(cand_psi, cand_blk, epsilon)))
-        if value > best:
-            best = value
-            psi0, block = cand_psi, cand_blk
+    step, rejections = _INITIAL_STEP, 0
+    accepted = evaluations = done = 0
+    # Each proposal's normals in draw order: psi re, psi im, block re, block im.
+    splits = np.cumsum([dim, dim, dim * _RANK])
+    normals = np.empty((0, splits[-1] + dim * _RANK))
+    while done < iterations:
+        k = min(_PROPOSALS, iterations - done)
+        if len(normals) < k:
+            fresh = rng.standard_normal((k - len(normals), normals.shape[1]))
+            normals = np.concatenate([normals, fresh])
+        psi_re, psi_im, blk_re, blk_im = np.split(normals[:k], splits, axis=1)
+        steps = np.array([_annealed(step, rejections, j)[0] for j in range(k)])
+
+        cand_psi = psi0 + steps[:, None] * (psi_re + 1j * psi_im)
+        cand_psi = cand_psi / _norms(cand_psi)[:, None]
+        d_blk = (blk_re + 1j * blk_im).reshape(k, dim, _RANK)
+        cand_blk, norms = _project_out(block + steps[:, None, None] * d_blk, cand_psi)
+        # Score up to the first degenerate block; it is skipped, not rejected.
+        live = norms > _DEGENERATE_NORM
+        n = k if live.all() else int(np.argmin(live))
+        cand_blk = cand_blk[:n] / norms[:n, None, None]
+        values = merit(_mixture_lambdas(cand_psi[:n], cand_blk, epsilon))
+        evaluations += n
+
+        better = np.flatnonzero(values > best)
+        if len(better):
+            j = int(better[0])
+            best = float(values[j])
+            psi0, block = cand_psi[j], cand_blk[j]
+            step, rejections = steps[j], 0
             accepted += 1
-            rejections = 0
+            used = j + 1
         else:
-            rejections += 1
-            if rejections >= 100:
-                step *= 0.95
-                rejections = 0
+            step, rejections = _annealed(step, rejections, n)
+            used = min(n + 1, k)
+        normals = normals[used:]
+        done += used
 
     weights = np.einsum("cr,cr->r", block.conj(), block).real
     rho1 = (block * (1.0 / weights.sum())) @ block.conj().T
@@ -415,4 +476,6 @@ def hill_climb_extremal(
         epsilon=epsilon,
         iterations=iterations,
         accepted=accepted,
+        evaluations=evaluations,
+        final_step=float(step),
     )

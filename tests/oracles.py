@@ -5,6 +5,8 @@ on the full 2^d Fock space, grids, quadrature) without reusing the
 package's bit-twiddling code paths.
 """
 
+import math
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -231,3 +233,76 @@ def trapezoid_phase(omega0, omega1, detuning, duration, points: int = 1_000_000)
     o1 = np.array([omega1(x) for x in t])
     integrand = np.sqrt(o0**2 + o1**2 + (detuning / 2.0) ** 2) - detuning / 2.0
     return -np.trapezoid(integrand, t)
+
+
+# The hill climb as it was before proposals were scored in rounds: one
+# proposal per iteration, each drawn and scored on its own.  Tests may
+# raise _DEGENERATE_NORM, the floor on a proposal's block norm, to
+# exercise the skip of degenerate proposals.
+_DEGENERATE_NORM = 1e-14
+
+
+def _sequential_mixture_lambdas(psi0, block, epsilon):
+    trace = np.einsum("cr,cr->", block.conj(), block).real
+    rows = np.concatenate(
+        [math.sqrt(1.0 - epsilon) * psi0[None], math.sqrt(epsilon / trace) * block.T]
+    )
+    gamma = fock._rdm_kernel(6, 3, rows).sum(axis=0)
+    return np.linalg.eigvalsh(gamma)[::-1]
+
+
+def _orthonormalize_block(block, psi0, floor=1e-14):
+    block = block - np.outer(psi0, psi0.conj() @ block)
+    norm = np.linalg.norm(block)
+    if norm <= floor:
+        raise ZeroDivisionError
+    return block / norm
+
+
+def sequential_hill_climb(
+    epsilon: float, objective: str, seed: int, iterations: int, rank: int = 2
+) -> tuple[fock.MixedState, float, int, float]:
+    """(state, value, accepted, final step) of the one-proposal-at-a-time climb."""
+    merit = polytope._MERITS[objective]
+    rng = np.random.default_rng(seed)
+    dim = fock.sector_dim(6, 3)
+
+    def random_unit(shape):
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return v / np.linalg.norm(v)
+
+    psi0 = random_unit(dim)
+    block = _orthonormalize_block(random_unit((dim, rank)), psi0)
+
+    best = float(merit(_sequential_mixture_lambdas(psi0, block, epsilon)))
+    step = 0.5
+    rejections = 0
+    accepted = 0
+    for _ in range(iterations):
+        d_psi = step * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        d_blk = step * (
+            rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        )
+        cand_psi = psi0 + d_psi
+        cand_psi = cand_psi / np.linalg.norm(cand_psi)
+        try:
+            cand_blk = _orthonormalize_block(block + d_blk, cand_psi, _DEGENERATE_NORM)
+        except ZeroDivisionError:
+            continue
+        value = float(merit(_sequential_mixture_lambdas(cand_psi, cand_blk, epsilon)))
+        if value > best:
+            best = value
+            psi0, block = cand_psi, cand_blk
+            accepted += 1
+            rejections = 0
+        else:
+            rejections += 1
+            if rejections >= 100:
+                step *= 0.95
+                rejections = 0
+
+    weights = np.einsum("cr,cr->r", block.conj(), block).real
+    rho1 = (block * (1.0 / weights.sum())) @ block.conj().T
+    rho = (1.0 - epsilon) * np.outer(psi0, psi0.conj()) + epsilon * rho1
+    rho = (rho + rho.conj().T) / 2
+    return fock.MixedState(6, 3, rho), best, accepted, step

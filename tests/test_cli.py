@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fermitope import montecarlo
 from fermitope.cli import EXIT_CONFIG, EXIT_OK, main
 
 
@@ -116,6 +117,27 @@ class TestCsvFormat:
 
 
 class TestMonteCarloCommand:
+    def test_csv_at_one_sigma_draws_samples_once(self, tmp_path, monkeypatch):
+        calls = []
+        draw = montecarlo._base_and_draws
+
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(montecarlo, "_base_and_draws", counted)
+        args = ["montecarlo", "--base", "ghz", "--merit", "f_epr", "--sigma", "0.05",
+                "--n-samples", "3000", "--format", "csv"]
+        with pytest.warns(UserWarning, match="conventionally paired") as caught:
+            code, out = run(tmp_path, "hist.csv", args)
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        assert len(caught) == 1
+        rows = [line.split(",") for line in out.read_text().splitlines()[5:]]
+        centers, counts = montecarlo.merit_histogram("ghz", "f_epr", 0.05, 3000, seed=0)
+        assert [float(c) for c, _ in rows] == centers.tolist()
+        assert [int(k) for _, k in rows] == counts.tolist()
+
     def test_threshold_payload(self, tmp_path):
         code, out = run(
             tmp_path,

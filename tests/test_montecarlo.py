@@ -52,6 +52,20 @@ class TestPerturbedSampling:
             gamma = sample_perturbed_rdm(spec, k)
             assert np.max(np.abs(gamma - gamma.conj().T)) < 1e-12
 
+    @pytest.mark.parametrize("base", ["epr", "ghz"])
+    def test_one_sample_equals_its_row_of_the_full_batch(self, base, monkeypatch):
+        spec = PerturbationSpec(base, sigma=0.2, n_samples=40, seed=8)
+        gamma0, draws = mc._base_and_draws(base, spec.n_samples, spec.seed)
+        batch = mc._perturbed_batch(gamma0, spec.sigma, draws)
+        rows_drawn = []
+        standard_draws = mc._standard_draws
+        monkeypatch.setattr(
+            mc, "_standard_draws", lambda n, seed: rows_drawn.append(n) or standard_draws(n, seed)
+        )
+        for k in (0, 1, 17, spec.n_samples - 1):
+            assert np.array_equal(sample_perturbed_rdm(spec, k), batch[k])
+        assert rows_drawn == [1, 2, 18, spec.n_samples]
+
     def test_epr_corner_entry_never_negative(self):
         spec = PerturbationSpec("epr", sigma=0.3, n_samples=500, seed=3)
         draws = np.array([sample_perturbed_rdm(spec, k)[5, 5].real for k in range(500)])

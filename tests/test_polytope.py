@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from fermitope import fock, polytope
 from fermitope.errors import InvalidDimensionError, UnsupportedCaseError
 from fermitope.fock import natural_occupations, one_rdm, random_pure_state, wedge_embed
@@ -185,6 +186,8 @@ class TestHillClimb:
         with pytest.raises(InvalidDimensionError):
             hill_climb_extremal(0.0, "f1", seed=0, iterations=10)
         with pytest.raises(InvalidDimensionError):
+            hill_climb_extremal(0.1, "f1", seed=0, iterations=0)
+        with pytest.raises(InvalidDimensionError):
             hill_climb_extremal(0.1, "f3", seed=0, iterations=10)
 
     def test_proposition_form_states_satisfy_weakened_bounds(self):
@@ -194,3 +197,57 @@ class TestHillClimb:
             state = proposition_form_state(rng, eps)
             lam = np.linalg.eigvalsh(one_rdm(state))[::-1]
             assert check_weakened(lam, eps).member
+
+
+EXTREMAL_CASES = [(o, e) for o in ("f1", "f2") for e in (0.01, 0.06, 0.1)]
+
+
+def assert_matches_sequential(epsilon, objective, seed, iterations):
+    """The round-based climb against the one-proposal-at-a-time loop."""
+    state, value, accepted, step = oracles.sequential_hill_climb(
+        epsilon, objective, seed, iterations
+    )
+    result = hill_climb_extremal(epsilon, objective, seed=seed, iterations=iterations)
+    assert result.accepted == accepted
+    assert abs(result.value - value) <= 1e-12
+    assert np.max(np.abs(result.state.matrix - state.matrix)) <= 1e-12
+    assert result.final_step == pytest.approx(step, rel=1e-12)
+    return result
+
+
+class TestRoundsMatchSequentialClimb:
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("objective,epsilon", EXTREMAL_CASES)
+    def test_extremal_cases(self, objective, epsilon, seed):
+        result = assert_matches_sequential(epsilon, objective, seed, 2000)
+        # Every proposal is scored once, plus those after each accepted one.
+        assert 2000 <= result.evaluations <= 2000 + result.accepted * (polytope._PROPOSALS - 1)
+
+    @pytest.mark.parametrize("iterations", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("objective,epsilon", [("f1", 0.06), ("f2", 0.1)])
+    def test_partial_last_round(self, objective, epsilon, iterations):
+        assert_matches_sequential(epsilon, objective, 3, iterations)
+
+    def test_degenerate_blocks_are_skipped(self, monkeypatch):
+        # Proposals' projected blocks have norms around 2-6 at the first
+        # step sizes; calling those below 4 degenerate skips a third of them.
+        unskipped = hill_climb_extremal(0.06, "f1", seed=5, iterations=1000)
+        monkeypatch.setattr(polytope, "_DEGENERATE_NORM", 4.0)
+        monkeypatch.setattr(oracles, "_DEGENERATE_NORM", 4.0)
+        result = assert_matches_sequential(0.06, "f1", 5, 1000)
+        # Skips are neither scored nor counted as rejections toward annealing.
+        assert result.evaluations < 1000
+        assert result.final_step > unskipped.final_step
+
+
+def test_batched_mixture_lambdas_match_single_calls():
+    rng = np.random.default_rng(13)
+    eps = 0.07
+    psi = rng.standard_normal((9, 20)) + 1j * rng.standard_normal((9, 20))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    block = rng.standard_normal((9, 20, 2)) + 1j * rng.standard_normal((9, 20, 2))
+    batched = polytope._mixture_lambdas(psi, block, eps)
+    assert batched.shape == (9, 6)
+    single = np.array([polytope._mixture_lambdas(p, b, eps) for p, b in zip(psi, block)])
+    assert single.shape == (9, 6)
+    assert np.max(np.abs(batched - single)) <= 1e-14
