@@ -10,6 +10,7 @@ override file values.  Exit codes: 0 success, 2 configuration error,
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -103,6 +104,13 @@ def _positive_int(params: dict, key: str) -> int:
     return value
 
 
+def _seed(params: dict) -> int:
+    value = params["seed"]
+    if not isinstance(value, int) or value < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _unit_interval(params: dict, key: str) -> float:
     value = params[key]
     if not 0.0 <= value <= 1.0:
@@ -138,7 +146,7 @@ def _cmd_rdm(params: dict) -> None:
     target = _require_target(params)
     shots = None if params["exact"] else _positive_int(params, "shots")
     state = gates.target_state(target)
-    estimate = tomography.reconstruct_one_rdm(state, shots, seed=params["seed"])
+    estimate = tomography.reconstruct_one_rdm(state, shots, seed=_seed(params))
     hermitian = (estimate.matrix + estimate.matrix.conj().T) / 2.0
     lam, _ = fock.natural_occupations(hermitian)
     payload = {
@@ -206,8 +214,8 @@ def _cmd_functional(params: dict) -> None:
 
 
 def _noise_params(params: dict) -> noise.NoiseParams:
-    if params["dephasing_rate"] < 0 or params["emission_rate"] < 0:
-        raise ConfigError("noise rates must be non-negative")
+    if not all(0.0 <= params[k] < math.inf for k in ("dephasing_rate", "emission_rate")):
+        raise ConfigError("noise rates must be finite and non-negative")
     return noise.NoiseParams(
         dephasing_rate=params["dephasing_rate"],
         emission_rate=params["emission_rate"],
@@ -259,14 +267,15 @@ def _cmd_montecarlo(params: dict) -> None:
     if merit not in montecarlo.MERIT_LABELS:
         raise ConfigError(f"merit must be one of {montecarlo.MERIT_LABELS}")
     n_samples = _positive_int(params, "n_samples")
+    seed = _seed(params)
 
     if params.get("sigma") is not None:
         sigma = params["sigma"]
-        if sigma < 0:
-            raise ConfigError("sigma must be non-negative")
+        if not 0.0 <= sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and non-negative, got {sigma!r}")
         # One set of samples gives both the probability and the histogram.
         montecarlo._warn_if_unpaired(base, merit)
-        values = montecarlo.merit_samples(base, merit, sigma, n_samples, params["seed"])
+        values = montecarlo.merit_samples(base, merit, sigma, n_samples, seed)
         prob = montecarlo._violating_fraction(values)
         payload = {
             "meta": _meta("montecarlo", params),
@@ -293,7 +302,7 @@ def _cmd_montecarlo(params: dict) -> None:
         merit,
         confidence=params["confidence"],
         n_samples=n_samples,
-        seed=params["seed"],
+        seed=seed,
     )
     payload = {
         "meta": _meta("montecarlo", params),
@@ -302,7 +311,7 @@ def _cmd_montecarlo(params: dict) -> None:
         "sigma_star": sigma_star,
         "confidence": params["confidence"],
         "n_samples": n_samples,
-        "seed": params["seed"],
+        "seed": seed,
     }
     _emit(payload, None, params)
 

@@ -5,29 +5,42 @@ are perturbed by independent Gaussians of standard deviation sigma (real
 diagonals; real and imaginary off-diagonal parts independently, mirrored
 to keep the matrix Hermitian), so sample k is gamma0 + sigma * Delta_k.
 A sample counts as a violation when the merit function of its sorted
-eigenvalues is negative.  Bisection on sigma finds the largest
-perturbation scale for which the violation probability still reaches the
-requested confidence.
+eigenvalues is negative.  sigma* is the largest perturbation scale whose
+violation probability p still reaches the requested confidence c, to the
+resolution of 12 halvings of [0, 0.5] with common random numbers: every
+point that bisection visits is a step m h of the grid h = 0.5 / 2**12.
 
-The bisection evaluates only the samples whose status it cannot infer.
 For t > 1, gamma0 + t sigma Delta = t (gamma0 + sigma Delta) - (t-1) gamma0,
 so by Ky Fan (lambda1 and lambda1+lambda2+lambda3 are convex) and
 Courant-Fischer (lambda2(A + B) <= lambda2(A) + lambda1(B)), a sample
 that does not violate at some sigma > 0 violates at no larger sigma,
 provided merit(lambda(gamma0)) <= 0 and lambda1(gamma0) <= 1.  That holds
-for every merit on epr, w and ghz.  A sample violating at the upper end
-of the bracket then violates at every point inside it, one not violating
-at the lower end (sigma > 0) violates nowhere inside it, and each step
-evaluates only the samples whose status differs between the two ends.
-Where the condition fails (slater with F_W) every step evaluates every
-sample.
+for every merit on epr, w and ghz.  Then p(m h) is non-increasing in
+m >= 1, the bisection returns max{m h : p(m h) >= c} (0 if no step
+passes), and so does any other search of the grid: m h is exact, and
+each matrix's eigenvalues do not depend on the chunk it sits in.  A
+sample violating at the upper end of a bracket violates at every step
+inside it, one not violating at the lower end (m >= 1) at none, so a
+step evaluates only the samples whose status differs between the ends.
+
+The search first bisects the grid on the first _CHUNK_ROWS samples, a
+pilot whose answer m' is final when there are no more samples.  All
+samples are then evaluated once, at hi = min(2**12, m' + max(8, m' // 4)).
+If p(hi) < c the search walks down over [0, hi], evaluating only the
+samples that do not violate at hi, about 1 - c of them.  If p(hi) >= c
+the pilot fell short: the samples violating at hi are evaluated at 0.5
+and the search walks up over [hi, 2**12].  In all, about 1.1-1.4 full
+evaluations of the samples, against 3.2-5.3 for a bisection down from
+0.5 (the canonical pairs, n = 1e5).  Where the condition fails (slater
+with F_W) the search is that bisection, evaluating every sample at
+every step.
 
 Samples are perturbed and diagonalised in fixed chunks of _CHUNK_ROWS
-rows; each matrix's eigenvalues do not depend on the chunk it sits in.
-Sampling uses the counter-based Philox generator so runs are reproducible
-regardless of how samples are batched.
+rows.  Sampling uses the counter-based Philox generator so runs are
+reproducible regardless of how samples are batched.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -53,9 +66,15 @@ _CHUNK_ROWS = 2048
 # Bins of a merit histogram.
 _BINS = 200
 
-# The sigma bracket [0, _SIGMA_MAX] and its number of halvings.
-_SIGMA_MAX = 0.5
-_BISECTIONS = 12
+# sigma* lies on the grid m * _STEP, 0 <= m <= _TOP, that 12 halvings of
+# [0, 0.5] resolve.  Both are exact binary fractions, so m * _STEP is the
+# float each halving would compute.
+_TOP = 2**12
+_STEP = 0.5 / _TOP
+
+# Steps above the pilot's answer at which all samples are first evaluated:
+# at least _MARGIN_STEPS, or a quarter of the pilot's step.
+_MARGIN_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -70,8 +89,8 @@ class PerturbationSpec:
     def __post_init__(self) -> None:
         if self.base_state.lower() not in polytope.CLASS_LABELS:
             raise InvalidDimensionError(f"unknown base state {self.base_state!r}")
-        if self.sigma < 0:
-            raise InvalidDimensionError("sigma must be non-negative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise InvalidDimensionError("sigma must be finite and non-negative")
         if self.n_samples < 1:
             raise InvalidDimensionError("n_samples must be >= 1")
 
@@ -152,8 +171,8 @@ def merit_samples(
     base_state: str, merit: str, sigma: float, n_samples: int, seed: int
 ) -> np.ndarray:
     """Merit values of ``n_samples`` perturbed 1-RDMs."""
-    if sigma < 0:
-        raise InvalidDimensionError("sigma must be non-negative")
+    if not 0.0 <= sigma < math.inf:
+        raise InvalidDimensionError("sigma must be finite and non-negative")
     merit_fn = _merit(merit)
     gamma0, draws = _base_and_draws(base_state, n_samples, seed)
     return _merit_values(gamma0, merit_fn, sigma, draws, np.arange(n_samples))
@@ -191,11 +210,10 @@ def max_tolerated_sigma(
 ) -> float:
     """Largest sigma whose violation probability still reaches confidence.
 
-    Bisection over [0, 0.5] with common random numbers across the
-    evaluations; 12 halvings resolve sigma well below 0.001.  Each
-    sample's violation status is kept at both ends of the bracket, and a
-    step evaluates only the samples whose status there differs (see the
-    module docstring); its decision still counts all ``n_samples``.
+    The float that 12 halvings of [0, 0.5] with common random numbers
+    give: a step of the grid 0.5 / 2**12, or 0 if no step passes.  The
+    module docstring describes the pilot, the one evaluation of all
+    ``n_samples`` and the walk down or up that find it.
     """
     if not 0.5 < confidence < 1.0:
         raise InvalidDimensionError("confidence must lie in (0.5, 1)")
@@ -204,22 +222,48 @@ def max_tolerated_sigma(
     lam0 = np.linalg.eigvalsh(gamma0)[::-1]
     monotone = merit_fn(lam0) <= 0.0 and lam0[0] <= 1.0
 
-    def violations(sigma: float, undecided: np.ndarray, known: np.ndarray) -> np.ndarray:
-        """Status at sigma: evaluated on ``undecided``, ``known`` elsewhere."""
-        status = known.copy()
-        rows = np.flatnonzero(undecided)
-        status[rows] = _merit_values(gamma0, merit_fn, sigma, draws, rows) < 0.0
-        return status
+    def status(m: int, v_lo: np.ndarray, v_hi: np.ndarray) -> np.ndarray:
+        """Violations at step m of the first len(v_hi) samples.
+
+        v_lo and v_hi are their statuses at a lower step (all True at
+        step 0, which tells nothing) and a higher one (all False if none).
+        """
+        out = v_hi.copy()
+        rows = np.flatnonzero(v_lo & ~v_hi if monotone else np.ones_like(v_hi))
+        out[rows] = _merit_values(gamma0, merit_fn, m * _STEP, draws, rows) < 0.0
+        return out
+
+    def search(lo: int, hi: int, v_lo: np.ndarray, v_hi: np.ndarray) -> int:
+        return _largest_passing_step(status, confidence, lo, hi, v_lo, v_hi)
 
     everyone = np.ones(n_samples, dtype=bool)
-    v_lo = everyone  # sigma = 0 tells nothing about a sample
-    v_hi = violations(_SIGMA_MAX, everyone, ~everyone)
+    # Without monotonicity only the bisection over every sample is exact:
+    # then the pilot takes every sample and is the whole search.
+    k = min(n_samples, _CHUNK_ROWS) if monotone else n_samples
+    m_hat = search(0, _TOP, everyone[:k], status(_TOP, everyone[:k], ~everyone[:k]))
+    if k == n_samples:
+        return m_hat * _STEP
+    hi = min(_TOP, m_hat + max(_MARGIN_STEPS, m_hat // 4))
+    v_hi = status(hi, everyone, ~everyone)
+    if hi < _TOP and np.mean(v_hi) >= confidence:
+        # The pilot fell short; only samples violating at hi can violate above it.
+        return search(hi, _TOP, v_hi, status(_TOP, v_hi, ~everyone)) * _STEP
+    return search(0, hi, everyone, v_hi) * _STEP
+
+
+def _largest_passing_step(status, confidence, lo, hi, v_lo, v_hi) -> int:
+    """Largest grid step in [lo, hi] whose violation fraction reaches confidence.
+
+    ``v_lo`` and ``v_hi`` are the violation statuses at steps lo and hi;
+    step lo is taken to pass.  ``status(m, v_lo, v_hi)`` gives the status
+    at a step between them.  Started on [0, 2**12], its midpoints are the
+    points the float bisection of [0, 0.5] visits.
+    """
     if np.mean(v_hi) >= confidence:
-        return _SIGMA_MAX
-    lo, hi = 0.0, _SIGMA_MAX
-    for _ in range(_BISECTIONS):
-        mid = (lo + hi) / 2.0
-        v_mid = violations(mid, v_lo & ~v_hi if monotone else everyone, v_hi)
+        return hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        v_mid = status(mid, v_lo, v_hi)
         if np.mean(v_mid) >= confidence:
             lo, v_lo = mid, v_mid
         else:

@@ -34,8 +34,8 @@ class NoiseParams:
     emission_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.dephasing_rate < 0 or self.emission_rate < 0:
-            raise StepSizeError("noise rates must be non-negative")
+        if not (0.0 <= self.dephasing_rate < math.inf and 0.0 <= self.emission_rate < math.inf):
+            raise StepSizeError("noise rates must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,10 @@ def evolve_noisy_protocol(
     durations = [g.duration for g in protocol.gates]
     if any(dur is None for dur in durations):
         raise InvalidGateError("every gate needs a duration for noisy evolution")
-    if dt <= 0:
-        raise StepSizeError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise StepSizeError("dt must be positive and finite")
+    if not 0.0 <= free_time < math.inf:
+        raise StepSizeError("free_time must be finite and non-negative")
     if durations and dt > min(durations) / 10.0:
         raise StepSizeError("dt must not exceed one tenth of the shortest gate")
 

@@ -62,8 +62,22 @@ class TestPolytopeAndFunctional:
             ["noisy", "--target", "w", "--margin-epsilon", "3"],
             ["polytope", "--occupations", "0,1,0.5,0.5,0.5,0.5"],
             ["polytope", "--occupations", "1.2,1,0.5,0.5,0,-0.2"],
+            ["montecarlo", "--base", "epr", "--sigma", "nan", "--n-samples", "10"],
+            ["montecarlo", "--base", "epr", "--sigma", "inf", "--n-samples", "10"],
+            ["noisy", "--target", "w", "--dt", "nan"],
+            ["echo", "--target", "w", "--dt", "nan"],
+            ["noisy", "--target", "w", "--dephasing-rate", "nan"],
+            ["noisy", "--target", "w", "--dephasing-rate", "inf"],
+            ["noisy", "--target", "w", "--emission-rate", "nan"],
+            ["noisy", "--target", "w", "--free-time", "inf"],
+            ["montecarlo", "--base", "epr", "--seed", "-1", "--n-samples", "10"],
+            ["rdm", "--target", "epr", "--seed", "-1"],
         ],
-        ids=["epsilon", "dt", "confidence", "margin-epsilon", "unsorted", "outside-unit"],
+        ids=[
+            "epsilon", "dt", "confidence", "margin-epsilon", "unsorted", "outside-unit",
+            "sigma-nan", "sigma-inf", "dt-nan", "echo-dt-nan", "dephasing-nan",
+            "dephasing-inf", "emission-nan", "free-time-inf", "montecarlo-seed", "rdm-seed",
+        ],
     )
     def test_out_of_range_input_is_config_error(self, tmp_path, args):
         code, _ = run(tmp_path, "bad.json", args)

@@ -4,12 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
 from fermitope import polytope
 from fermitope.errors import InvalidGateError, InvalidPulseError
-from fermitope.fock import basis_vector, natural_occupations, one_rdm, sector_dim, superposition
+from fermitope.fock import (
+    basis_vector,
+    natural_occupations,
+    one_rdm,
+    random_pure_state,
+    sector_dim,
+    superposition,
+)
 from fermitope.gates import (
     GateOp,
     Protocol,
@@ -162,6 +171,38 @@ class TestGateContracts:
     def test_gate_json_round_trip(self):
         gate = controlled_rotation(2, 3, 4, math.pi / 2, 60e-12)
         assert GateOp.from_json(gate.to_json()) == gate
+
+
+def _occupations(state) -> np.ndarray:
+    return np.linalg.eigvalsh(one_rdm(state))
+
+
+class TestOneBodyInvariance:
+    """rotation and phase are one-body unitaries: gamma -> u gamma u^+ keeps lambda."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sector=st.sampled_from([(6, 3), (7, 2), (8, 4)]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_rotation_and_phase_keep_natural_occupations(self, sector, seed, data):
+        d, n = sector
+        sites = st.lists(st.integers(1, d), min_size=2, max_size=2, unique=True)
+        angle = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+        sequence = data.draw(
+            st.lists(st.tuples(st.sampled_from([rotation, phase_gate]), sites, angle), max_size=8)
+        )
+        state = random_pure_state(d, n, seed)
+        lam = _occupations(state)
+        for make, (i, j), theta in sequence:
+            state = apply_gate(state, make(i, j, theta))
+        assert np.max(np.abs(_occupations(state) - lam)) <= 1e-12
+
+    def test_controlled_rotation_can_change_them(self):
+        state = random_pure_state(6, 3, 11)
+        out = apply_gate(state, controlled_rotation(1, 2, 3, 1.1))
+        assert np.max(np.abs(_occupations(out) - _occupations(state))) > 1e-3
 
 
 class TestProtocols:

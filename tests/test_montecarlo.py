@@ -1,5 +1,7 @@
 """Gaussian 1-RDM perturbations, violation probabilities, sigma thresholds."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,11 @@ def _status_is_monotone(base, merit):
     """merit(lambda(gamma0)) <= 0 and lambda1(gamma0) <= 1: the pruning condition."""
     lam0 = np.linalg.eigvalsh(theoretical_rdm(base))[::-1]
     return polytope._MERITS[merit](lam0) <= 0.0 and lam0[0] <= 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _exhaustive(base, merit, n_samples, seed):
+    return oracles.exhaustive_max_tolerated_sigma(base, merit, n_samples=n_samples, seed=seed)
 
 
 MONOTONE_PAIRS = [
@@ -87,14 +94,21 @@ class TestPerturbedSampling:
     def test_spec_validation(self):
         with pytest.raises(InvalidDimensionError):
             PerturbationSpec("bell", 0.1, 10, 0)
-        with pytest.raises(InvalidDimensionError):
-            PerturbationSpec("epr", -0.1, 10, 0)
+        for sigma in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(InvalidDimensionError):
+                PerturbationSpec("epr", sigma, 10, 0)
 
     @pytest.mark.parametrize(
         "call",
         [
             pytest.param(lambda: merit_samples("epr", "f_slater", 0.05, 0, 0), id="samples-n0"),
             pytest.param(lambda: merit_samples("epr", "f_slater", -0.1, 10, 0), id="samples-neg"),
+            pytest.param(
+                lambda: merit_samples("epr", "f_slater", float("nan"), 10, 0), id="samples-nan"
+            ),
+            pytest.param(
+                lambda: merit_samples("epr", "f_slater", float("inf"), 10, 0), id="samples-inf"
+            ),
             pytest.param(lambda: violation_probability("epr", "f_slater", 0.05, 0), id="prob-n0"),
             pytest.param(lambda: violation_probability("epr", "f_slater", -0.1, 10), id="prob-neg"),
             pytest.param(lambda: merit_histogram("epr", "f_slater", 0.05, 0), id="hist-n0"),
@@ -163,7 +177,12 @@ class TestMaxToleratedSigma:
         b = max_tolerated_sigma("ghz", "f_w", n_samples=5_000, seed=3)
         assert a == b
 
-    @pytest.mark.parametrize("seed, n_samples", [(0, 2_000), (7, 5_000), (42, 10_000)])
+    # n <= _CHUNK_ROWS (1, 2000, 2048) is answered by the pilot alone; 2049
+    # leaves one sample outside it.
+    @pytest.mark.parametrize(
+        "seed, n_samples",
+        [(0, 1), (7, 2_048), (42, 2_049), (0, 2_000), (7, 5_000), (42, 10_000)],
+    )
     @pytest.mark.parametrize(
         "base, merit", CANONICAL + (("w", "f_slater"), ("slater", "f_w"))
     )
@@ -171,6 +190,62 @@ class TestMaxToleratedSigma:
         got = max_tolerated_sigma(base, merit, n_samples=n_samples, seed=seed)
         ref = oracles.exhaustive_max_tolerated_sigma(base, merit, n_samples=n_samples, seed=seed)
         assert got == ref
+
+    @pytest.mark.parametrize("base, merit", CANONICAL)
+    def test_full_size_search_is_the_last_passing_step(self, base, merit):
+        """At (seed 0, 1e5), where 13 full batches per oracle run cost too much.
+
+        With p non-increasing on the grid, the exhaustive bisection returns
+        the one step that passes while the next fails, so both are checked
+        on the full batch.
+        """
+        n, confidence = 100_000, 0.999
+        got = max_tolerated_sigma(base, merit, confidence, n_samples=n, seed=0)
+        draws = np.random.Generator(np.random.Philox(key=0)).standard_normal((n, 36))
+
+        def passes(sigma):
+            return np.mean(oracles.full_batch_merits(base, merit, sigma, draws) < 0) >= confidence
+
+        assert 0.0 < got < 0.5
+        assert passes(got)
+        assert not passes(got + mc._STEP)
+
+    @pytest.mark.parametrize("m_hat", [0, mc._TOP - 1])
+    @pytest.mark.parametrize("seed", [0, 42])
+    @pytest.mark.parametrize("base, merit", CANONICAL)
+    def test_bad_pilot_still_gives_exhaustive_answer(self, base, merit, seed, m_hat, monkeypatch):
+        n = 5_000
+        searches = []
+        search = mc._largest_passing_step
+
+        def forced_pilot(status, confidence, lo, hi, v_lo, v_hi):
+            searches.append((lo, hi))
+            if len(searches) == 1:
+                return m_hat
+            return search(status, confidence, lo, hi, v_lo, v_hi)
+
+        monkeypatch.setattr(mc, "_largest_passing_step", forced_pilot)
+        got = max_tolerated_sigma(base, merit, n_samples=n, seed=seed)
+        # m_hat = 0 leaves sigma* above the first full evaluation (a walk up);
+        # m_hat = 4095 puts that evaluation at 0.5 (a walk down from the top).
+        assert searches[1] == ((8, mc._TOP) if m_hat == 0 else (0, mc._TOP))
+        assert got == _exhaustive(base, merit, n, seed)
+
+    def test_rows_evaluated_per_search(self, monkeypatch):
+        n = 100_000
+        evaluated = []
+        merit_values = mc._merit_values
+
+        def counting(gamma0, merit_fn, sigma, draws, rows):
+            evaluated.append(len(rows))
+            return merit_values(gamma0, merit_fn, sigma, draws, rows)
+
+        monkeypatch.setattr(mc, "_merit_values", counting)
+        for base, merit in CANONICAL:
+            evaluated.clear()
+            max_tolerated_sigma(base, merit, n_samples=n, seed=42)
+            # 1.13-1.39 n at this seed; the full bisection took 3.19-5.28 n.
+            assert n < sum(evaluated) <= 1.6 * n
 
     def test_pruning_condition_holds_off_slater(self):
         expected = {(b, m) for b in ("epr", "w", "ghz") for m in mc.MERIT_LABELS}

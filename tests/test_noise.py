@@ -118,6 +118,18 @@ class TestEvolveNoisyProtocol:
             evolve_noisy_protocol(build_protocol("epr"), PAPER_NOISE, dt=5e-12)
         with pytest.raises(StepSizeError):
             evolve_noisy_protocol(build_protocol("epr"), PAPER_NOISE, dt=0.0)
+        with pytest.raises(StepSizeError):
+            evolve_noisy_protocol(build_protocol("epr"), PAPER_NOISE, dt=float("nan"))
+        for free_time in (float("inf"), float("nan"), -1e-9):
+            with pytest.raises(StepSizeError):
+                evolve_noisy_protocol(build_protocol("epr"), PAPER_NOISE, DT, free_time=free_time)
+
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+    def test_rates_must_be_finite_and_non_negative(self, rate):
+        with pytest.raises(StepSizeError):
+            NoiseParams(dephasing_rate=rate)
+        with pytest.raises(StepSizeError):
+            NoiseParams(emission_rate=rate)
 
     def test_twelve_mode_sector(self):
         initial = random_pure_state(12, 6, seed=3)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fermitope import fock, polytope
@@ -251,3 +253,56 @@ def test_batched_mixture_lambdas_match_single_calls():
     single = np.array([polytope._mixture_lambdas(p, b, eps) for p, b in zip(psi, block)])
     assert single.shape == (9, 6)
     assert np.max(np.abs(batched - single)) <= 1e-14
+
+
+def lidskii_mixture(seed: int, rank: int, epsilon: float):
+    """psi, the weights and unit vectors of a rank-``rank`` rho1, and gamma of the mixture."""
+    rng = np.random.default_rng(seed)
+    dim = fock.sector_dim(6, 3)
+    vecs = rng.standard_normal((rank + 1, dim)) + 1j * rng.standard_normal((rank + 1, dim))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    psi, comps = fock.PureState(6, 3, vecs[0]), vecs[1:]
+    weights = rng.dirichlet(np.ones(rank))
+    rho1 = (comps.T * weights) @ comps.conj()
+    rho1 = (rho1 + rho1.conj().T) / 2
+    rho1 /= np.trace(rho1).real
+    rho = (1 - epsilon) * np.outer(psi.amplitudes, psi.amplitudes.conj()) + epsilon * rho1
+    gamma = one_rdm(fock.MixedState(6, 3, (rho + rho.conj().T) / 2))
+    return psi, weights, comps, fock.MixedState(6, 3, rho1), gamma
+
+
+def test_mixture_rdms_match_dense_oracle():
+    psi, weights, comps, rho1, gamma = lidskii_mixture(seed=5, rank=3, epsilon=0.3)
+    dense_1 = sum(
+        w * oracles.dense_one_rdm(fock.PureState(6, 3, v)) for w, v in zip(weights, comps)
+    )
+    assert np.max(np.abs(one_rdm(psi) - oracles.dense_one_rdm(psi))) <= 1e-12
+    assert np.max(np.abs(one_rdm(rho1) - dense_1)) <= 1e-12
+    assert np.max(np.abs(gamma - (0.7 * oracles.dense_one_rdm(psi) + 0.3 * dense_1))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 5),
+    epsilon=st.floats(0.0, 1.0, allow_nan=False),
+)
+def test_lidskii_bounds_f2_of_mixtures(seed, rank, epsilon):
+    """Criterion 6's F2 ceiling, proved rather than searched for.
+
+    With gamma = (1-eps) gamma_psi + eps gamma_1, Lidskii's inequality
+    sum_{i in I} lam_i(A + B) <= sum_{i in I} lam_i(A) + sum_{i <= |I|} lam_i(B)
+    at I = {1, 2, 4} bounds F2(gamma) by (1-eps) F2(gamma_psi) +
+    eps (lam1 + lam2 + lam3)(gamma_1), which is at most 2(1-eps) + 3 eps
+    by the pure-state inequality and lam_i <= 1.
+    """
+    psi, _, _, rho1, gamma = lidskii_mixture(seed, rank, epsilon)
+    gamma_psi, gamma_1 = one_rdm(psi), one_rdm(rho1)
+    assert np.max(np.abs(gamma - ((1 - epsilon) * gamma_psi + epsilon * gamma_1))) <= 1e-12
+    f2 = polytope._MERITS["f2"]
+    lam = np.linalg.eigvalsh(gamma)[::-1]
+    lam_psi = np.linalg.eigvalsh(gamma_psi)[::-1]
+    lam_1 = np.linalg.eigvalsh(gamma_1)[::-1]
+    ceiling = (1 - epsilon) * f2(lam_psi) + epsilon * lam_1[:3].sum()
+    assert f2(lam) <= ceiling + 1e-12
+    assert ceiling <= 2 + epsilon + 1e-12
