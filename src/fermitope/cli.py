@@ -68,7 +68,11 @@ def _emit(payload: dict, rows: list[dict] | None, params: dict) -> None:
 
     out = params.get("out")
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -90,25 +94,17 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _require_target(params: dict) -> str:
-    target = (params.get("target") or "").lower()
-    if target not in polytope.CLASS_LABELS:
-        raise ConfigError(f"target must be one of {polytope.CLASS_LABELS}, got {target!r}")
-    return target
-
-
-def _positive_int(params: dict, key: str) -> int:
-    value = params.get(key)
-    if not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+def _label(params: dict, key: str, choices) -> str:
+    value = (params.get(key) or "").lower()
+    if value not in choices:
+        raise ConfigError(f"{key} must be one of {tuple(choices)}, got {value!r}")
     return value
 
 
-def _seed(params: dict) -> int:
-    value = params["seed"]
-    if not isinstance(value, int) or value < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {value!r}")
-    return value
+def _at_least(params: dict, key: str, low: int) -> int:
+    if params[key] < low:
+        raise ConfigError(f"{key} must be an integer >= {low}, got {params[key]!r}")
+    return params[key]
 
 
 def _unit_interval(params: dict, key: str) -> float:
@@ -119,18 +115,17 @@ def _unit_interval(params: dict, key: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns (payload, rows), meta is added by main
 # ---------------------------------------------------------------------------
 
-def _cmd_prepare(params: dict) -> None:
-    target = _require_target(params)
+def _cmd_prepare(params: dict) -> tuple[dict, None]:
+    target = _label(params, "target", polytope.CLASS_LABELS)
     protocol = gates.build_protocol(target)
     final = gates.apply_protocol(gates.target_state("slater"), protocol)
     lam, _ = fock.natural_occupations(fock.one_rdm(final))
     expected = np.array(polytope.CLASS_OCCUPATIONS[target])
     entropy = functional.quantum_functional(polytope.class_polytope(target))
     payload = {
-        "meta": _meta("prepare", params),
         "target": target,
         "protocol": protocol.to_json(),
         "final_state": final.to_json(),
@@ -139,23 +134,22 @@ def _cmd_prepare(params: dict) -> None:
         "max_lambda_error": float(np.max(np.abs(lam - expected))),
         "class_functional": entropy.to_json(),
     }
-    _emit(payload, None, params)
+    return payload, None
 
 
-def _cmd_rdm(params: dict) -> None:
-    target = _require_target(params)
-    shots = None if params["exact"] else _positive_int(params, "shots")
+def _cmd_rdm(params: dict) -> tuple[dict, None]:
+    target = _label(params, "target", polytope.CLASS_LABELS)
+    shots = None if params["exact"] else _at_least(params, "shots", 1)
     state = gates.target_state(target)
-    estimate = tomography.reconstruct_one_rdm(state, shots, seed=_seed(params))
+    estimate = tomography.reconstruct_one_rdm(state, shots, seed=_at_least(params, "seed", 0))
     hermitian = (estimate.matrix + estimate.matrix.conj().T) / 2.0
     lam, _ = fock.natural_occupations(hermitian)
     payload = {
-        "meta": _meta("rdm", params),
         "target": target,
         "estimate": estimate.to_json(),
         "natural_occupations": [float(x) for x in lam],
     }
-    _emit(payload, None, params)
+    return payload, None
 
 
 def _lambda_from_params(params: dict) -> np.ndarray:
@@ -168,11 +162,11 @@ def _lambda_from_params(params: dict) -> np.ndarray:
         if lam.shape != (6,) or not np.all(np.isfinite(lam)):
             raise ConfigError(f"occupations must be six finite numbers, got {occs!r}")
         return lam
-    target = _require_target(params)
+    target = _label(params, "target", polytope.CLASS_LABELS)
     return np.array(polytope.CLASS_OCCUPATIONS[target])
 
 
-def _cmd_polytope(params: dict) -> None:
+def _cmd_polytope(params: dict) -> tuple[dict, list[dict] | None]:
     lam = _lambda_from_params(params)
     try:
         report, member = polytope.check_pure_bd(lam)
@@ -184,33 +178,31 @@ def _cmd_polytope(params: dict) -> None:
         for label in polytope.CLASS_LABELS
     }
     payload = {
-        "meta": _meta("polytope", params),
         "lambda": [float(x) for x in lam],
         "merit": report.to_json(),
         "pure_member": member,
         "class_membership": memberships,
         "weakened": weak.to_json(),
     }
+    if params["format"] != "csv":
+        return payload, None
     rows = [
         {"constraint": k, "slack": float(v)} for k, v in sorted(report.slacks.items())
     ]
     rows.append({"constraint": f"f1<=1+{params['epsilon']}", "slack": weak.slack_f1})
     rows.append({"constraint": f"f2<=2+{params['epsilon']}", "slack": weak.slack_f2})
-    _emit(payload, rows if params["format"] == "csv" else None, params)
+    return payload, rows
 
 
-def _cmd_functional(params: dict) -> None:
-    label = (params.get("polytope") or "").lower()
-    if label not in polytope.CLASS_LABELS:
-        raise ConfigError(f"polytope must be one of {polytope.CLASS_LABELS}")
+def _cmd_functional(params: dict) -> tuple[dict, None]:
+    label = _label(params, "polytope", polytope.CLASS_LABELS)
     result = functional.quantum_functional(polytope.class_polytope(label))
     payload = {
-        "meta": _meta("functional", params),
         "polytope": label,
         "E": result.value,
         "argmax": [float(x) for x in result.argmax],
     }
-    _emit(payload, None, params)
+    return payload, None
 
 
 def _noise_params(params: dict) -> noise.NoiseParams:
@@ -222,8 +214,8 @@ def _noise_params(params: dict) -> noise.NoiseParams:
     )
 
 
-def _cmd_noisy(params: dict) -> None:
-    target = _require_target(params)
+def _cmd_noisy(params: dict) -> tuple[dict, list[dict]]:
+    target = _label(params, "target", polytope.CLASS_LABELS)
     protocol = gates.build_protocol(target)
     trajectory, final = noise.evolve_noisy_protocol(
         protocol,
@@ -233,116 +225,117 @@ def _cmd_noisy(params: dict) -> None:
         margin_epsilon=_unit_interval(params, "margin_epsilon"),
     )
     payload = {
-        "meta": _meta("noisy", params),
         "target": target,
         "final_purity": noise.purity(final),
         "final_fidelity": float(trajectory.fidelity[-1]),
         "margin_epsilon": trajectory.margin_epsilon,
         "margin_ok_everywhere": bool(trajectory.margin_ok.all()),
     }
-    _emit(payload, trajectory.rows(), params)
+    return payload, trajectory.rows()
 
 
-def _cmd_echo(params: dict) -> None:
-    target = _require_target(params)
+def _cmd_echo(params: dict) -> tuple[dict, None]:
+    target = _label(params, "target", polytope.CLASS_LABELS)
     protocol = gates.build_protocol(target)
     echo = noise.loschmidt_echo(protocol, _noise_params(params), dt=params["dt"])
     lam, _ = fock.natural_occupations(fock.one_rdm(echo.state))
     payload = {
-        "meta": _meta("echo", params),
         "target": target,
         "echo_fidelity": echo.echo_fidelity,
         "purity": noise.purity(echo.state),
         "purity_lower_bound": noise.purity_lower_bound(echo.state),
         "lambda": [float(x) for x in lam],
     }
-    _emit(payload, None, params)
+    return payload, None
 
 
-def _cmd_montecarlo(params: dict) -> None:
-    base = (params.get("base") or "").lower()
-    if base not in montecarlo.CANONICAL_PAIRING:
-        raise ConfigError(f"base must be one of {tuple(montecarlo.CANONICAL_PAIRING)}")
-    merit = (params.get("merit") or montecarlo.CANONICAL_PAIRING[base]).lower()
-    if merit not in montecarlo.MERIT_LABELS:
-        raise ConfigError(f"merit must be one of {montecarlo.MERIT_LABELS}")
-    n_samples = _positive_int(params, "n_samples")
-    seed = _seed(params)
+def _cmd_montecarlo(params: dict) -> tuple[dict, list[dict] | None]:
+    base = _label(params, "base", montecarlo.CANONICAL_PAIRING)
+    merit = montecarlo.CANONICAL_PAIRING[base]
+    if params["merit"]:
+        merit = _label(params, "merit", montecarlo.MERIT_LABELS)
+    n_samples = _at_least(params, "n_samples", 1)
+    seed = _at_least(params, "seed", 0)
+    payload = {"base": base, "merit": merit, "n_samples": n_samples}
 
-    if params.get("sigma") is not None:
+    if params["sigma"] is not None:
         sigma = params["sigma"]
         if not 0.0 <= sigma < math.inf:
             raise ConfigError(f"sigma must be finite and non-negative, got {sigma!r}")
         # One set of samples gives both the probability and the histogram.
         montecarlo._warn_if_unpaired(base, merit)
         values = montecarlo.merit_samples(base, merit, sigma, n_samples, seed)
-        prob = montecarlo._violating_fraction(values)
-        payload = {
-            "meta": _meta("montecarlo", params),
-            "base": base,
-            "merit": merit,
-            "sigma": sigma,
-            "violation_probability": prob,
-            "n_samples": n_samples,
-        }
-        rows = None
-        if params["format"] == "csv":
-            centers, counts = montecarlo._histogram(values)
-            rows = [
-                {"f_value": float(c), "count": int(k)}
-                for c, k in zip(centers, counts)
-            ]
-        _emit(payload, rows, params)
-        return
+        payload["sigma"] = sigma
+        payload["violation_probability"] = montecarlo._violating_fraction(values)
+        if params["format"] != "csv":
+            return payload, None
+        centers, counts = montecarlo._histogram(values)
+        return payload, [
+            {"f_value": float(c), "count": int(k)} for c, k in zip(centers, counts)
+        ]
 
     if not 0.5 < params["confidence"] < 1.0:
         raise ConfigError(f"confidence must lie in (0.5, 1), got {params['confidence']!r}")
-    sigma_star = montecarlo.max_tolerated_sigma(
-        base,
-        merit,
-        confidence=params["confidence"],
-        n_samples=n_samples,
-        seed=seed,
+    payload["sigma_star"] = montecarlo.max_tolerated_sigma(
+        base, merit, confidence=params["confidence"], n_samples=n_samples, seed=seed
     )
-    payload = {
-        "meta": _meta("montecarlo", params),
-        "base": base,
-        "merit": merit,
-        "sigma_star": sigma_star,
-        "confidence": params["confidence"],
-        "n_samples": n_samples,
-        "seed": seed,
-    }
-    _emit(payload, None, params)
+    payload["confidence"] = params["confidence"]
+    payload["seed"] = seed
+    return payload, None
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Options and commands
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "format": "json",
-    "seed": 0,
-    "epsilon": 0.06,
-    "shots": 100_000,
-    "exact": False,
-    "dephasing_rate": noise.PAPER_DEPHASING_RATE,
-    "emission_rate": 0.0,
-    "dt": 1e-12,
-    "free_time": 0.0,
-    "margin_epsilon": 0.06,
-    "n_samples": 100_000,
-    "confidence": 0.999,
+# Every option: (type, default, help).  A tuple type lists the allowed
+# strings; bool options are flags.  Config-file values are checked
+# against the type and stored unchanged.
+_OPTIONS = {
+    "target": (str, None, None),
+    "shots": (int, 100_000, None),
+    "exact": (bool, False, "use exact expectations (infinite shots)"),
+    "occupations": (str, None, "comma-separated lambda values (overrides --target)"),
+    "epsilon": (float, 0.06, None),
+    "polytope": (str, None, None),
+    "dephasing_rate": (float, noise.PAPER_DEPHASING_RATE, None),
+    "emission_rate": (float, 0.0, None),
+    "dt": (float, 1e-12, None),
+    "free_time": (float, 0.0, None),
+    "margin_epsilon": (float, 0.06, None),
+    "base": (str, None, None),
+    "merit": (str, None, None),
+    "sigma": (float, None, "evaluate one sigma instead of searching the threshold"),
+    "n_samples": (int, 100_000, None),
+    "confidence": (float, 0.999, None),
+    "out": (str, None, "output file (default stdout)"),
+    "format": (("json", "csv"), "json", None),
+    "seed": (int, 0, None),
+    "config": (str, None, "JSON file with defaults"),
 }
 
-_HANDLERS = {
-    "prepare": _cmd_prepare,
-    "rdm": _cmd_rdm,
-    "polytope": _cmd_polytope,
-    "functional": _cmd_functional,
-    "noisy": _cmd_noisy,
-    "echo": _cmd_echo,
-    "montecarlo": _cmd_montecarlo,
+_NOISE_OPTIONS = ("dephasing_rate", "emission_rate", "dt")
+
+# Every command: (handler, help, options); a trailing "!" marks a required
+# option.  Each also takes --out, --format, --seed and --config.
+_COMMANDS = {
+    "prepare": (_cmd_prepare, "run a preparation protocol", ("target!",)),
+    "rdm": (_cmd_rdm, "simulated 1-RDM tomography", ("target!", "shots", "exact")),
+    "polytope": (
+        _cmd_polytope, "membership and merit report", ("target", "occupations", "epsilon")
+    ),
+    "functional": (_cmd_functional, "entropy functional of a class polytope", ("polytope!",)),
+    "noisy": (
+        _cmd_noisy,
+        "noisy preparation trajectory",
+        ("target!", *_NOISE_OPTIONS, "free_time", "margin_epsilon"),
+    ),
+    "echo": (_cmd_echo, "entangle-disentangle purity report", ("target!", *_NOISE_OPTIONS)),
+    "montecarlo": (
+        _cmd_montecarlo,
+        "error-margin thresholds",
+        ("base!", "merit", "sigma", "n_samples", "confidence"),
+    ),
 }
 
 
@@ -352,61 +345,34 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Few-fermion occupation-number polytope toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None, help="JSON file with defaults")
-
-    p = sub.add_parser("prepare", help="run a preparation protocol")
-    p.add_argument("--target", required=True)
-    common(p)
-
-    p = sub.add_parser("rdm", help="simulated 1-RDM tomography")
-    p.add_argument("--target", required=True)
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--exact", action="store_true", default=None,
-                   help="use exact expectations (infinite shots)")
-    common(p)
-
-    p = sub.add_parser("polytope", help="membership and merit report")
-    p.add_argument("--target", default=None)
-    p.add_argument("--occupations", default=None,
-                   help="comma-separated lambda values (overrides --target)")
-    p.add_argument("--epsilon", type=float, default=None)
-    common(p)
-
-    p = sub.add_parser("functional", help="entropy functional of a class polytope")
-    p.add_argument("--polytope", required=True)
-    common(p)
-
-    p = sub.add_parser("noisy", help="noisy preparation trajectory")
-    p.add_argument("--target", required=True)
-    p.add_argument("--dephasing-rate", dest="dephasing_rate", type=float, default=None)
-    p.add_argument("--emission-rate", dest="emission_rate", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--free-time", dest="free_time", type=float, default=None)
-    p.add_argument("--margin-epsilon", dest="margin_epsilon", type=float, default=None)
-    common(p)
-
-    p = sub.add_parser("echo", help="entangle-disentangle purity report")
-    p.add_argument("--target", required=True)
-    p.add_argument("--dephasing-rate", dest="dephasing_rate", type=float, default=None)
-    p.add_argument("--emission-rate", dest="emission_rate", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    common(p)
-
-    p = sub.add_parser("montecarlo", help="error-margin thresholds")
-    p.add_argument("--base", required=True)
-    p.add_argument("--merit", default=None)
-    p.add_argument("--sigma", type=float, default=None,
-                   help="evaluate one sigma instead of searching the threshold")
-    p.add_argument("--n-samples", dest="n_samples", type=int, default=None)
-    p.add_argument("--confidence", type=float, default=None)
-    common(p)
-
+    for command, (_, command_help, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for name in (*names, "out", "format", "seed", "config"):
+            key = name.rstrip("!")
+            kind, _, option_help = _OPTIONS[key]
+            extra = {"required": True} if name.endswith("!") else {"default": None}
+            if kind is bool:
+                extra["action"] = "store_true"
+            elif isinstance(kind, tuple):
+                extra["choices"] = kind
+            elif kind is not str:
+                extra["type"] = kind
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=option_help, **extra)
     return parser
+
+
+def _typed(key: str, value) -> bool:
+    """Whether a config-file value fits its option's type (None is unset)."""
+    kind = _OPTIONS[key][0]
+    if value is None:
+        return True
+    if isinstance(kind, tuple):
+        return value in kind
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, kind)
 
 
 def _resolve_params(args: argparse.Namespace) -> dict:
@@ -421,10 +387,12 @@ def _resolve_params(args: argparse.Namespace) -> dict:
             raise ConfigError("config file must contain a JSON object")
         for key, value in from_file.items():
             if key in params and params[key] is None:
+                if not _typed(key, value):
+                    raise ConfigError(f"config value {key}={value!r} has the wrong type")
                 params[key] = value
     for key, value in params.items():
-        if value is None and key in _DEFAULTS:
-            params[key] = _DEFAULTS[key]
+        if value is None:
+            params[key] = _OPTIONS[key][1]
     return params
 
 
@@ -433,7 +401,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         params = _resolve_params(args)
-        _HANDLERS[args.command](params)
+        payload, rows = _COMMANDS[args.command][0](params)
+        _emit({"meta": _meta(args.command, params), **payload}, rows, params)
     except (ConfigError, StepSizeError) as exc:
         # StepSizeError only ever rejects a step size or rate taken from input.
         print(f"fermitope: configuration error: {exc}", file=sys.stderr)

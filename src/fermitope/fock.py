@@ -285,34 +285,35 @@ def apply_ladder(
     ``mode``).
     """
     d, n = state.d, state.n_particles
-    p = _site_bit(d, mode)
-    if kind == "creation":
-        n_out = n + 1
-    elif kind == "annihilation":
-        n_out = n - 1
-    else:
+    _site_bit(d, mode)
+    if kind not in ("creation", "annihilation"):
         raise InvalidDimensionError(f"unknown ladder kind {kind!r}")
+    n_out = n + 1 if kind == "creation" else n - 1
     if not 0 <= n_out <= d:
         return PureState(d, n, np.zeros_like(state.amplitudes))
-
-    masks = _sector_masks(d, n)
-    occupied = (masks >> p) & 1
     if kind == "creation":
-        sel = occupied == 0
-        targets = masks[sel] | (1 << p)
-    else:
-        sel = occupied == 1
-        targets = masks[sel] & ~np.int64(1 << p)
-    parity = np.bitwise_count(masks[sel] >> (p + 1)) & 1
-    signs = 1.0 - 2.0 * parity
-
-    out = np.zeros(sector_dim(d, n_out), dtype=np.complex128)
-    out_masks = _sector_masks(d, n_out)
-    # out_masks is descending; searchsorted needs ascending order.
-    pos = np.searchsorted(out_masks[::-1], targets)
-    idx = len(out_masks) - 1 - pos
-    np.add.at(out, idx, signs * state.amplitudes[sel])
+        return PureState(d, n_out, _create(state.amplitudes, d, n, np.eye(d)[mode - 1]))
+    # <k| a_mode |psi> = S[k, mode] psi[C[k, mode]] over the (N-1)-states k.
+    index, signs = _creation_table(d, n)
+    live = np.flatnonzero(signs[:, mode - 1])
+    out = np.zeros(len(index), dtype=np.complex128)
+    out[live] += signs[live, mode - 1] * state.amplitudes[index[live, mode - 1]]
     return PureState(d, n_out, out)
+
+
+def _create(amps: np.ndarray, d: int, n_particles: int, v: np.ndarray) -> np.ndarray:
+    """sum_i v_i a_i^+ on N-particle amplitudes, as amplitudes of the N+1 sector.
+
+    The rows of the N+1 creation table are the N-particle states, so site
+    i scatters v_i S[k, i] psi[k] to C[k, i], sites in ascending order.
+    Every output starts from +0.0, so no -0.0 is returned.
+    """
+    index, signs = _creation_table(d, n_particles + 1)
+    out = np.zeros(math.comb(d, n_particles + 1), dtype=np.complex128)
+    for i in np.flatnonzero(v):
+        live = np.flatnonzero(signs[:, i])
+        out[index[live, i]] += v[i] * (signs[live, i] * amps[live])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -322,51 +323,58 @@ def _pair_transitions(
     """Transition table of a_j^+ a_i on the sector: (src, dst, sign).
 
     ``src`` indexes basis states with site i occupied and site j empty,
-    ``dst`` the corresponding states with the particle moved to j, and
-    ``sign`` the parity of the occupied sites strictly between i and j.
+    in ascending order, ``dst`` the corresponding states with the particle
+    moved to j, and ``sign`` the parity of the occupied sites strictly
+    between i and j.  Over the (N-1)-states k with both sites empty,
+    a_j^+ a_i maps C[k, i] to C[k, j] with sign S[k, i] S[k, j].
     """
-    pi, pj = _site_bit(d, i), _site_bit(d, j)
-    masks = _sector_masks(d, n_particles)
-    sel = (((masks >> pi) & 1) == 1) & (((masks >> pj) & 1) == 0)
-    src = np.flatnonzero(sel)
-    targets = masks[src] ^ (1 << pi) ^ (1 << pj)
-    lo, hi = sorted((pi, pj))
-    between = ((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1)
-    parity = np.bitwise_count(masks[src] & between) & 1
-    signs = 1.0 - 2.0 * parity
-    index = _sector_index(d, n_particles)
-    dst = np.fromiter((index[int(t)] for t in targets), dtype=np.int64, count=len(src))
-    for arr in (src, dst, signs):
+    for site in (i, j):
+        _site_bit(d, site)
+    index, signs = _creation_table(d, n_particles)
+    rows = np.flatnonzero(signs[:, i - 1] * signs[:, j - 1])
+    rows = rows[np.argsort(index[rows, i - 1])]
+    src = index[rows, i - 1].astype(np.intp)
+    dst = index[rows, j - 1].astype(np.intp)
+    sign = (signs[rows, i - 1] * signs[rows, j - 1]).astype(np.float64)
+    for arr in (src, dst, sign):
         arr.flags.writeable = False
-    return src, dst, signs
+    return src, dst, sign
 
 
 # ---------------------------------------------------------------------------
-# One-body reduced density matrix
+# The creation table and the one-body reduced density matrix
 # ---------------------------------------------------------------------------
 #
-# Every 1-RDM in the package comes from _rdm_kernel, which reads one cached
-# table per sector: the creation table over the (N-1)-particle states k.
-# C[k, i] is the N-sector index of a_{i+1}^+ |k> and S[k, i] its fermionic
-# sign, 0 where site i+1 is already occupied in k.  Since
-# <k| a_{i+1} |psi> = S[k, i] psi[C[k, i]], amplitudes give
+# One cached table per sector holds every fermionic sign in the package:
+# the creation table over the (N-1)-particle states k.  C[k, i] is the
+# N-sector index of a_{i+1}^+ |k> and S[k, i] its fermionic sign, 0 where
+# site i+1 is already occupied in k.  The ladder operators and the gates'
+# hops a_j^+ a_i above read it, and so does every 1-RDM, which comes from
+# _rdm_kernel.  Since <k| a_{i+1} |psi> = S[k, i] psi[C[k, i]], amplitudes give
 # gamma = Phi^T Phi^* with Phi = S * psi[C] (one gather and one matrix
 # product), and a density matrix gives
 # gamma_ij = sum_k S[k, i] S[k, j] rho[C[k, i], C[k, j]], diagonal included.
 
 @lru_cache(maxsize=None)
 def _creation_table(d: int, n_particles: int) -> tuple[np.ndarray, np.ndarray]:
-    """(C, S), both (binomial(d, N-1), d); empty for N = 0."""
+    """(C, S), both (binomial(d, N-1), d); empty for N = 0.
+
+    C is int32 (binomial(24, 12) < 2**31) and S int8, built one column at a
+    time: no (binomial(d, N-1), d) int64 temporary is made.
+    """
     _check_sector(d, n_particles)
     masks = _sector_masks(d, n_particles - 1) if n_particles else np.zeros(0, np.int64)
-    bits = np.arange(d - 1, -1, -1)
-    empty = ((masks[:, None] >> bits) & 1) == 0
-    parity = np.bitwise_count(masks[:, None] >> (bits + 1)) & 1
-    signs = np.where(empty, 1.0 - 2.0 * parity, 0.0)
-    out_masks = _sector_masks(d, n_particles)
-    # out_masks is descending; searchsorted needs ascending order.
-    pos = np.searchsorted(out_masks[::-1], masks[:, None] | (1 << bits))
-    index = np.where(empty, len(out_masks) - 1 - pos, 0)
+    # Sector masks are descending; searchsorted needs ascending order.
+    ascending = _sector_masks(d, n_particles)[::-1]
+    index = np.zeros((len(masks), d), dtype=np.int32)
+    signs = np.zeros((len(masks), d), dtype=np.int8)
+    for col in range(d):
+        bit = d - 1 - col
+        rows = np.flatnonzero(((masks >> bit) & 1) == 0)
+        k = masks[rows]
+        parity = (np.bitwise_count(k >> (bit + 1)) & 1).astype(np.int8)
+        signs[rows, col] = 1 - 2 * parity
+        index[rows, col] = len(ascending) - 1 - np.searchsorted(ascending, k | (1 << bit))
     for arr in (index, signs):
         arr.flags.writeable = False
     return index, signs
@@ -397,9 +405,7 @@ def one_rdm(state: PureState | MixedState) -> np.ndarray:
     return _rdm_kernel(state.d, state.n_particles, state.amplitudes) / norm2
 
 
-def natural_occupations(
-    rdm: np.ndarray, atol: float = ATOL_EIG
-) -> tuple[np.ndarray, np.ndarray]:
+def natural_occupations(rdm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenvalues of a 1-RDM and a diagonalizing unitary U.
 
     Returns ``(lam, U)`` with ``U @ rdm @ U^+ = diag(lam)``.  Ties between
@@ -408,8 +414,8 @@ def natural_occupations(
     gamma = np.asarray(rdm, dtype=np.complex128)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
         raise InvalidRDMError("1-RDM must be a square matrix")
-    if np.max(np.abs(gamma - gamma.conj().T)) > atol:
-        raise InvalidRDMError(f"1-RDM is not Hermitian within {atol}")
+    if np.max(np.abs(gamma - gamma.conj().T)) > ATOL_EIG:
+        raise InvalidRDMError(f"1-RDM is not Hermitian within {ATOL_EIG}")
     w, v = np.linalg.eigh((gamma + gamma.conj().T) / 2)
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order].conj().T
@@ -453,16 +459,10 @@ def wedge_embed(state: PureState, vectors: Iterable[np.ndarray]) -> PureState:
             raise InvalidDimensionError("embedding vectors must have length d")
         if out.n_particles >= state.d:
             raise ZeroStateError("sector is full; wedge product vanishes")
-        acc = None
-        for mode in range(1, state.d + 1):
-            if v[mode - 1] == 0:
-                continue
-            term = apply_ladder(out, mode, "creation")
-            contrib = v[mode - 1] * term.amplitudes
-            acc = contrib if acc is None else acc + contrib
-        if acc is None:
+        if not v.any():
             raise ZeroStateError("embedding vector is zero")
-        out = PureState(state.d, out.n_particles + 1, acc)
+        amps = _create(out.amplitudes, state.d, out.n_particles, v)
+        out = PureState(state.d, out.n_particles + 1, amps)
     if out.norm <= 1e-12:
         raise ZeroStateError("wedge product vanished")
     return out.normalized()

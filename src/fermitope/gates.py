@@ -30,6 +30,9 @@ DEFAULT_CONTROLLED_DURATION = 60e-12
 
 GATE_KINDS = ("rotation", "controlled_rotation", "phase")
 
+# Relative tolerance of the dynamic-phase quadrature.
+_PHASE_RTOL = 1e-9
+
 # First rotation of the W chain: amplitudes (cos, sin) = (1/sqrt3, sqrt(2/3))
 # on the pair, which in the half-angle convention above is the full angle
 # 2*arcsin(sqrt(2/3)).
@@ -238,11 +241,7 @@ def target_state(label: str) -> PureState:
     raise InvalidDimensionError(f"unknown target {label!r}")
 
 
-def build_protocol(
-    target: str,
-    rotation_duration: float = DEFAULT_ROTATION_DURATION,
-    controlled_duration: float = DEFAULT_CONTROLLED_DURATION,
-) -> Protocol:
+def build_protocol(target: str) -> Protocol:
     """Gate chain preparing the target from |101010>.
 
     Applied to the Slater state, the chains visit the standard
@@ -251,7 +250,7 @@ def build_protocol(
     contributes a global sign but is kept for its duration.
     """
     target = target.lower()
-    rd, cd = rotation_duration, controlled_duration
+    rd, cd = DEFAULT_ROTATION_DURATION, DEFAULT_CONTROLLED_DURATION
     if target == "slater":
         return Protocol("slater", ())
     if target == "epr":
@@ -305,7 +304,7 @@ class PulseSpec:
             raise InvalidPulseError("pulse duration must be positive")
 
 
-def dynamic_phase(pulse: PulseSpec, rtol: float = 1e-9) -> float:
+def dynamic_phase(pulse: PulseSpec) -> float:
     """Accumulated phase of the slow dressed state over the pulse.
 
     Evaluates -integral_0^T (sqrt(O0^2 + O1^2 + (Delta/2)^2) - Delta/2) dt
@@ -322,6 +321,6 @@ def dynamic_phase(pulse: PulseSpec, rtol: float = 1e-9) -> float:
         raise InvalidPulseError("pulse integrand is not finite on [0, T]")
 
     value, _ = quad(
-        integrand, 0.0, pulse.duration, epsrel=rtol, epsabs=1e-30, limit=500
+        integrand, 0.0, pulse.duration, epsrel=_PHASE_RTOL, epsabs=1e-30, limit=500
     )
     return -value

@@ -119,6 +119,8 @@ def _base_and_draws(
     """gamma0 of the base state and the draws of its ``n_samples`` perturbations."""
     if n_samples < 1:
         raise InvalidDimensionError("n_samples must be >= 1")
+    if seed < 0:
+        raise InvalidDimensionError(f"seed must be non-negative, got {seed}")
     base = base_state.lower()
     draws = _standard_draws(n_samples, seed)
     if base == "epr":

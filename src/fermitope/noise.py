@@ -197,19 +197,14 @@ def loschmidt_echo(
     protocol: Protocol,
     params: NoiseParams,
     dt: float,
-    initial: PureState | None = None,
-    margin_epsilon: float = 0.06,
 ) -> EchoResult:
-    """Entangle-disentangle run; fidelity is taken against the start state."""
-    if initial is None:
-        initial = gates.target_state("slater")
+    """Entangle-disentangle run from |101010>; fidelity is taken against it."""
+    initial = gates.target_state("slater")
     roundtrip = Protocol(
         label=f"{protocol.label}-echo",
         gates=protocol.gates + gates.invert_protocol(protocol).gates,
     )
-    trajectory, final = evolve_noisy_protocol(
-        roundtrip, params, dt, initial=initial, margin_epsilon=margin_epsilon
-    )
+    trajectory, final = evolve_noisy_protocol(roundtrip, params, dt, initial=initial)
     return EchoResult(
         state=final,
         echo_fidelity=fidelity(final, initial),

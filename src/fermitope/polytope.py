@@ -237,7 +237,9 @@ def check_m_fermion(
     three-in-six case.
     """
     if not (1 <= m <= n_particles <= n_modes):
-        raise UnsupportedCaseError(f"need 1 <= m <= N <= d, got m={m}, N={n_particles}, d={n_modes}")
+        raise UnsupportedCaseError(
+            f"need 1 <= m <= N <= d, got m={m}, N={n_particles}, d={n_modes}"
+        )
     lam = _as_lambda(occupations, length=n_modes)
     lead = n_particles - m
     if np.any(np.abs(lam[:lead] - 1.0) > tol):
@@ -288,9 +290,7 @@ class WeakenedReport:
         }
 
 
-def check_weakened(
-    occupations, epsilon: float, tol: float = MEMBERSHIP_TOL
-) -> WeakenedReport:
+def check_weakened(occupations, epsilon: float) -> WeakenedReport:
     """Slacks of lam1+lam2-lam3 <= 1+eps and lam1+lam2+lam4 <= 2+eps.
 
     No pairing equalities are assumed; for a mixed state the two
@@ -305,7 +305,7 @@ def check_weakened(
         epsilon=epsilon,
         slack_f1=float(s1),
         slack_f2=float(s2),
-        member=bool(s1 >= -tol and s2 >= -tol),
+        member=bool(s1 >= -MEMBERSHIP_TOL and s2 >= -MEMBERSHIP_TOL),
     )
 
 

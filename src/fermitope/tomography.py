@@ -118,6 +118,8 @@ def reconstruct_one_rdm(
     spawned deterministically from ``seed``; each setting acts on a fresh
     copy of the state.
     """
+    if seed < 0:
+        raise InvalidDimensionError(f"seed must be non-negative, got {seed}")
     d = state.d
     n_pairs = d * (d - 1) // 2
     n_settings = d + 2 * n_pairs

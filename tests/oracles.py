@@ -41,6 +41,30 @@ def dense_annihilation(d: int, mode: int) -> np.ndarray:
     return dense_creation(d, mode).conj().T
 
 
+def dense_gate_generator(gate: gates.GateOp, d: int) -> np.ndarray:
+    """Anti-Hermitian G with the gate equal to exp(G) on the full 2^d space.
+
+    rotation (i, j): (angle/2)(a_j^+ a_i - a_i^+ a_j); the controlled
+    rotation multiplies that by n_k, which commutes with it, so exp(G)
+    rotates where site k is occupied and is the identity elsewhere; phase
+    (i, j): -i (angle/2)(n_i - n_j).  G conserves particle number, so the
+    sector block of exp(G) is exp of the sector block of G.
+    """
+    def number(site):
+        return dense_creation(d, site) @ dense_annihilation(d, site)
+
+    half = gate.angle / 2.0
+    if gate.kind == "phase":
+        i, j = gate.sites
+        return -1j * half * (number(i) - number(j))
+    i, j = gate.sites[-2:]
+    hop = dense_creation(d, j) @ dense_annihilation(d, i)
+    gen = half * (hop - hop.conj().T)
+    if gate.kind == "controlled_rotation":
+        gen = number(gate.sites[0]) @ gen
+    return gen
+
+
 def sector_indices(d: int, n_particles: int) -> np.ndarray:
     """Full-Fock indices of the sector basis, in the package's order.
 

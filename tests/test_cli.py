@@ -225,6 +225,42 @@ class TestConfigFile:
         assert payload["estimate"]["M"] == 250  # flag wins
         assert payload["meta"]["seed"] == 9  # file fills the gap
 
+    @pytest.mark.parametrize(
+        "args,values",
+        [
+            (["noisy", "--target", "w"], {"dt": "abc"}),
+            (["montecarlo", "--base", "epr", "--n-samples", "10"], {"sigma": "0.1"}),
+            (["functional", "--polytope", "w"], {"format": 3}),
+            (["functional", "--polytope", "w"], {"format": "xml"}),
+            (["rdm", "--target", "w"], {"exact": "no"}),
+            (["functional", "--polytope", "w"], {"out": 7}),
+            (["rdm", "--target", "w"], {"shots": True}),
+            (["rdm", "--target", "w"], {"shots": 100.0}),
+            (["polytope", "--target", "w"], {"epsilon": False}),
+        ],
+        ids=[
+            "dt-str", "sigma-str", "format-int", "format-unknown", "exact-str", "out-int",
+            "int-bool", "int-float", "float-bool",
+        ],
+    )
+    def test_mistyped_value_is_config_error(self, tmp_path, args, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        # No --out flag, so that a config-file "out" is read.
+        assert main(args + ["--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_int_for_float_is_stored_unchanged(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 0, "target": "w"}))
+        code, out = run(tmp_path, "p.json", ["polytope", "--config", str(cfg)])
+        assert code == EXIT_OK
+        epsilon = json.loads(out.read_text())["weakened"]["epsilon"]
+        assert epsilon == 0 and isinstance(epsilon, int)
+
+    def test_unwritable_out_is_config_error(self, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["functional", "--polytope", "w", "--out", str(out)]) == EXIT_CONFIG
+
     def test_missing_config_file_is_config_error(self, tmp_path):
         code, _ = run(
             tmp_path, "x.json",

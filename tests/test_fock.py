@@ -104,6 +104,43 @@ class TestLadder:
                 expected = oracles.restrict(op, d, n, n_out) @ amps
                 assert np.allclose(got.amplitudes, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_dense_oracle_in_every_sector(self, d):
+        rng = np.random.default_rng(d)
+        for n in range(d + 1):
+            dim = sector_dim(d, n)
+            amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            state = PureState(d, n, amps)
+            for mode in range(1, d + 1):
+                for kind, op, n_out in (
+                    ("creation", oracles.dense_creation(d, mode), n + 1),
+                    ("annihilation", oracles.dense_annihilation(d, mode), n - 1),
+                ):
+                    got = apply_ladder(state, mode, kind)
+                    if not 0 <= n_out <= d:
+                        assert got.n_particles == n and not got.amplitudes.any()
+                        continue
+                    expected = oracles.restrict(op, d, n, n_out) @ amps
+                    assert got.n_particles == n_out
+                    assert np.allclose(got.amplitudes, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_never_returns_negative_zero(self, d):
+        # Signed-zero inputs and -1 signs would make -0.0 if an output were
+        # written as sign * amplitude rather than added to +0.0.
+        rng = np.random.default_rng(40 + d)
+        for n in range(d + 1):
+            dim = sector_dim(d, n)
+            amps = rng.choice([-0.0, 0.0, -1.0, 1.0], dim) + 1j * rng.choice(
+                [-0.0, 0.0, -1.0, 1.0], dim
+            )
+            for state in (PureState(d, n, amps), PureState(d, n, -0.0 * amps)):
+                for mode in range(1, d + 1):
+                    for kind in ("creation", "annihilation"):
+                        out = apply_ladder(state, mode, kind).amplitudes
+                        for part in (out.real, out.imag):
+                            assert not np.signbit(part[part == 0]).any()
+
     def test_anticommutation_of_creations(self):
         state = random_pure_state(4, 1, seed=5)
         for i in range(1, 5):
@@ -240,6 +277,18 @@ class TestWedgeEmbed:
             assert lam[3] == pytest.approx(lam[4], abs=1e-9)
             assert lam[5] == pytest.approx(0.0, abs=1e-9)
             assert lam[1] + lam[3] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_matches_sum_of_dense_creations(self, d):
+        rng = np.random.default_rng(60 + d)
+        for n in range(d):
+            state = random_pure_state(d, n, seed=d * 10 + n)
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            op = sum(v[i - 1] * oracles.dense_creation(d, i) for i in range(1, d + 1))
+            expected = oracles.restrict(op, d, n, n + 1) @ state.amplitudes
+            out = wedge_embed(state, [v])
+            assert out.n_particles == n + 1
+            assert np.allclose(out.amplitudes, expected / np.linalg.norm(expected), atol=1e-12)
 
 
 class TestSectorSpectraProperties:

@@ -205,6 +205,34 @@ class TestOneBodyInvariance:
         assert np.max(np.abs(_occupations(out) - _occupations(state))) > 1e-3
 
 
+class TestGateSequencesMatchDenseOracle:
+    """Random gate sequences against exp of the dense 2^d generators."""
+
+    @pytest.mark.parametrize(
+        "sector", [(d, n) for d in range(2, 9) for n in range(d + 1)], ids=str
+    )
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_sequences_on_every_sector(self, sector, seed, data):
+        d, n = sector
+        makers = [rotation, phase_gate] + ([controlled_rotation] if d >= 3 else [])
+        angle = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+        sequence = []
+        for make in data.draw(st.lists(st.sampled_from(makers), min_size=1, max_size=4)):
+            n_sites = 3 if make is controlled_rotation else 2
+            sites = data.draw(
+                st.lists(st.integers(1, d), min_size=n_sites, max_size=n_sites, unique=True)
+            )
+            sequence.append(make(*sites, data.draw(angle)))
+        state = random_pure_state(d, n, seed)
+        expected = state.amplitudes
+        for gate in sequence:
+            gen = oracles.restrict(oracles.dense_gate_generator(gate, d), d, n, n)
+            expected = expm(gen) @ expected
+        got = apply_protocol(state, Protocol("random", tuple(sequence)))
+        assert np.allclose(got.amplitudes, expected, atol=1e-12)
+
+
 class TestProtocols:
     def test_epr_chain_and_intermediate(self):
         states = protocol_states(SLATER, build_protocol("epr"))

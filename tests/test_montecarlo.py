@@ -119,6 +119,15 @@ class TestPerturbedSampling:
             pytest.param(
                 lambda: max_tolerated_sigma("epr", "f_slater", n_samples=-3), id="threshold-neg"
             ),
+            pytest.param(lambda: merit_samples("epr", "f_slater", 0.05, 10, -1), id="samples-seed"),
+            pytest.param(
+                lambda: max_tolerated_sigma("epr", "f_slater", n_samples=10, seed=-1),
+                id="threshold-seed",
+            ),
+            pytest.param(
+                lambda: sample_perturbed_rdm(PerturbationSpec("epr", 0.05, 10, -1)),
+                id="sample-seed",
+            ),
         ],
     )
     def test_sample_count_and_sigma_validated(self, call):

@@ -98,6 +98,11 @@ class TestReconstruction:
         with pytest.raises(InvalidDimensionError):
             reconstruct_one_rdm(target_state("w"), shots=shots)
 
+    @pytest.mark.parametrize("shots", [None, 100])
+    def test_negative_seed_rejected(self, shots):
+        with pytest.raises(InvalidDimensionError):
+            reconstruct_one_rdm(target_state("w"), shots=shots, seed=-1)
+
     def test_setting_count_is_d_squared(self):
         estimate = reconstruct_one_rdm(target_state("ghz"), shots=None)
         assert estimate.settings == 36
