@@ -206,8 +206,6 @@ def _cmd_functional(params: dict) -> tuple[dict, None]:
 
 
 def _noise_params(params: dict) -> noise.NoiseParams:
-    if not all(0.0 <= params[k] < math.inf for k in ("dephasing_rate", "emission_rate")):
-        raise ConfigError("noise rates must be finite and non-negative")
     return noise.NoiseParams(
         dephasing_rate=params["dephasing_rate"],
         emission_rate=params["emission_rate"],

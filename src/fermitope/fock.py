@@ -437,10 +437,17 @@ def occupation_expectation(state: PureState | MixedState, site: int) -> float:
 # State constructions
 # ---------------------------------------------------------------------------
 
+def checked_seed(seed: int) -> int:
+    """``seed`` itself; a negative seed raises InvalidDimensionError."""
+    if seed < 0:
+        raise InvalidDimensionError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def random_pure_state(d: int, n_particles: int, seed: int) -> PureState:
     """Haar-like random state: iid standard complex Gaussian amplitudes."""
     dim = sector_dim(d, n_particles)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_seed(seed))
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState(d, n_particles, amps).normalized()
 

@@ -119,10 +119,8 @@ def _base_and_draws(
     """gamma0 of the base state and the draws of its ``n_samples`` perturbations."""
     if n_samples < 1:
         raise InvalidDimensionError("n_samples must be >= 1")
-    if seed < 0:
-        raise InvalidDimensionError(f"seed must be non-negative, got {seed}")
     base = base_state.lower()
-    draws = _standard_draws(n_samples, seed)
+    draws = _standard_draws(n_samples, fock.checked_seed(seed))
     if base == "epr":
         # gamma_66 = 0 would go negative; take |draw| for that entry.
         draws[:, 5] = np.abs(draws[:, 5])

@@ -415,7 +415,7 @@ def hill_climb_extremal(
         raise InvalidDimensionError(f"objective must be 'f1' or 'f2', got {objective!r}")
     merit = _MERITS[objective]
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(fock.checked_seed(seed))
     dim = fock.sector_dim(6, 3)
 
     def random_unit(shape) -> np.ndarray:

@@ -5,8 +5,9 @@ noise.  An off-diagonal entry gamma_ij is moved onto the diagonal by a
 basis change: a swap chain brings site i next to site j, then a quarter
 rotation (real part) or a quarter phase followed by a quarter rotation
 (imaginary part) maps +-2x or +-2y onto the two measured occupations.
-Every measurement setting starts from a fresh copy of the state, and
-full reconstruction of a d-mode state uses exactly d^2 settings.
+Every readout gate is one-body, so a setting whose sequence has mode
+matrix u measures the diagonal of u gamma u^+, where gamma is the
+state's d x d 1-RDM; full reconstruction uses exactly d^2 settings.
 """
 
 import math
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, gates
+from . import fock
 from .errors import InvalidDimensionError, InvalidGateError
 from .fock import MixedState, PureState, occupation_expectation
-from .gates import Protocol, gate_matrix, phase_gate, rotation
+from .gates import Protocol, _apply_to_amplitudes, phase_gate, rotation
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,8 @@ def simulate_occupation_counts(
 ) -> ShotResult:
     """Sample ``shots`` projective occupation measurements of one site."""
     p = occupation_expectation(state, site)
-    ones, estimate, sigma = _shot_sample(p, shots, np.random.default_rng(seed))
+    rng = np.random.default_rng(fock.checked_seed(seed))
+    ones, estimate, sigma = _shot_sample(p, shots, rng)
     return ShotResult(site=site, shots=shots, ones=ones, estimate=estimate, sigma=sigma)
 
 
@@ -99,15 +101,6 @@ def readout_sequence_offdiag(i: int, j: int, part: str) -> Protocol:
     return Protocol(label=f"offdiag-{i}-{j}-{part}", gates=tuple(ops))
 
 
-def _transformed(state: PureState | MixedState, protocol: Protocol):
-    if isinstance(state, PureState):
-        return gates.apply_protocol(state, protocol)
-    u = np.eye(fock.sector_dim(state.d, state.n_particles), dtype=np.complex128)
-    for gate in protocol.gates:
-        u = gate_matrix(gate, state.d, state.n_particles) @ u
-    return MixedState(state.d, state.n_particles, u @ state.matrix @ u.conj().T)
-
-
 def reconstruct_one_rdm(
     state: PureState | MixedState, shots: int | None, seed: int = 0
 ) -> RDMEstimate:
@@ -115,20 +108,22 @@ def reconstruct_one_rdm(
 
     ``shots`` measurements are drawn per setting (``None`` uses exact
     expectation values, the infinite-shot limit).  Per-setting seeds are
-    spawned deterministically from ``seed``; each setting acts on a fresh
-    copy of the state.
+    spawned deterministically from ``seed``.  The readout gates are
+    one-body, so each setting's occupations are read from the state's
+    1-RDM gamma0 as the diagonal of u gamma0 u^+.  The sequence's mode
+    matrix u is its action on the one-particle sector: applying the gates
+    to the rows of the d x d identity gives u^T.
     """
-    if seed < 0:
-        raise InvalidDimensionError(f"seed must be non-negative, got {seed}")
     d = state.d
     n_pairs = d * (d - 1) // 2
     n_settings = d + 2 * n_pairs
-    seeds = iter(np.random.SeedSequence(seed).spawn(n_settings))
+    seeds = iter(np.random.SeedSequence(fock.checked_seed(seed)).spawn(n_settings))
+    gamma0 = fock.one_rdm(state)
 
-    def read(measured, sites) -> list[tuple[float, float]]:
+    def read(measured: np.ndarray, sites) -> list[tuple[float, float]]:
         """(estimate, sigma) of each site's occupation in the next setting."""
         setting_seed = next(seeds)
-        probs = [occupation_expectation(measured, site) for site in sites]
+        probs = [float(measured[site - 1, site - 1].real) for site in sites]
         if shots is None:
             return [(p, 0.0) for p in probs]
         rng = np.random.default_rng(setting_seed)
@@ -138,7 +133,7 @@ def reconstruct_one_rdm(
     sigma = np.zeros((d, d), dtype=np.float64)
 
     for site in range(1, d + 1):
-        [(est, sig)] = read(state, [site])
+        [(est, sig)] = read(gamma0, [site])
         gamma[site - 1, site - 1] = est
         sigma[site - 1, site - 1] = sig
 
@@ -147,8 +142,10 @@ def reconstruct_one_rdm(
             parts = {}
             errs = {}
             for part in ("real", "imag"):
-                transformed = _transformed(state, readout_sequence_offdiag(i, j, part))
-                (lo, sig_lo), (hi, sig_hi) = read(transformed, [j - 1, j])
+                rows = np.eye(d, dtype=np.complex128)
+                for gate in readout_sequence_offdiag(i, j, part).gates:
+                    rows = _apply_to_amplitudes(rows, gate, d, 1)
+                (lo, sig_lo), (hi, sig_hi) = read(rows.T @ gamma0 @ rows.conj(), [j - 1, j])
                 parts[part] = (hi - lo) / 2.0
                 errs[part] = math.sqrt(sig_lo**2 + sig_hi**2) / 2.0
             gamma[i - 1, j - 1] = parts["real"] + 1j * parts["imag"]

@@ -103,6 +103,22 @@ def dense_one_rdm(state: fock.PureState) -> np.ndarray:
     return gamma
 
 
+def many_body_readout(state, protocol: gates.Protocol, sites) -> list[float]:
+    """Occupations of ``sites`` after ``protocol`` acts on the whole sector state.
+
+    A pure state goes through ``gates.apply_protocol``; a mixed state is
+    conjugated by the product of the dense sector `gate_matrix` unitaries.
+    """
+    if isinstance(state, fock.PureState):
+        measured = gates.apply_protocol(state, protocol)
+    else:
+        u = np.eye(fock.sector_dim(state.d, state.n_particles), dtype=complex)
+        for gate in protocol.gates:
+            u = gates.gate_matrix(gate, state.d, state.n_particles) @ u
+        measured = fock.MixedState(state.d, state.n_particles, u @ state.matrix @ u.conj().T)
+    return [fock.occupation_expectation(measured, site) for site in sites]
+
+
 def grid_entropy_maximum(label: str, step: float = 1e-3) -> float:
     """Brute-force maximum of the scaled-occupation entropy on a class polytope.
 

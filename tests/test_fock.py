@@ -251,6 +251,10 @@ class TestRandomPureState:
         for seed in range(10):
             assert random_pure_state(6, 3, seed).norm == pytest.approx(1.0, abs=1e-12)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidDimensionError):
+            random_pure_state(6, 3, -1)
+
 
 class TestWedgeEmbed:
     def test_disjoint_supports(self):

@@ -192,6 +192,10 @@ class TestHillClimb:
         with pytest.raises(InvalidDimensionError):
             hill_climb_extremal(0.1, "f3", seed=0, iterations=10)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidDimensionError):
+            hill_climb_extremal(0.06, seed=-1)
+
     def test_proposition_form_states_satisfy_weakened_bounds(self):
         rng = np.random.default_rng(21)
         for _ in range(100):

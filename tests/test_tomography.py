@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from fermitope import gates, tomography
 from fermitope.errors import InvalidDimensionError, InvalidGateError
 from fermitope.fock import (
@@ -51,6 +52,10 @@ class TestOccupationCounts:
         b = simulate_occupation_counts(target_state("ghz"), 2, 1000, seed=7)
         assert a == b
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidDimensionError):
+            simulate_occupation_counts(target_state("ghz"), 2, 1000, seed=-1)
+
 
 class TestReadoutSequences:
     def test_adjacent_real_part_is_single_rotation(self):
@@ -90,6 +95,54 @@ class TestReadoutSequences:
         out = gates.apply_protocol(pair, readout_sequence_offdiag(1, 2, "imag"))
         assert occupation_expectation(out, 1) == pytest.approx(1.0, abs=1e-12)
         assert occupation_expectation(out, 2) == pytest.approx(0.0, abs=1e-12)
+
+
+def _random_mixed_state(d: int, n: int, seed: int) -> MixedState:
+    """Mixture of three random pure states with random weights."""
+    weights = np.random.default_rng(seed).dirichlet(np.ones(3))
+    rho = sum(
+        w * np.outer(psi.amplitudes, psi.amplitudes.conj())
+        for w, psi in zip(weights, (random_pure_state(d, n, seed + k) for k in range(3)))
+    )
+    return MixedState(d, n, rho)
+
+
+class TestOneBodyReadout:
+    """Each setting's occupations, read from gamma, match the many-body readout."""
+
+    @pytest.mark.parametrize("d,n", [(6, 3), (7, 2), (8, 4)])
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_setting_probabilities_match_many_body_oracle(self, monkeypatch, d, n, kind):
+        seed = 100 * d + n
+        state = random_pure_state(d, n, seed) if kind == "pure" else _random_mixed_state(d, n, seed)
+        probs = []
+        shot_sample = tomography._shot_sample
+
+        def spy(p, shots, rng):
+            probs.append(p)
+            return shot_sample(p, shots, rng)
+
+        monkeypatch.setattr(tomography, "_shot_sample", spy)
+        reconstruct_one_rdm(state, shots=10, seed=1)
+
+        expected = []
+        for site in range(1, d + 1):
+            expected += oracles.many_body_readout(state, gates.Protocol("diag", ()), [site])
+        for i in range(1, d + 1):
+            for j in range(i + 1, d + 1):
+                for part in ("real", "imag"):
+                    protocol = readout_sequence_offdiag(i, j, part)
+                    expected += oracles.many_body_readout(state, protocol, [j - 1, j])
+        assert len(probs) == len(expected) == d + 2 * d * (d - 1)
+        assert np.max(np.abs(np.array(probs) - expected)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "d,n", [(2, 1), (4, 2), (5, 3), (6, 3), (7, 2), (7, 4), (8, 3), (8, 4), (10, 5)]
+    )
+    def test_infinite_shot_limit_on_random_mixed_states(self, d, n):
+        state = _random_mixed_state(d, n, seed=10 * d + n)
+        estimate = reconstruct_one_rdm(state, shots=None)
+        assert np.max(np.abs(estimate.matrix - one_rdm(state))) < 1e-12
 
 
 class TestReconstruction:
