@@ -137,7 +137,7 @@ def _cmd_prepare(params: dict) -> tuple[dict, None]:
     return payload, None
 
 
-def _cmd_rdm(params: dict) -> tuple[dict, None]:
+def _cmd_rdm(params: dict) -> tuple[dict, list[dict] | None]:
     target = _label(params, "target", polytope.CLASS_LABELS)
     shots = None if params["exact"] else _at_least(params, "shots", 1)
     state = gates.target_state(target)
@@ -149,7 +149,15 @@ def _cmd_rdm(params: dict) -> tuple[dict, None]:
         "estimate": estimate.to_json(),
         "natural_occupations": [float(x) for x in lam],
     }
-    return payload, None
+    if params["format"] != "csv":
+        return payload, None
+    # One row per matrix entry; sites are numbered from 1.
+    return payload, [
+        {"i": i + 1, "j": j + 1, "re": float(z.real), "im": float(z.imag), "sigma": float(s)}
+        for (i, j), z, s in zip(
+            np.ndindex(estimate.matrix.shape), estimate.matrix.flat, estimate.sigma.flat
+        )
+    ]
 
 
 def _lambda_from_params(params: dict) -> np.ndarray:

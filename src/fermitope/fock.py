@@ -18,7 +18,6 @@ All state values are immutable; operations return new values.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Literal
 
 import numpy as np
@@ -57,16 +56,22 @@ def sector_dim(d: int, n_particles: int) -> int:
 
 @lru_cache(maxsize=None)
 def _sector_masks(d: int, n_particles: int) -> np.ndarray:
-    """Occupation bitmasks of the sector, descending (site 1 = bit d-1)."""
+    """Occupation bitmasks of the sector, descending (site 1 = bit d-1).
+
+    Built by Pascal's rule on the top bit: the (j, k) masks are those of
+    (j-1, k-1) with bit j-1 set, then those of (j-1, k), which keeps them
+    descending.  Level j keeps only the k that can still reach N.
+    """
     _check_sector(d, n_particles)
-    masks = np.fromiter(
-        (
-            sum(1 << (d - 1 - pos) for pos in combo)
-            for combo in combinations(range(d), n_particles)
-        ),
-        dtype=np.int64,
-        count=math.comb(d, n_particles),
-    )
+    empty = np.empty(0, dtype=np.int64)
+    level = {0: np.zeros(1, dtype=np.int64)}
+    for j in range(1, d + 1):
+        top = 1 << (j - 1)
+        level = {
+            k: np.concatenate((level[k - 1] | top if k else empty, level.get(k, empty)))
+            for k in range(max(0, n_particles - d + j), min(n_particles, j) + 1)
+        }
+    masks = level[n_particles]
     masks.flags.writeable = False
     return masks
 

@@ -35,6 +35,50 @@ evaluations of the samples, against 3.2-5.3 for a bisection down from
 with F_W) the search is that bisection, evaluating every sample at
 every step.
 
+F_EPR and F_Slater ask a question of inertia.  With A = I - gamma,
+lambda1 < 1 iff A has no eigenvalue <= 0, and lambda2 < 1 iff A has at
+most one.  So their status, in the search and in violation_probability,
+comes from an LDL^H of A (L unit lower triangular, D = diag(d_k) real)
+with no pivoting inside a row.  One symmetric permutation, fixed by
+gamma0, puts the sites with the smallest 1 - gamma0_ii last: a site at
+1 (epr's) gives a pivot near zero, and the last pivot divides nothing.
+By Sylvester's law of inertia, A has as many negative eigenvalues as D
+has negative pivots.  A row is decided when
+
+    min_k |d_k| >= _TAU g^2 (1 + w),  g = prod_k (1 + |l_k|),
+                                      w = sum_k |d_k| (1 + |l_k|^2),
+
+with l_k the multipliers below pivot k and |.| the 2-norm.  Every other
+row, and every F_W row, goes to eigvalsh.  A decided row gets the status
+that eigvalsh gives it.  Let u = 2**-53, gamma the float sample that
+eigvalsh sees and M the computed I - gamma, which differs from A by one
+rounding of each diagonal entry: ||M - A|| <= u ||M||.
+
+- The computed factors are exact for B = M + E, |E| <= c1 u |L||D||L^H|
+  (the backward error of LDL^T without pivoting, c1 u = gamma_3n in real
+  arithmetic and a small multiple of it in complex arithmetic; the
+  rounding dropped with each pivot's imaginary part belongs to E).
+  |L||D||L^H| = sum_k |d_k| |(1, l_k)| |(1, l_k)|^T, so ||E|| <= c1 u w,
+  ||M|| <= (1 + c1 u) w and ||gamma|| <= 1 + (1 + u) ||M|| <= 1 + 2w.
+- L is the product of the I + l_k e_k^T, and ||I - l_k e_k^T|| <=
+  1 + |l_k|, so ||L^-1|| <= g: every eigenvalue of B has modulus at
+  least min_k |d_k| / g^2 >= _TAU (1 + w).
+- eigvalsh is backward stable: its eigenvalues are exact for gamma + F,
+  ||F|| <= c2 u ||gamma|| <= c2 u (1 + 2w), c2 a modest constant.
+
+By Weyl, A's eigenvalues lie within ||E|| + ||M - A|| <= (c1 + 2) u w
+of B's, and the computed lambda_i within c2 u (1 + 2w) of 1 - A's.  Both
+bounds are far below _TAU (1 + w): _TAU / u = 2**23, while c1 and c2 are
+at most a few hundred at n = 6, and the rounding of g, w and the test
+itself is a few u relative.  So every eigenvalue of A is further than
+c2 u ||gamma|| from 0 and has the sign of B's, and lambda_i - 1 (whose
+sign a float subtraction gets right) is positive for exactly as many i
+as there are negative pivots.  Rows stay undecided near a singular
+I - gamma (epr's zero pivot at sigma = 0, or lambda_i within about _TAU
+of 1) or when the multipliers grow: 1.1-2.0% of n in a canonical search
+at n = 1e5, over half of them in the pilot's steps at sigma = 0.5 and
+0.25.
+
 Samples are perturbed and diagonalised in fixed chunks of _CHUNK_ROWS
 rows.  Sampling uses the counter-based Philox generator so runs are
 reproducible regardless of how samples are batched.
@@ -75,6 +119,14 @@ _STEP = 0.5 / _TOP
 # Steps above the pilot's answer at which all samples are first evaluated:
 # at least _MARGIN_STEPS, or a quarter of the pilot's step.
 _MARGIN_STEPS = 8
+
+# Merits whose status is the inertia of I - gamma: a sample violates when
+# I - gamma has at most this many negative eigenvalues.
+_INERTIA_FORMS = {"f_epr": 0, "f_slater": 1}
+
+# Certificate of a decided LDL^H row, 2**23 times the unit roundoff; the
+# module docstring shows that this keeps it far above both methods' error.
+_TAU = 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -128,19 +180,24 @@ def _base_and_draws(
 
 
 def _perturbed_batch(gamma0: np.ndarray, sigma: float, draws: np.ndarray) -> np.ndarray:
-    """(n, 6, 6) Hermitian matrices gamma0 + sigma * Delta, Delta from the draws."""
-    d = _N_MODES
-    n = draws.shape[0]
-    re = draws[:, d : d + 15]
-    im = draws[:, d + 15 :]
+    """(n, 6, 6) Hermitian matrices gamma0 + sigma * Delta, Delta from the draws.
 
-    out = np.broadcast_to(gamma0, (n, d, d)).astype(np.complex128)
+    Stored with the sample axis last: ``.transpose(1, 2, 0)`` of the
+    result is a C-contiguous (6, 6, n) array.
+    """
+    d = _N_MODES
+    draws = draws.T
+    re = draws[d : d + 15]
+    im = draws[d + 15 :]
+
+    out = np.empty((d, d, draws.shape[1]), dtype=np.complex128)
+    out[...] = gamma0[:, :, None]
     rows, cols = np.triu_indices(d, k=1)
-    out[:, rows, cols] += sigma * (re + 1j * im)
-    out[:, cols, rows] += sigma * (re - 1j * im)
+    out[rows, cols] += sigma * (re + 1j * im)
+    out[cols, rows] += sigma * (re - 1j * im)
     idx = np.arange(d)
-    out[:, idx, idx] += sigma * draws[:, :d]
-    return out
+    out[idx, idx] += sigma * draws[:d]
+    return out.transpose(2, 0, 1)
 
 
 def _merit_values(
@@ -153,6 +210,68 @@ def _merit_values(
         lam = np.linalg.eigvalsh(_perturbed_batch(gamma0, sigma, draws[chunk]))[:, ::-1]
         out[start : start + len(chunk)] = merit_fn(lam)
     return out
+
+
+def _violations(
+    gamma0: np.ndarray, merit: str, sigma: float, draws: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Whether each sample ``draws[rows]`` violates (merit < 0).
+
+    Merits with an inertia form read it from ``_ldl_inertia``, chunk by
+    chunk; the rows it leaves undecided, and every row of other merits,
+    go through ``_merit_values``.
+    """
+    merit_fn = _merit(merit)
+    if merit not in _INERTIA_FORMS:
+        return _merit_values(gamma0, merit_fn, sigma, draws, rows) < 0.0
+    order = np.argsort(np.diag(gamma0).real, kind="stable")
+    eye = np.eye(_N_MODES)[:, :, None]
+    out = np.empty(len(rows), dtype=bool)
+    undecided = [np.empty(0, dtype=np.intp)]
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start : start + _CHUNK_ROWS]
+        m = _perturbed_batch(gamma0, sigma, draws[chunk]).transpose(1, 2, 0)
+        m = m[order[:, None], order]
+        negatives, decided = _ldl_inertia(np.subtract(eye, m, out=m))
+        out[start : start + len(chunk)] = negatives <= _INERTIA_FORMS[merit]
+        undecided.append(start + np.flatnonzero(~decided))
+    rest = np.concatenate(undecided)
+    out[rest] = _merit_values(gamma0, merit_fn, sigma, draws, rows[rest]) < 0.0
+    return out
+
+
+def _ldl_inertia(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(negative pivots, decided) of the LDL^H of each matrix m[:, :, r].
+
+    ``m`` is (n, n, rows), Hermitian in its first two axes, and is
+    overwritten.  A row stays decided while its pivots and multipliers
+    pass the certificate of the module docstring; once it fails, its
+    multipliers are set to zero, so no division by a small pivot and no
+    growth of its entries follows.
+    """
+    n, _, n_rows = m.shape
+    negatives = np.zeros(n_rows, dtype=np.int64)
+    decided = np.ones(n_rows, dtype=bool)
+    smallest = np.full(n_rows, np.inf)
+    growth = np.ones(n_rows)  # g
+    weight = np.ones(n_rows)  # 1 + w
+    for k in range(n):
+        d = m[k, k].real
+        size = np.abs(d)
+        negatives += d < 0.0
+        np.minimum(smallest, size, out=smallest)
+        decided &= smallest >= _TAU * growth**2 * (weight + size)
+        if k == n - 1:
+            break
+        col = m[k + 1 :, k] / np.where(decided, d, 1.0)
+        col *= decided
+        norm2 = np.einsum("ij,ij->j", col.real, col.real) + np.einsum(
+            "ij,ij->j", col.imag, col.imag
+        )
+        growth *= 1.0 + np.sqrt(norm2)
+        weight += size * (1.0 + norm2)
+        m[k + 1 :, k + 1 :] -= col[:, None, :] * (col.conj() * d)
+    return negatives, decided
 
 
 def sample_perturbed_rdm(spec: PerturbationSpec, sample_index: int = 0) -> np.ndarray:
@@ -171,11 +290,8 @@ def merit_samples(
     base_state: str, merit: str, sigma: float, n_samples: int, seed: int
 ) -> np.ndarray:
     """Merit values of ``n_samples`` perturbed 1-RDMs."""
-    if not 0.0 <= sigma < math.inf:
-        raise InvalidDimensionError("sigma must be finite and non-negative")
-    merit_fn = _merit(merit)
-    gamma0, draws = _base_and_draws(base_state, n_samples, seed)
-    return _merit_values(gamma0, merit_fn, sigma, draws, np.arange(n_samples))
+    gamma0, draws = _checked_base_and_draws(base_state, merit, sigma, n_samples, seed)
+    return _merit_values(gamma0, _merit(merit), sigma, draws, np.arange(n_samples))
 
 
 def violation_probability(
@@ -184,7 +300,18 @@ def violation_probability(
     """Fraction of perturbed samples with merit < 0."""
     base = base_state.lower()
     _warn_if_unpaired(base, merit)
-    return _violating_fraction(merit_samples(base, merit, sigma, n_samples, seed))
+    gamma0, draws = _checked_base_and_draws(base, merit, sigma, n_samples, seed)
+    return float(np.mean(_violations(gamma0, merit, sigma, draws, np.arange(n_samples))))
+
+
+def _checked_base_and_draws(
+    base_state: str, merit: str, sigma: float, n_samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_base_and_draws`` after checking sigma and the merit label."""
+    if not 0.0 <= sigma < math.inf:
+        raise InvalidDimensionError("sigma must be finite and non-negative")
+    _merit(merit)
+    return _base_and_draws(base_state, n_samples, seed)
 
 
 def _warn_if_unpaired(base: str, merit: str) -> None:
@@ -230,7 +357,7 @@ def max_tolerated_sigma(
         """
         out = v_hi.copy()
         rows = np.flatnonzero(v_lo & ~v_hi if monotone else np.ones_like(v_hi))
-        out[rows] = _merit_values(gamma0, merit_fn, m * _STEP, draws, rows) < 0.0
+        out[rows] = _violations(gamma0, merit, m * _STEP, draws, rows)
         return out
 
     def search(lo: int, hi: int, v_lo: np.ndarray, v_hi: np.ndarray) -> int:

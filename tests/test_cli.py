@@ -129,6 +129,25 @@ class TestCsvFormat:
         total = sum(int(line.split(",")[1]) for line in lines[5:])
         assert total == 2000
 
+    def test_rdm_csv_carries_the_matrix(self, tmp_path):
+        args = ["rdm", "--target", "epr", "--shots", "2000", "--seed", "4"]
+        code, out = run(tmp_path, "rdm.csv", args + ["--format", "csv"])
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[4] == "i,j,re,im,sigma"
+        matrix = np.zeros((6, 6), dtype=complex)
+        sigma = np.zeros((6, 6))
+        for line in lines[5:]:
+            i, j, re, im, sig = line.split(",")
+            matrix[int(i) - 1, int(j) - 1] = float(re) + 1j * float(im)
+            sigma[int(i) - 1, int(j) - 1] = float(sig)
+        assert len(lines[5:]) == 36
+        _, json_out = run(tmp_path, "rdm.json", args)
+        estimate = json.loads(json_out.read_text())["estimate"]
+        assert np.array_equal(matrix.real, estimate["matrix_re"])
+        assert np.array_equal(matrix.imag, estimate["matrix_im"])
+        assert np.array_equal(sigma, estimate["sigma"])
+
 
 class TestMonteCarloCommand:
     def test_csv_at_one_sigma_draws_samples_once(self, tmp_path, monkeypatch):

@@ -1,7 +1,12 @@
 """Sector basis, ladder operators, 1-RDM extraction and state constructions."""
 
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fermitope import fock
@@ -48,6 +53,16 @@ class TestSectorBasis:
 
     def test_deterministic(self):
         assert sector_basis(5, 2) == sector_basis(5, 2)
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_masks_match_combinations_in_every_sector(self, d):
+        for n in range(d + 1):
+            want = np.fromiter(
+                (sum(1 << (d - 1 - pos) for pos in combo) for combo in combinations(range(d), n)),
+                dtype=np.int64,
+                count=math.comb(d, n),
+            )
+            assert fock._sector_masks(d, n).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d,n", [(3, 4), (0, 0), (25, 2), (4, -1)])
     def test_invalid_sectors_raise(self, d, n):
@@ -309,6 +324,20 @@ class TestSectorSpectraProperties:
             assert abs(lam[0] - lam[1]) < 1e-9
             assert abs(lam[2] - lam[3]) < 1e-9
             assert abs(lam[4] - lam[5]) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=40, max_size=40))
+    def test_random_three_in_six_states(self, parts):
+        amps = np.array(parts[:20]) + 1j * np.array(parts[20:])
+        assume(np.linalg.norm(amps) > 0.1)
+        state = PureState(6, 3, amps).normalized()
+        gamma = one_rdm(state)
+        assert np.max(np.abs(gamma - oracles.dense_one_rdm(state))) <= 1e-12
+        lam = np.linalg.eigvalsh(gamma)[::-1]
+        assert np.trace(gamma).real == pytest.approx(3.0, abs=1e-12)
+        assert lam[-1] >= -1e-12
+        assert np.all(np.abs(lam + lam[::-1] - 1.0) < 1e-9)
+        assert lam[0] + lam[1] + lam[3] <= 2.0 + 1e-9
 
     def test_spectrum_in_unit_interval(self):
         for d, n in [(4, 2), (5, 3), (6, 3)]:

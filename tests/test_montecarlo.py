@@ -1,6 +1,7 @@
 """Gaussian 1-RDM perturbations, violation probabilities, sigma thresholds."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ MONOTONE_PAIRS = [
     for merit in mc.MERIT_LABELS
     if _status_is_monotone(base, merit)
 ]
+
+ALL_PAIRS = [(base, merit) for base in polytope.CLASS_LABELS for merit in mc.MERIT_LABELS]
+
+
+@functools.lru_cache(maxsize=None)
+def _sigma_star(base, merit, n_samples, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return max_tolerated_sigma(base, merit, n_samples=n_samples, seed=seed)
 
 
 class TestPerturbedSampling:
@@ -169,6 +179,32 @@ class TestViolationProbability:
         with pytest.warns(UserWarning):
             violation_probability("ghz", "f_slater", 0.05, 100, seed=0)
 
+    def test_zero_pivot_goes_to_eigvalsh(self):
+        """At sigma = 0, I - gamma0 on epr has an exact zero pivot, which decides nothing.
+
+        The LDL^H alone would count no negative pivot and call every sample
+        an F_EPR violation; lambda1 = 1 is none.
+        """
+        gamma0, draws = mc._base_and_draws("epr", 1000, 0)
+        batch = mc._perturbed_batch(gamma0, 0.0, draws).transpose(1, 2, 0)
+        _, decided = mc._ldl_inertia(np.eye(6)[:, :, None] - batch)
+        assert not np.any(decided)
+        assert violation_probability("epr", "f_slater", 0.0, 1000, seed=0) == 1.0
+        with pytest.warns(UserWarning):
+            assert violation_probability("epr", "f_epr", 0.0, 1000, seed=0) == 0.0
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("which", ["zero", "tiny", "star", "large"])
+    @pytest.mark.parametrize("base, merit", ALL_PAIRS)
+    def test_matches_full_batch_eigvalsh(self, base, merit, which):
+        n, seed = 5_000, 13
+        sigma = {"zero": 0.0, "tiny": 1e-6, "large": 0.3}.get(which)
+        if sigma is None:
+            sigma = _sigma_star(base, merit, n, seed)
+        draws = mc._standard_draws(n, seed)
+        want = float(np.mean(oracles.full_batch_merits(base, merit, sigma, draws) < 0.0))
+        assert violation_probability(base, merit, sigma, n, seed) == want
+
 
 class TestMaxToleratedSigma:
     def test_quick_thresholds_near_reference(self):
@@ -242,19 +278,28 @@ class TestMaxToleratedSigma:
 
     def test_rows_evaluated_per_search(self, monkeypatch):
         n = 100_000
-        evaluated = []
-        merit_values = mc._merit_values
+        given_rows, eigvalsh_rows = [], []
+        violations, merit_values = mc._violations, mc._merit_values
 
-        def counting(gamma0, merit_fn, sigma, draws, rows):
-            evaluated.append(len(rows))
+        def counting(gamma0, merit, sigma, draws, rows):
+            given_rows.append(len(rows))
+            return violations(gamma0, merit, sigma, draws, rows)
+
+        def counting_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
+            eigvalsh_rows.append(len(rows))
             return merit_values(gamma0, merit_fn, sigma, draws, rows)
 
-        monkeypatch.setattr(mc, "_merit_values", counting)
+        monkeypatch.setattr(mc, "_violations", counting)
+        monkeypatch.setattr(mc, "_merit_values", counting_eigvalsh)
         for base, merit in CANONICAL:
-            evaluated.clear()
+            given_rows.clear()
+            eigvalsh_rows.clear()
             max_tolerated_sigma(base, merit, n_samples=n, seed=42)
             # 1.13-1.39 n at this seed; the full bisection took 3.19-5.28 n.
-            assert n < sum(evaluated) <= 1.6 * n
+            assert n < sum(given_rows) <= 1.6 * n
+            if merit in mc._INERTIA_FORMS:
+                # 1.8% (epr) and 1.2% (w) of n at this seed.
+                assert sum(eigvalsh_rows) <= 0.05 * n
 
     def test_pruning_condition_holds_off_slater(self):
         expected = {(b, m) for b in ("epr", "w", "ghz") for m in mc.MERIT_LABELS}
@@ -272,6 +317,48 @@ class TestMaxToleratedSigma:
     def test_confidence_validated(self):
         with pytest.raises(InvalidDimensionError):
             max_tolerated_sigma("epr", "f_slater", confidence=0.3, n_samples=100)
+
+
+INERTIA_PAIRS = [(base, merit) for base, merit in MONOTONE_PAIRS if merit in mc._INERTIA_FORMS]
+
+
+class TestInertiaStatus:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pair=st.sampled_from(INERTIA_PAIRS),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(-4, 4),
+        pilot=st.sampled_from([None, 0.25, 0.5]),
+    )
+    def test_decided_rows_match_eigvalsh_and_the_rest_go_to_it(self, pair, seed, steps, pilot):
+        """Near sigma* +- a few grid steps, and at the pilot's scale."""
+        base, merit = pair
+        n = mc._CHUNK_ROWS + 952
+        sigma = pilot or max(0.0, _sigma_star(base, merit, 2_048, 0) + steps * mc._STEP)
+        factored, routed = [], []
+        ldl_inertia, merit_values = mc._ldl_inertia, mc._merit_values
+
+        def spy_ldl(m):
+            factored.append(ldl_inertia(m))
+            return factored[-1]
+
+        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
+            routed.append(rows)
+            return merit_values(gamma0, merit_fn, sigma, draws, rows)
+
+        gamma0, draws = mc._base_and_draws(base, n, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "_ldl_inertia", spy_ldl)
+            patch.setattr(mc, "_merit_values", spy_eigvalsh)
+            got = mc._violations(gamma0, merit, sigma, draws, np.arange(n))
+
+        want = oracles.full_batch_merits(base, merit, sigma, mc._standard_draws(n, seed)) < 0.0
+        negatives = np.concatenate([neg for neg, _ in factored])
+        decided = np.concatenate([dec for _, dec in factored])
+        status = negatives <= mc._INERTIA_FORMS[merit]
+        assert np.array_equal(status[decided], want[decided])
+        assert np.array_equal(np.concatenate(routed), np.flatnonzero(~decided))
+        assert np.array_equal(got, want)
 
 
 class TestHistogram:
