@@ -3,14 +3,16 @@
 Every run embeds the tool version, the seed and a hash of the resolved
 configuration, so identical invocations yield byte-identical files.
 Options may come from a JSON config file (``--config``); explicit flags
-override file values.  Exit codes: 0 success, 2 configuration error,
-3 numerical error.
+override file values.  Input is validated once, by the library: exit 0
+is success, 2 is input the library rejects (``ConfigError``,
+``InvalidDimensionError``, ``StepSizeError``) and 3 is a numerical
+failure (any other ``ToolkitError``, ``LinAlgError`` or
+``FloatingPointError``).
 """
 
 import argparse
 import hashlib
 import json
-import math
 import sys
 
 import numpy as np
@@ -101,19 +103,6 @@ def _label(params: dict, key: str, choices) -> str:
     return value
 
 
-def _at_least(params: dict, key: str, low: int) -> int:
-    if params[key] < low:
-        raise ConfigError(f"{key} must be an integer >= {low}, got {params[key]!r}")
-    return params[key]
-
-
-def _unit_interval(params: dict, key: str) -> float:
-    value = params[key]
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{key} must lie in [0, 1], got {value!r}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (payload, rows), meta is added by main
 # ---------------------------------------------------------------------------
@@ -139,11 +128,10 @@ def _cmd_prepare(params: dict) -> tuple[dict, None]:
 
 def _cmd_rdm(params: dict) -> tuple[dict, list[dict] | None]:
     target = _label(params, "target", polytope.CLASS_LABELS)
-    shots = None if params["exact"] else _at_least(params, "shots", 1)
+    shots = None if params["exact"] else params["shots"]
     state = gates.target_state(target)
-    estimate = tomography.reconstruct_one_rdm(state, shots, seed=_at_least(params, "seed", 0))
-    hermitian = (estimate.matrix + estimate.matrix.conj().T) / 2.0
-    lam, _ = fock.natural_occupations(hermitian)
+    estimate = tomography.reconstruct_one_rdm(state, shots, seed=params["seed"])
+    lam, _ = fock.natural_occupations(estimate.matrix)
     payload = {
         "target": target,
         "estimate": estimate.to_json(),
@@ -164,23 +152,17 @@ def _lambda_from_params(params: dict) -> np.ndarray:
     occs = params.get("occupations")
     if occs:
         try:
-            lam = np.array([float(x) for x in occs.split(",")])
+            return np.array([float(x) for x in occs.split(",")])
         except ValueError as exc:
             raise ConfigError(f"could not parse occupations {occs!r}") from exc
-        if lam.shape != (6,) or not np.all(np.isfinite(lam)):
-            raise ConfigError(f"occupations must be six finite numbers, got {occs!r}")
-        return lam
     target = _label(params, "target", polytope.CLASS_LABELS)
     return np.array(polytope.CLASS_OCCUPATIONS[target])
 
 
 def _cmd_polytope(params: dict) -> tuple[dict, list[dict] | None]:
     lam = _lambda_from_params(params)
-    try:
-        report, member = polytope.check_pure_bd(lam)
-    except InvalidDimensionError as exc:
-        raise ConfigError(str(exc)) from exc
-    weak = polytope.check_weakened(lam, _unit_interval(params, "epsilon"))
+    report, member = polytope.check_pure_bd(lam)
+    weak = polytope.check_weakened(lam, params["epsilon"])
     memberships = {
         label: polytope.class_polytope(label).contains(lam)
         for label in polytope.CLASS_LABELS
@@ -228,7 +210,7 @@ def _cmd_noisy(params: dict) -> tuple[dict, list[dict]]:
         _noise_params(params),
         dt=params["dt"],
         free_time=params["free_time"],
-        margin_epsilon=_unit_interval(params, "margin_epsilon"),
+        margin_epsilon=params["margin_epsilon"],
     )
     payload = {
         "target": target,
@@ -260,19 +242,15 @@ def _cmd_montecarlo(params: dict) -> tuple[dict, list[dict] | None]:
     merit = montecarlo.CANONICAL_PAIRING[base]
     if params["merit"]:
         merit = _label(params, "merit", montecarlo.MERIT_LABELS)
-    n_samples = _at_least(params, "n_samples", 1)
-    seed = _at_least(params, "seed", 0)
+    n_samples, seed, sigma = params["n_samples"], params["seed"], params["sigma"]
     payload = {"base": base, "merit": merit, "n_samples": n_samples}
 
-    if params["sigma"] is not None:
-        sigma = params["sigma"]
-        if not 0.0 <= sigma < math.inf:
-            raise ConfigError(f"sigma must be finite and non-negative, got {sigma!r}")
+    if sigma is not None:
         # One set of samples gives both the probability and the histogram.
-        montecarlo._warn_if_unpaired(base, merit)
         values = montecarlo.merit_samples(base, merit, sigma, n_samples, seed)
+        montecarlo._warn_if_unpaired(base, merit)
         payload["sigma"] = sigma
-        payload["violation_probability"] = montecarlo._violating_fraction(values)
+        payload["violation_probability"] = float(np.mean(values < 0.0))
         if params["format"] != "csv":
             return payload, None
         centers, counts = montecarlo._histogram(values)
@@ -280,8 +258,6 @@ def _cmd_montecarlo(params: dict) -> tuple[dict, list[dict] | None]:
             {"f_value": float(c), "count": int(k)} for c, k in zip(centers, counts)
         ]
 
-    if not 0.5 < params["confidence"] < 1.0:
-        raise ConfigError(f"confidence must lie in (0.5, 1), got {params['confidence']!r}")
     payload["sigma_star"] = montecarlo.max_tolerated_sigma(
         base, merit, confidence=params["confidence"], n_samples=n_samples, seed=seed
     )
@@ -409,8 +385,8 @@ def main(argv: list[str] | None = None) -> int:
         params = _resolve_params(args)
         payload, rows = _COMMANDS[args.command][0](params)
         _emit({"meta": _meta(args.command, params), **payload}, rows, params)
-    except (ConfigError, StepSizeError) as exc:
-        # StepSizeError only ever rejects a step size or rate taken from input.
+    except (ConfigError, InvalidDimensionError, StepSizeError) as exc:
+        # The library's checks of user-supplied values raise these three.
         print(f"fermitope: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ToolkitError, np.linalg.LinAlgError, FloatingPointError) as exc:

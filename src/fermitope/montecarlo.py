@@ -324,10 +324,6 @@ def _warn_if_unpaired(base: str, merit: str) -> None:
         )
 
 
-def _violating_fraction(values: np.ndarray) -> float:
-    return float(np.mean(values < 0.0))
-
-
 def max_tolerated_sigma(
     base_state: str,
     merit: str,

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fock, gates, polytope
-from .errors import InvalidGateError, SectorMismatchError, StepSizeError
+from .errors import InvalidDimensionError, InvalidGateError, SectorMismatchError, StepSizeError
 from .fock import MixedState, PureState
 from .gates import Protocol
 
@@ -120,6 +120,8 @@ def evolve_noisy_protocol(
         raise StepSizeError("dt must be positive and finite")
     if not 0.0 <= free_time < math.inf:
         raise StepSizeError("free_time must be finite and non-negative")
+    if not 0.0 <= margin_epsilon <= 1.0:
+        raise InvalidDimensionError("margin_epsilon must lie in [0, 1]")
     if durations and dt > min(durations) / 10.0:
         raise StepSizeError("dt must not exceed one tenth of the shortest gate")
 

@@ -1,12 +1,14 @@
 """Command-line interface: payloads, formats, exit codes, reproducibility."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from fermitope import montecarlo
-from fermitope.cli import EXIT_CONFIG, EXIT_OK, main
+from fermitope import fock, functional, montecarlo
+from fermitope.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from fermitope.errors import InfeasiblePolytopeError
 
 
 def run(tmp_path, name, args):
@@ -72,16 +74,31 @@ class TestPolytopeAndFunctional:
             ["noisy", "--target", "w", "--free-time", "inf"],
             ["montecarlo", "--base", "epr", "--seed", "-1", "--n-samples", "10"],
             ["rdm", "--target", "epr", "--seed", "-1"],
+            ["rdm", "--target", "w", "--shots", "0"],
+            ["montecarlo", "--base", "epr", "--sigma", "-0.1", "--n-samples", "10"],
+            ["montecarlo", "--base", "epr", "--sigma", "0.1", "--n-samples", "0"],
+            ["montecarlo", "--base", "epr", "--n-samples", "-4"],
+            ["polytope", "--occupations", "1,0.5,0.5,0.5,0.5,nan"],
+            ["polytope", "--target", "w", "--epsilon", "nan"],
+            ["noisy", "--target", "w", "--margin-epsilon", "nan"],
         ],
         ids=[
             "epsilon", "dt", "confidence", "margin-epsilon", "unsorted", "outside-unit",
             "sigma-nan", "sigma-inf", "dt-nan", "echo-dt-nan", "dephasing-nan",
             "dephasing-inf", "emission-nan", "free-time-inf", "montecarlo-seed", "rdm-seed",
+            "shots-zero", "sigma-negative", "sigma-samples-zero", "samples-negative",
+            "occupation-nan", "epsilon-nan", "margin-epsilon-nan",
         ],
     )
     def test_out_of_range_input_is_config_error(self, tmp_path, args):
         code, _ = run(tmp_path, "bad.json", args)
         assert code == EXIT_CONFIG
+
+    def test_library_message_is_printed_as_config_error(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "bad.json", ["rdm", "--target", "w", "--shots", "0"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "fermitope: configuration error: shots must be >= 1\n"
 
     def test_unparseable_occupations_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "bad.json", ["polytope", "--occupations", "a,b,c"])
@@ -91,6 +108,34 @@ class TestPolytopeAndFunctional:
         code, out = run(tmp_path, "f.json", ["functional", "--polytope", "epr"])
         payload = json.loads(out.read_text())
         assert payload["E"] == pytest.approx(np.log(108) / 3, abs=1e-6)
+
+
+class TestNumericalError:
+    @pytest.mark.parametrize(
+        "module,name,error,args",
+        [
+            (
+                functional, "quantum_functional", InfeasiblePolytopeError("empty"),
+                ["functional", "--polytope", "w"],
+            ),
+            (
+                fock, "natural_occupations", np.linalg.LinAlgError("no convergence"),
+                ["prepare", "--target", "w"],
+            ),
+        ],
+        ids=["infeasible", "linalg"],
+    )
+    def test_numerical_failure_exits_3(
+        self, tmp_path, capsys, monkeypatch, module, name, error, args
+    ):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(module, name, fail)
+        code, out = run(tmp_path, "x.json", args)
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("fermitope: numerical error")
+        assert not out.exists()
 
 
 class TestCsvFormat:
@@ -170,6 +215,15 @@ class TestMonteCarloCommand:
         centers, counts = montecarlo.merit_histogram("ghz", "f_epr", 0.05, 3000, seed=0)
         assert [float(c) for c, _ in rows] == centers.tolist()
         assert [int(k) for _, k in rows] == counts.tolist()
+
+    def test_rejected_sigma_prints_no_pairing_warning(self, tmp_path):
+        args = ["montecarlo", "--base", "ghz", "--merit", "f_epr", "--sigma", "-1",
+                "--n-samples", "10"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run(tmp_path, "mc.json", args)
+        assert code == EXIT_CONFIG
+        assert caught == []
 
     def test_threshold_payload(self, tmp_path):
         code, out = run(

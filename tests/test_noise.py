@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from fermitope import gates, noise
-from fermitope.errors import InvalidGateError, SectorMismatchError, StepSizeError
+from fermitope.errors import (
+    InvalidDimensionError, InvalidGateError, SectorMismatchError, StepSizeError,
+)
 from fermitope.fock import MixedState, basis_vector, maximally_mixed, one_rdm, random_pure_state
 from fermitope.gates import Protocol, build_protocol, target_state
 from fermitope.noise import (
@@ -141,6 +143,17 @@ class TestEvolveNoisyProtocol:
         assert np.max(np.abs(trajectory.lambdas[0] - want)) <= 1e-12
         assert np.max(np.abs(trajectory.lambdas.sum(axis=1) - 6.0)) <= 1e-10
         assert np.max(np.abs(trajectory.lambdas[1] - np.linalg.eigvalsh(one_rdm(final))[::-1])) <= 1e-12
+
+    @pytest.mark.parametrize("margin_epsilon", [3.0, float("nan"), -1.0])
+    def test_margin_epsilon_checked_in_every_sector(self, margin_epsilon):
+        # Outside d = 6 no snapshot reads the margin, so only the up-front
+        # check can reject it.
+        initial = random_pure_state(8, 4, seed=1)
+        with pytest.raises(InvalidDimensionError, match="margin_epsilon"):
+            evolve_noisy_protocol(
+                Protocol("idle", ()), PAPER_NOISE, DT, initial=initial,
+                margin_epsilon=margin_epsilon,
+            )
 
     def test_missing_durations_rejected(self):
         protocol = Protocol("bare", (gates.rotation(1, 2, 1.0),))
