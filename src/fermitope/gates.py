@@ -23,7 +23,7 @@ from scipy.integrate import quad
 
 from . import fock
 from .errors import InvalidDimensionError, InvalidGateError, InvalidPulseError
-from .fock import PureState, basis_vector, superposition
+from .fock import PureState, superposition
 
 DEFAULT_ROTATION_DURATION = 20e-12
 DEFAULT_CONTROLLED_DURATION = 60e-12
@@ -214,31 +214,96 @@ def invert_protocol(protocol: Protocol) -> Protocol:
 
 
 # ---------------------------------------------------------------------------
-# Characteristic states and their preparation protocols
+# The four entanglement classes
 # ---------------------------------------------------------------------------
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
 
 
-def target_state(label: str) -> PureState:
-    """Canonical entangled target states on the (d=6, N=3) sector.
+@dataclass(frozen=True)
+class EntanglementClass:
+    """One class of three fermions in six modes, as the paper states it."""
 
-    The W state carries a minus sign on |011001>: written with ascending
-    site order, reordering its creation operators costs one transposition.
-    """
-    label = label.lower()
-    if label == "slater":
-        return basis_vector(6, "101010")
-    if label == "epr":
-        return superposition(6, {"101010": 1 / _SQ2, "010110": 1 / _SQ2})
-    if label == "ghz":
-        return superposition(6, {"101010": 1 / _SQ2, "010101": 1 / _SQ2})
-    if label == "w":
-        return superposition(
-            6, {"101010": 1 / _SQ3, "010110": 1 / _SQ3, "011001": -1 / _SQ3}
-        )
-    raise InvalidDimensionError(f"unknown target {label!r}")
+    terms: dict[str, float]  # target amplitude per occupation string
+    gates: tuple[GateOp, ...]  # chain preparing the target from |101010>
+    occupations: tuple[float, ...]  # natural occupations, descending
+    facets: tuple[tuple, ...]  # (coefficients, bound, sense, label) its polytope adds
+    merit: str | None = None  # merit function the class is expected to violate
+    folded_draws: tuple[int, ...] = ()  # perturbation draws taken as |draw|: gamma0_ii = 0
+
+
+# The W target carries a minus sign on |011001>: written with ascending
+# site order, reordering its creation operators costs one transposition.
+# The final full-turn rotation of the W chain only contributes a global
+# sign but is kept for its duration.  Facet coefficients keep the int or
+# float literals that ``PolytopeSpec.to_json`` writes out.
+CLASSES = {
+    "slater": EntanglementClass(
+        terms={"101010": 1.0},
+        gates=(),
+        occupations=(1.0, 1.0, 1.0, 0.0, 0.0, 0.0),
+        facets=(
+            ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 1.0, "==", "lam1=1"),
+            ((0.0, 1.0, 0.0, 0.0, 0.0, 0.0), 1.0, "==", "lam2=1"),
+            ((0.0, 0.0, 1.0, 0.0, 0.0, 0.0), 1.0, "==", "lam3=1"),
+        ),
+    ),
+    "epr": EntanglementClass(
+        terms={"101010": 1 / _SQ2, "010110": 1 / _SQ2},
+        gates=(
+            rotation(1, 2, math.pi / 2, DEFAULT_ROTATION_DURATION),
+            controlled_rotation(2, 3, 4, math.pi, DEFAULT_CONTROLLED_DURATION),
+        ),
+        occupations=(1.0, 0.5, 0.5, 0.5, 0.5, 0.0),
+        facets=(
+            ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 1.0, "==", "lam1=1"),
+            ((0, 1, -1, 0, 0, 0), 0.0, "==", "lam2=lam3"),
+        ),
+        merit="f_slater",
+        folded_draws=(5,),
+    ),
+    "w": EntanglementClass(
+        terms={"101010": 1 / _SQ3, "010110": 1 / _SQ3, "011001": -1 / _SQ3},
+        gates=(
+            rotation(1, 2, W_MIX_ANGLE, DEFAULT_ROTATION_DURATION),
+            controlled_rotation(2, 3, 4, math.pi / 2, DEFAULT_CONTROLLED_DURATION),
+            controlled_rotation(4, 5, 6, math.pi, DEFAULT_CONTROLLED_DURATION),
+            controlled_rotation(2, 3, 4, math.pi, DEFAULT_CONTROLLED_DURATION),
+            rotation(1, 2, 2 * math.pi, DEFAULT_ROTATION_DURATION),
+        ),
+        occupations=(2 / 3, 2 / 3, 2 / 3, 1 / 3, 1 / 3, 1 / 3),
+        facets=(
+            ((1, 1, -1, 0, 0, 0), 1.0, "<=", "lam1+lam2-lam3<=1"),
+            ((1.0, 1.0, 1.0, 0.0, 0.0, 0.0), 2.0, ">=", "lam1+lam2+lam3>=2"),
+        ),
+        merit="f_epr",
+    ),
+    "ghz": EntanglementClass(
+        terms={"101010": 1 / _SQ2, "010101": 1 / _SQ2},
+        gates=(
+            rotation(1, 2, math.pi / 2, DEFAULT_ROTATION_DURATION),
+            controlled_rotation(2, 3, 4, math.pi, DEFAULT_CONTROLLED_DURATION),
+            controlled_rotation(4, 5, 6, math.pi, DEFAULT_CONTROLLED_DURATION),
+        ),
+        occupations=(0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
+        facets=(((1, 1, -1, 0, 0, 0), 1.0, "<=", "lam1+lam2-lam3<=1"),),
+        merit="f_w",
+    ),
+}
+
+
+def entanglement_class(label: str) -> EntanglementClass:
+    """The ``CLASSES`` entry of a label, in any case."""
+    entry = CLASSES.get(label.lower())
+    if entry is None:
+        raise InvalidDimensionError(f"unknown class {label!r}; choose from {tuple(CLASSES)}")
+    return entry
+
+
+def target_state(label: str) -> PureState:
+    """Canonical entangled target state of a class on the (d=6, N=3) sector."""
+    return superposition(6, entanglement_class(label).terms)
 
 
 def build_protocol(target: str) -> Protocol:
@@ -246,42 +311,9 @@ def build_protocol(target: str) -> Protocol:
 
     Applied to the Slater state, the chains visit the standard
     intermediate states and end on ``target_state(target)`` up to a
-    global phase.  The final full-turn rotation of the W chain only
-    contributes a global sign but is kept for its duration.
+    global phase.
     """
-    target = target.lower()
-    rd, cd = DEFAULT_ROTATION_DURATION, DEFAULT_CONTROLLED_DURATION
-    if target == "slater":
-        return Protocol("slater", ())
-    if target == "epr":
-        return Protocol(
-            "epr",
-            (
-                rotation(1, 2, math.pi / 2, rd),
-                controlled_rotation(2, 3, 4, math.pi, cd),
-            ),
-        )
-    if target == "ghz":
-        return Protocol(
-            "ghz",
-            (
-                rotation(1, 2, math.pi / 2, rd),
-                controlled_rotation(2, 3, 4, math.pi, cd),
-                controlled_rotation(4, 5, 6, math.pi, cd),
-            ),
-        )
-    if target == "w":
-        return Protocol(
-            "w",
-            (
-                rotation(1, 2, W_MIX_ANGLE, rd),
-                controlled_rotation(2, 3, 4, math.pi / 2, cd),
-                controlled_rotation(4, 5, 6, math.pi, cd),
-                controlled_rotation(2, 3, 4, math.pi, cd),
-                rotation(1, 2, 2 * math.pi, rd),
-            ),
-        )
-    raise InvalidDimensionError(f"unknown target {target!r}")
+    return Protocol(target.lower(), entanglement_class(target).gates)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,6 @@ rows.  Sampling uses the counter-based Philox generator so runs are
 reproducible regardless of how samples are batched.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -93,10 +92,9 @@ import numpy as np
 from . import fock, gates, polytope
 from .errors import InvalidDimensionError
 
-MERIT_LABELS = ("f_slater", "f_epr", "f_w")
-
-# Merit paired with the state expected to violate it.
-CANONICAL_PAIRING = {"epr": "f_slater", "w": "f_epr", "ghz": "f_w"}
+# Merit paired with the state expected to violate it, and those merits.
+CANONICAL_PAIRING = {label: c.merit for label, c in gates.CLASSES.items() if c.merit}
+MERIT_LABELS = tuple(CANONICAL_PAIRING.values())
 
 _N_MODES = 6
 
@@ -124,6 +122,12 @@ _MARGIN_STEPS = 8
 # I - gamma has at most this many negative eigenvalues.
 _INERTIA_FORMS = {"f_epr": 0, "f_slater": 1}
 
+# Largest sigma accepted.  numpy's ziggurat returns standard normals below
+# 14 in magnitude (a tail draw is r + x, r = 3.654, x <= 53 ln 2 / r), so
+# sigma * |draw| < 1.4e151, and its square summed over a sample's 36
+# entries stays below 1e305: every perturbed entry and norm is finite.
+_MAX_SIGMA = 1e150
+
 # Certificate of a decided LDL^H row, 2**23 times the unit roundoff; the
 # module docstring shows that this keeps it far above both methods' error.
 _TAU = 2.0**-30
@@ -139,12 +143,15 @@ class PerturbationSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.base_state.lower() not in polytope.CLASS_LABELS:
-            raise InvalidDimensionError(f"unknown base state {self.base_state!r}")
-        if not 0.0 <= self.sigma < math.inf:
-            raise InvalidDimensionError("sigma must be finite and non-negative")
+        gates.entanglement_class(self.base_state)
+        _check_sigma(self.sigma)
         if self.n_samples < 1:
             raise InvalidDimensionError("n_samples must be >= 1")
+
+
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 <= sigma <= _MAX_SIGMA:
+        raise InvalidDimensionError(f"sigma must lie in [0, {_MAX_SIGMA:g}]")
 
 
 def theoretical_rdm(base_state: str) -> np.ndarray:
@@ -171,12 +178,10 @@ def _base_and_draws(
     """gamma0 of the base state and the draws of its ``n_samples`` perturbations."""
     if n_samples < 1:
         raise InvalidDimensionError("n_samples must be >= 1")
-    base = base_state.lower()
+    folded = list(gates.entanglement_class(base_state).folded_draws)
     draws = _standard_draws(n_samples, fock.checked_seed(seed))
-    if base == "epr":
-        # gamma_66 = 0 would go negative; take |draw| for that entry.
-        draws[:, 5] = np.abs(draws[:, 5])
-    return theoretical_rdm(base), draws
+    draws[:, folded] = np.abs(draws[:, folded])
+    return theoretical_rdm(base_state), draws
 
 
 def _perturbed_batch(gamma0: np.ndarray, sigma: float, draws: np.ndarray) -> np.ndarray:
@@ -308,8 +313,7 @@ def _checked_base_and_draws(
     base_state: str, merit: str, sigma: float, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_base_and_draws`` after checking sigma and the merit label."""
-    if not 0.0 <= sigma < math.inf:
-        raise InvalidDimensionError("sigma must be finite and non-negative")
+    _check_sigma(sigma)
     _merit(merit)
     return _base_and_draws(base_state, n_samples, seed)
 

@@ -25,6 +25,11 @@ PAPER_DEPHASING_RATE = 1.66e5  # 1/s at 4 K
 
 DEFAULT_PAIRS = ((1, 2), (3, 4), (5, 6))
 
+# Most Trotter steps one run may take, gates and free time together.  A
+# d = 6 step costs about 110 us, so the longest run accepted there takes
+# about 11 s.
+_MAX_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -108,7 +113,8 @@ def evolve_noisy_protocol(
     Each gate is sliced into steps no longer than ``dt``; every step
     applies the partial gate unitary and then the dephasing channel.
     ``free_time`` appends channel-only evolution after the last gate.
-    Zero rates reproduce the noiseless protocol exactly.
+    Zero rates reproduce the noiseless protocol exactly.  A run that
+    needs more than ``_MAX_STEPS`` steps is refused before the first.
     """
     if initial is None:
         initial = gates.target_state("slater")
@@ -124,6 +130,12 @@ def evolve_noisy_protocol(
         raise InvalidDimensionError("margin_epsilon must lie in [0, 1]")
     if durations and dt > min(durations) / 10.0:
         raise StepSizeError("dt must not exceed one tenth of the shortest gate")
+    # Each span's ratio is clamped before the ceiling, so that an infinite
+    # one is counted as too many instead of raising OverflowError.
+    spans = durations + ([free_time] if free_time > 0.0 else [])
+    plan = [max(1, math.ceil(min(span / dt, _MAX_STEPS + 1))) for span in spans]
+    if sum(plan) > _MAX_STEPS:
+        raise StepSizeError(f"the run needs more than {_MAX_STEPS} Trotter steps at dt={dt:g}")
 
     psi = initial.normalized().amplitudes.copy()
     rho = np.outer(psi, psi.conj())
@@ -133,8 +145,7 @@ def evolve_noisy_protocol(
     t = 0.0
 
     gate_rate = params.dephasing_rate + params.emission_rate
-    for gate in protocol.gates:
-        steps = max(1, math.ceil(gate.duration / dt))
+    for gate, steps in zip(protocol.gates, plan):
         delta = gate.duration / steps
         u_slice = gates.gate_matrix(gate.scaled(1.0 / steps), d, n)
         kernel = _dephasing_kernel(d, n, gate_rate, delta)
@@ -147,7 +158,7 @@ def evolve_noisy_protocol(
             records.append(_snapshot(rho, psi, d, n, margin_epsilon))
 
     if free_time > 0.0:
-        steps = max(1, math.ceil(free_time / dt))
+        steps = plan[-1]
         delta = free_time / steps
         kernel = _dephasing_kernel(d, n, params.dephasing_rate, delta)
         for _ in range(steps):

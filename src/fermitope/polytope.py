@@ -13,20 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fock
+from . import fock, gates
 from .errors import InvalidDimensionError, UnsupportedCaseError
 from .fock import MixedState
 
 MEMBERSHIP_TOL = 1e-9
 
-CLASS_LABELS = ("slater", "epr", "w", "ghz")
-
-CLASS_OCCUPATIONS = {
-    "slater": np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
-    "epr": np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.0]),
-    "w": np.array([2 / 3, 2 / 3, 2 / 3, 1 / 3, 1 / 3, 1 / 3]),
-    "ghz": np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5]),
-}
+CLASS_LABELS = tuple(gates.CLASSES)
+CLASS_OCCUPATIONS = {label: np.array(c.occupations) for label, c in gates.CLASSES.items()}
 
 # Merit functions over (..., 6) arrays of descending occupations.
 _MERITS = {
@@ -129,31 +123,8 @@ def _common_constraints() -> list[LinearInequality]:
 
 def class_polytope(label: str) -> PolytopeSpec:
     """Occupation polytope of one of the four entanglement classes."""
-    label = label.lower()
-    cons = _common_constraints()
-    if label == "slater":
-        cons += [
-            LinearInequality(_e(1), 1.0, "==", "lam1=1"),
-            LinearInequality(_e(2), 1.0, "==", "lam2=1"),
-            LinearInequality(_e(3), 1.0, "==", "lam3=1"),
-        ]
-    elif label == "epr":
-        cons += [
-            LinearInequality(_e(1), 1.0, "==", "lam1=1"),
-            LinearInequality((0, 1, -1, 0, 0, 0), 0.0, "==", "lam2=lam3"),
-        ]
-    elif label == "w":
-        cons += [
-            LinearInequality((1, 1, -1, 0, 0, 0), 1.0, "<=", "lam1+lam2-lam3<=1"),
-            LinearInequality(_e(1, 2, 3), 2.0, ">=", "lam1+lam2+lam3>=2"),
-        ]
-    elif label == "ghz":
-        cons += [
-            LinearInequality((1, 1, -1, 0, 0, 0), 1.0, "<=", "lam1+lam2-lam3<=1"),
-        ]
-    else:
-        raise InvalidDimensionError(f"unknown polytope label {label!r}")
-    return PolytopeSpec(label, tuple(cons))
+    facets = [LinearInequality(*facet) for facet in gates.entanglement_class(label).facets]
+    return PolytopeSpec(label.lower(), tuple(_common_constraints() + facets))
 
 
 # ---------------------------------------------------------------------------

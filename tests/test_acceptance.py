@@ -57,7 +57,7 @@ def test_criterion_1_reference_occupations_and_functional_values():
         "ghz": math.log(6),
     }
     worst_lam, worst_e = 0.0, 0.0
-    for label in ("slater", "epr", "w", "ghz"):
+    for label in polytope.CLASS_LABELS:
         final = apply_protocol(SLATER, build_protocol(label))
         lam, _ = natural_occupations(one_rdm(final))
         worst_lam = max(

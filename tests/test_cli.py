@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fermitope import fock, functional, montecarlo
+from fermitope import fock, functional, montecarlo, noise
 from fermitope.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from fermitope.errors import InfeasiblePolytopeError
 
@@ -81,16 +81,34 @@ class TestPolytopeAndFunctional:
             ["polytope", "--occupations", "1,0.5,0.5,0.5,0.5,nan"],
             ["polytope", "--target", "w", "--epsilon", "nan"],
             ["noisy", "--target", "w", "--margin-epsilon", "nan"],
+            ["montecarlo", "--base", "epr", "--sigma", "1e308", "--n-samples", "10"],
         ],
         ids=[
             "epsilon", "dt", "confidence", "margin-epsilon", "unsorted", "outside-unit",
             "sigma-nan", "sigma-inf", "dt-nan", "echo-dt-nan", "dephasing-nan",
             "dephasing-inf", "emission-nan", "free-time-inf", "montecarlo-seed", "rdm-seed",
             "shots-zero", "sigma-negative", "sigma-samples-zero", "samples-negative",
-            "occupation-nan", "epsilon-nan", "margin-epsilon-nan",
+            "occupation-nan", "epsilon-nan", "margin-epsilon-nan", "sigma-huge",
         ],
     )
     def test_out_of_range_input_is_config_error(self, tmp_path, args):
+        code, _ = run(tmp_path, "bad.json", args)
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["noisy", "--target", "w", "--dt", "1e-300"],
+            ["noisy", "--target", "w", "--free-time", "1"],
+            ["echo", "--target", "w", "--dt", "1e-300"],
+        ],
+        ids=["dt-tiny", "free-time-huge", "echo-dt-tiny"],
+    )
+    def test_too_many_trotter_steps_is_config_error(self, tmp_path, monkeypatch, args):
+        def no_snapshot(*_):
+            raise AssertionError("a refused run took a step")
+
+        monkeypatch.setattr(noise, "_snapshot", no_snapshot)
         code, _ = run(tmp_path, "bad.json", args)
         assert code == EXIT_CONFIG
 

@@ -339,6 +339,33 @@ class TestSectorSpectraProperties:
         assert np.all(np.abs(lam + lam[::-1] - 1.0) < 1e-9)
         assert lam[0] + lam[1] + lam[3] <= 2.0 + 1e-9
 
+    # Altunbulak-Klyachko: the pure (7,3) polytope, lam descending and 1-based
+    # (Commun. Math. Phys. 282, 287 (2008)).
+    AK_INEQUALITIES = ((1, 2, 4, 7), (1, 2, 5, 6), (2, 3, 4, 5), (1, 3, 4, 6))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        state=st.one_of(
+            st.integers(0, 2**32 - 1).map(lambda seed: random_pure_state(7, 3, seed)),
+            st.tuples(
+                st.lists(st.integers(0, 34), min_size=2, max_size=4, unique=True),
+                st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+            ),
+        )
+    )
+    def test_seven_mode_states_obey_altunbulak_klyachko(self, state):
+        if isinstance(state, tuple):
+            # Sparse: 2-4 basis states with random complex amplitudes.
+            index, parts = state
+            amps = np.zeros(sector_dim(7, 3), dtype=complex)
+            k = len(index)
+            amps[index] = np.array(parts[:k]) + 1j * np.array(parts[4 : 4 + k])
+            assume(np.linalg.norm(amps) > 0.1)
+            state = PureState(7, 3, amps).normalized()
+        lam = np.linalg.eigvalsh(one_rdm(state))[::-1]
+        for sites in self.AK_INEQUALITIES:
+            assert sum(lam[i - 1] for i in sites) <= 2.0 + 1e-12, sites
+
     def test_spectrum_in_unit_interval(self):
         for d, n in [(4, 2), (5, 3), (6, 3)]:
             lam, _ = natural_occupations(one_rdm(random_pure_state(d, n, seed=d + n)))

@@ -41,12 +41,12 @@ class TestShannonEntropy:
 
 
 class TestQuantumFunctional:
-    @pytest.mark.parametrize("label", ["slater", "epr", "w", "ghz"])
+    @pytest.mark.parametrize("label", polytope.CLASS_LABELS)
     def test_reference_values(self, label):
         result = quantum_functional(class_polytope(label))
         assert result.value == pytest.approx(REFERENCE[label], abs=1e-12)
 
-    @pytest.mark.parametrize("label", ["slater", "epr", "w", "ghz"])
+    @pytest.mark.parametrize("label", polytope.CLASS_LABELS)
     def test_argmax_is_characteristic_occupation(self, label):
         result = quantum_functional(class_polytope(label))
         assert np.max(np.abs(result.argmax - CLASS_OCCUPATIONS[label])) < 1e-12
@@ -54,13 +54,13 @@ class TestQuantumFunctional:
     def test_monotone_under_nesting(self):
         values = [
             quantum_functional(class_polytope(label)).value
-            for label in ("slater", "epr", "w", "ghz")
+            for label in polytope.CLASS_LABELS
         ]
         assert values == sorted(values)
         assert values[0] < values[1] < values[2] < values[3]
 
     def test_bounds_from_particle_and_mode_count(self):
-        for label in ("slater", "epr", "w", "ghz"):
+        for label in polytope.CLASS_LABELS:
             value = quantum_functional(class_polytope(label)).value
             assert math.log(3) - 1e-9 <= value <= math.log(6) + 1e-9
 

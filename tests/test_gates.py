@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
-from fermitope import polytope
-from fermitope.errors import InvalidGateError, InvalidPulseError
+from fermitope import montecarlo, polytope
+from fermitope.errors import InvalidDimensionError, InvalidGateError, InvalidPulseError
 from fermitope.fock import (
     basis_vector,
     natural_occupations,
@@ -20,6 +20,7 @@ from fermitope.fock import (
     superposition,
 )
 from fermitope.gates import (
+    CLASSES,
     GateOp,
     Protocol,
     PulseSpec,
@@ -255,7 +256,7 @@ class TestProtocols:
         assert protocol.gates == ()
         assert apply_protocol(SLATER, protocol).fidelity_to(SLATER) == 1.0
 
-    @pytest.mark.parametrize("label", ["slater", "epr", "w", "ghz"])
+    @pytest.mark.parametrize("label", CLASSES)
     def test_targets_reproduce_reference_occupations(self, label):
         final = apply_protocol(SLATER, build_protocol(label))
         lam, _ = natural_occupations(one_rdm(final))
@@ -268,6 +269,34 @@ class TestProtocols:
     def test_protocol_json_round_trip(self):
         protocol = build_protocol("ghz")
         assert Protocol.from_json(protocol.to_json()) == protocol
+
+
+# Each class entry point, as bytes or a comparable value of one label.
+CLASS_ENTRY_POINTS = {
+    "target_state": lambda label: target_state(label).amplitudes.tobytes(),
+    "build_protocol": build_protocol,
+    "class_polytope": polytope.class_polytope,
+    "theoretical_rdm": lambda label: montecarlo.theoretical_rdm(label).tobytes(),
+    "PerturbationSpec": lambda label: montecarlo.sample_perturbed_rdm(
+        montecarlo.PerturbationSpec(label, 0.1, 3, 7), 2
+    ).tobytes(),
+}
+
+
+class TestClassTable:
+    @pytest.mark.parametrize("entry", CLASS_ENTRY_POINTS)
+    def test_entry_points_take_any_case_and_refuse_unknown_labels(self, entry):
+        call = CLASS_ENTRY_POINTS[entry]
+        for label in CLASSES:
+            assert call(label.upper()) == call(label)
+        with pytest.raises(InvalidDimensionError, match="unknown class"):
+            call("bell")
+
+    @pytest.mark.parametrize("label", [label for label, c in CLASSES.items() if c.merit])
+    def test_canonical_merit_is_violated_at_the_class_occupations(self, label):
+        entry = CLASSES[label]
+        assert polytope._MERITS[entry.merit](np.array(entry.occupations)) < 0.0
+        assert montecarlo.CANONICAL_PAIRING[label] == entry.merit
 
 
 class TestInversion:

@@ -59,7 +59,7 @@ class TestPerturbedSampling:
         assert np.allclose(sample_perturbed_rdm(spec, 0), theoretical_rdm("ghz"))
 
     def test_site_basis_rdms_are_diagonal(self):
-        for base in ("slater", "epr", "w", "ghz"):
+        for base in polytope.CLASS_LABELS:
             gamma = theoretical_rdm(base)
             assert np.allclose(gamma, np.diag(np.diag(gamma)), atol=1e-12)
 
@@ -143,6 +143,22 @@ class TestPerturbedSampling:
     def test_sample_count_and_sigma_validated(self, call):
         with pytest.raises(InvalidDimensionError):
             call()
+
+    def test_sigma_is_bounded_so_every_entry_stays_finite(self):
+        above = np.nextafter(mc._MAX_SIGMA, np.inf)
+        for sigma in (above, 1e308):
+            with pytest.raises(InvalidDimensionError, match="sigma"):
+                PerturbationSpec("epr", sigma, 10, 0)
+            with pytest.raises(InvalidDimensionError, match="sigma"):
+                merit_samples("epr", "f_slater", sigma, 10, 0)
+            with pytest.raises(InvalidDimensionError, match="sigma"):
+                violation_probability("epr", "f_slater", sigma, 10, 0)
+        # At the bound, RuntimeWarnings (errors in this suite) would show overflow.
+        for base, merit in CANONICAL:
+            assert np.all(np.isfinite(merit_samples(base, merit, mc._MAX_SIGMA, 200, 0)))
+            violation_probability(base, merit, mc._MAX_SIGMA, 200, 0)
+        sample = sample_perturbed_rdm(PerturbationSpec("epr", mc._MAX_SIGMA, 1, 0))
+        assert np.all(np.isfinite(sample))
 
     def test_chunked_merits_match_one_shot_batch(self):
         n, k = 2 * mc._CHUNK_ROWS + 123, 1_000

@@ -126,6 +126,30 @@ class TestEvolveNoisyProtocol:
             with pytest.raises(StepSizeError):
                 evolve_noisy_protocol(build_protocol("epr"), PAPER_NOISE, DT, free_time=free_time)
 
+    @pytest.mark.parametrize(
+        "dt,free_time",
+        [(1e-300, 0.0), (5e-324, 0.0), (1e-16, 0.0), (DT, 1.0), (DT, 1e300)],
+        ids=["dt-tiny", "dt-subnormal", "dt-1e-16", "free-time-1s", "free-time-huge"],
+    )
+    def test_too_many_steps_refused_before_the_first(self, monkeypatch, dt, free_time):
+        def no_snapshot(*_):
+            raise AssertionError("a refused run took a step")
+
+        monkeypatch.setattr(noise, "_snapshot", no_snapshot)
+        with pytest.raises(StepSizeError, match="Trotter steps"):
+            evolve_noisy_protocol(build_protocol("w"), PAPER_NOISE, dt, free_time=free_time)
+
+    def test_step_cap_counts_gate_and_free_time_steps(self, monkeypatch):
+        protocol = build_protocol("w")
+        gate_steps = sum(math.ceil(g.duration / DT) for g in protocol.gates)
+        # 8 * DT / DT is exactly 8: eight free-time steps.
+        monkeypatch.setattr(noise, "_MAX_STEPS", gate_steps + 8)
+        trajectory, _ = evolve_noisy_protocol(protocol, PAPER_NOISE, DT, free_time=8 * DT)
+        assert len(trajectory.times) == gate_steps + 8 + 1
+        monkeypatch.setattr(noise, "_MAX_STEPS", gate_steps + 7)
+        with pytest.raises(StepSizeError):
+            evolve_noisy_protocol(protocol, PAPER_NOISE, DT, free_time=8 * DT)
+
     @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
     def test_rates_must_be_finite_and_non_negative(self, rate):
         with pytest.raises(StepSizeError):
