@@ -31,9 +31,10 @@ samples that do not violate at hi, about 1 - c of them.  If p(hi) >= c
 the pilot fell short: the samples violating at hi are evaluated at 0.5
 and the search walks up over [hi, 2**12].  In all, about 1.1-1.4 full
 evaluations of the samples, against 3.2-5.3 for a bisection down from
-0.5 (the canonical pairs, n = 1e5).  Where the condition fails (slater
-with F_W) the search is that bisection, evaluating every sample at
-every step.
+0.5 (the canonical pairs, n = 1e5; ghz/F_W hands 2.0-2.1 n rows to its
+certificate, because the early stop below leaves rows to later steps).
+Where the condition fails (slater with F_W) the search is that
+bisection, evaluating every sample at every step.
 
 F_EPR and F_Slater ask a question of inertia.  With A = I - gamma,
 lambda1 < 1 iff A has no eigenvalue <= 0, and lambda2 < 1 iff A has at
@@ -49,10 +50,10 @@ has negative pivots.  A row is decided when
                                       w = sum_k |d_k| (1 + |l_k|^2),
 
 with l_k the multipliers below pivot k and |.| the 2-norm.  Every other
-row, and every F_W row, goes to eigvalsh.  A decided row gets the status
-that eigvalsh gives it.  Let u = 2**-53, gamma the float sample that
-eigvalsh sees and M the computed I - gamma, which differs from A by one
-rounding of each diagonal entry: ||M - A|| <= u ||M||.
+row goes to eigvalsh.  A decided row gets the status that eigvalsh gives
+it.  Let u = 2**-53, gamma the float sample that eigvalsh sees and M the
+computed I - gamma, which differs from A by one rounding of each
+diagonal entry: ||M - A|| <= u ||M||.
 
 - The computed factors are exact for B = M + E, |E| <= c1 u |L||D||L^H|
   (the backward error of LDL^T without pivoting, c1 u = gamma_3n in real
@@ -77,13 +78,76 @@ as there are negative pivots.  Rows stay undecided near a singular
 I - gamma (epr's zero pivot at sigma = 0, or lambda_i within about _TAU
 of 1) or when the multipliers grow: 1.1-2.0% of n in a canonical search
 at n = 1e5, over half of them in the pilot's steps at sigma = 0.5 and
-0.25.
+0.25.  With the early stop below, 0.65-0.72% of n reach eigvalsh.
+
+F_W = lambda1 + lambda2 + lambda3 - 2 needs no matrix.  Let t = tr gamma,
+x the descending eigenvalues of gamma - (t/6) I, which sum to 0, y =
+x1 + x2 + x3 >= 0 and S = |x|^2, the squared Frobenius norm of gamma's
+traceless part.  Then lambda1 + lambda2 + lambda3 = t/2 + y and
+
+    t/2 + sqrt(0.3 S) <= lambda1 + lambda2 + lambda3 <= t/2 + sqrt(1.5 S).
+
+- Upper: y = (1/2) sum_i s_i x_i with s = (1, 1, 1, -1, -1, -1), so y <=
+  (1/2) |s| sqrt(S) = sqrt(1.5 S) by Cauchy-Schwarz; equal at the
+  spectrum (1, 1, 1, -1, -1, -1).
+- Lower: for a fixed y the x with x_i >= x_(i+1), sum 0 and x1 + x2 + x3 =
+  y form a bounded polytope of dimension 4, and the convex S is largest
+  at one of its vertices, where 4 of the 5 order constraints are tight:
+  x equals p on its first j entries and q on the rest.  For j = 1..5 that
+  gives S = 10, 4, 2, 4, 10 times y^2/3.  The largest, at x = (y - 2z, z,
+  z, z, z, -y - 2z) with |z| = y/3, gives S <= 10 y^2 / 3, so y >=
+  sqrt(0.3 S); equal at the spectrum (1, 1, 1, 1, 1, -5).
+
+gamma0 is diagonal (g) for every base, so both bounds come from the
+draws: t = t0 + sigma sum_i d_i over the diagonal draws d, the traceless
+diagonal v = (g - t0/6) + sigma (d - mean d), S = v.v + 2 sigma^2 times
+the squared norm of the 30 off-diagonal draws, and ||gamma||_F^2 = t^2/6
++ S.  S is summed from centred terms: ||gamma||_F^2 - t^2/6 cancels (for
+ghz, gamma0 = I/2) to an absolute error near u, which puts an error near
+sqrt(u) on sqrt(S), above the margin.  A row is decided violating when
+the upper bound is below 2 - _TAU (1 + ||gamma||_F), and not violating
+when the lower bound is above 2 + _TAU (1 + ||gamma||_F).  The margin
+covers every rounding between these bounds and eigvalsh's status:
+
+- Each entry of the float sample eigvalsh sees takes at most two
+  roundings (sigma times a draw, plus g_i), so it is within 2u
+  ||gamma||_F of gamma in the Frobenius norm, and lambda1 + lambda2 +
+  lambda3 moves by at most sqrt(3) times that.
+- t and v carry absolute errors of a few u (|t0| + sigma |d|_1), and the
+  norms relative errors of a few u.  ||gamma0||_F <= sqrt(6) and sigma |d|
+  <= ||gamma||_F + sqrt(6), so the computed t/2 and sqrt(S) are within a
+  few tens of u (1 + ||gamma||_F) of the exact ones.
+- eigvalsh's backward error moves the sum by at most 3 c2 u ||gamma||, and
+  the merit's three float operations add a few u (|lambda| + 2).
+
+All of this stays far below _TAU (1 + ||gamma||_F) = 2**23 u (1 +
+||gamma||_F), so a decided row gets eigvalsh's status.  At sigma* (n =
+1e5) the upper bound alone decides 98.4-98.6% of the ghz rows.
+
+The rows a certificate leaves undecided go to eigvalsh one chunk at a
+time.  In the monotone search a step passes when k / n >= c, k its
+violators (np.mean's float test), so the step can tell _violations how
+many violators it needs.  Resolution stops once the violators found
+reach that number (the step passes) or the violators found plus the rows
+left fall short of it (it fails).  The rows left are then marked
+violating in a passing step and not violating in a failing one.  Each
+step's outcome is exact, and so is every status read later: a failing
+step only ever becomes the upper end v_hi of a bracket, where only its
+True statuses are used, and those are proved; a passing step only the
+lower end v_lo, where only its False statuses are used, and those are
+proved too.  A row whose status was guessed lies in v_lo & ~v_hi and is
+evaluated again at the next step.  So the search visits the same steps
+with the same outcomes, and sigma* does not change.  In a ghz/F_W search
+at n = 1e5, 0.07-0.08 n rows reach eigvalsh (1.39 n without the bounds).
+violation_probability, the non-monotone bisection and the pilot's first
+call (at sigma = 0.5) resolve every row.
 
 Samples are perturbed and diagonalised in fixed chunks of _CHUNK_ROWS
 rows.  Sampling uses the counter-based Philox generator so runs are
 reproducible regardless of how samples are batched.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -218,31 +282,80 @@ def _merit_values(
 
 
 def _violations(
-    gamma0: np.ndarray, merit: str, sigma: float, draws: np.ndarray, rows: np.ndarray
+    gamma0: np.ndarray,
+    merit: str,
+    sigma: float,
+    draws: np.ndarray,
+    rows: np.ndarray,
+    needed: int | None = None,
 ) -> np.ndarray:
     """Whether each sample ``draws[rows]`` violates (merit < 0).
 
-    Merits with an inertia form read it from ``_ldl_inertia``, chunk by
-    chunk; the rows it leaves undecided, and every row of other merits,
-    go through ``_merit_values``.
+    ``_certificate`` decides what it can, chunk by chunk; the other rows go
+    through ``_merit_values`` one chunk at a time.  Given ``needed``, the
+    violators among ``rows`` that a search step needs to pass, the
+    resolution stops once the count can no longer change whether it
+    passes: the rows left are then marked violating if it passes and not
+    violating if it fails.
     """
     merit_fn = _merit(merit)
-    if merit not in _INERTIA_FORMS:
-        return _merit_values(gamma0, merit_fn, sigma, draws, rows) < 0.0
-    order = np.argsort(np.diag(gamma0).real, kind="stable")
-    eye = np.eye(_N_MODES)[:, :, None]
     out = np.empty(len(rows), dtype=bool)
-    undecided = [np.empty(0, dtype=np.intp)]
+    decided = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[start : start + _CHUNK_ROWS]
-        m = _perturbed_batch(gamma0, sigma, draws[chunk]).transpose(1, 2, 0)
-        m = m[order[:, None], order]
-        negatives, decided = _ldl_inertia(np.subtract(eye, m, out=m))
-        out[start : start + len(chunk)] = negatives <= _INERTIA_FORMS[merit]
-        undecided.append(start + np.flatnonzero(~decided))
-    rest = np.concatenate(undecided)
-    out[rest] = _merit_values(gamma0, merit_fn, sigma, draws, rows[rest]) < 0.0
+        part = slice(start, start + _CHUNK_ROWS)
+        out[part], decided[part] = _certificate(gamma0, merit, sigma, draws[rows[part]])
+    rest = np.flatnonzero(~decided)
+    found = np.count_nonzero(out)
+    for start in range(0, len(rest), _CHUNK_ROWS):
+        if needed is not None and not found < needed <= found + len(rest) - start:
+            out[rest[start:]] = found >= needed
+            break
+        chunk = rest[start : start + _CHUNK_ROWS]
+        out[chunk] = _merit_values(gamma0, merit_fn, sigma, draws, rows[chunk]) < 0.0
+        found += np.count_nonzero(out[chunk])
     return out
+
+
+def _certificate(
+    gamma0: np.ndarray, merit: str, sigma: float, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(violates, decided) for each perturbation in ``draws``; violates is False where undecided.
+
+    F_EPR and F_Slater read the inertia of I - gamma from ``_ldl_inertia``,
+    F_W bounds the sum of the top three eigenvalues by ``_top_three_bounds``,
+    and other merits decide nothing.
+    """
+    if merit in _INERTIA_FORMS:
+        order = np.argsort(np.diag(gamma0).real, kind="stable")
+        m = _perturbed_batch(gamma0, sigma, draws).transpose(1, 2, 0)
+        m = m[order[:, None], order]
+        negatives, decided = _ldl_inertia(np.subtract(np.eye(_N_MODES)[:, :, None], m, out=m))
+        return decided & (negatives <= _INERTIA_FORMS[merit]), decided
+    if merit == "f_w":
+        lower, upper, margin = _top_three_bounds(np.diag(gamma0).real, sigma, draws)
+        violates = upper < 2.0 - margin
+        return violates, violates | (lower > 2.0 + margin)
+    undecided = np.zeros(len(draws), dtype=bool)
+    return undecided, undecided
+
+
+def _top_three_bounds(
+    g: np.ndarray, sigma: float, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, upper, margin) per perturbation of diag(g): bounds on lambda1+lambda2+lambda3.
+
+    t / 2 + sqrt(0.3 S) and t / 2 + sqrt(1.5 S), with t = tr gamma and S
+    the squared norm of gamma's traceless part, summed from the centred
+    diagonal and the off-diagonal draws; margin = _TAU (1 + ||gamma||_F).
+    """
+    t0 = g.sum()
+    diag = draws[:, :_N_MODES]
+    t = t0 + sigma * diag.sum(axis=1)
+    v = (g - t0 / _N_MODES) + sigma * (diag - diag.mean(axis=1, keepdims=True))
+    off = draws[:, _N_MODES:]
+    s = np.einsum("ij,ij->i", v, v) + 2.0 * sigma**2 * np.einsum("ij,ij->i", off, off)
+    margin = _TAU * (1.0 + np.sqrt(t**2 / _N_MODES + s))
+    return t / 2.0 + np.sqrt(0.3 * s), t / 2.0 + np.sqrt(1.5 * s), margin
 
 
 def _ldl_inertia(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,8 +469,12 @@ def max_tolerated_sigma(
         step 0, which tells nothing) and a higher one (all False if none).
         """
         out = v_hi.copy()
-        rows = np.flatnonzero(v_lo & ~v_hi if monotone else np.ones_like(v_hi))
-        out[rows] = _violations(gamma0, merit, m * _STEP, draws, rows)
+        if monotone:
+            rows = np.flatnonzero(v_lo & ~v_hi)
+            needed = _violators_needed(len(v_hi), confidence) - np.count_nonzero(v_hi)
+        else:
+            rows, needed = np.arange(len(v_hi)), None
+        out[rows] = _violations(gamma0, merit, m * _STEP, draws, rows, needed)
         return out
 
     def search(lo: int, hi: int, v_lo: np.ndarray, v_hi: np.ndarray) -> int:
@@ -367,7 +484,8 @@ def max_tolerated_sigma(
     # Without monotonicity only the bisection over every sample is exact:
     # then the pilot takes every sample and is the whole search.
     k = min(n_samples, _CHUNK_ROWS) if monotone else n_samples
-    m_hat = search(0, _TOP, everyone[:k], status(_TOP, everyone[:k], ~everyone[:k]))
+    v_top = _violations(gamma0, merit, _TOP * _STEP, draws, np.arange(k))
+    m_hat = search(0, _TOP, everyone[:k], v_top)
     if k == n_samples:
         return m_hat * _STEP
     hi = min(_TOP, m_hat + max(_MARGIN_STEPS, m_hat // 4))
@@ -376,6 +494,16 @@ def max_tolerated_sigma(
         # The pilot fell short; only samples violating at hi can violate above it.
         return search(hi, _TOP, v_hi, status(_TOP, v_hi, ~everyone)) * _STEP
     return search(0, hi, everyone, v_hi) * _STEP
+
+
+def _violators_needed(n: int, confidence: float) -> int:
+    """Fewest violators k among n samples with k / n >= confidence, the test of np.mean."""
+    k = math.ceil(confidence * n)
+    while k > 0 and (k - 1) / n >= confidence:
+        k -= 1
+    while k / n < confidence:
+        k += 1
+    return k
 
 
 def _largest_passing_step(status, confidence, lo, hi, v_lo, v_hi) -> int:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -297,9 +297,9 @@ class TestMaxToleratedSigma:
         given_rows, eigvalsh_rows = [], []
         violations, merit_values = mc._violations, mc._merit_values
 
-        def counting(gamma0, merit, sigma, draws, rows):
+        def counting(gamma0, merit, sigma, draws, rows, needed=None):
             given_rows.append(len(rows))
-            return violations(gamma0, merit, sigma, draws, rows)
+            return violations(gamma0, merit, sigma, draws, rows, needed)
 
         def counting_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
             eigvalsh_rows.append(len(rows))
@@ -311,11 +311,17 @@ class TestMaxToleratedSigma:
             given_rows.clear()
             eigvalsh_rows.clear()
             max_tolerated_sigma(base, merit, n_samples=n, seed=42)
-            # 1.13-1.39 n at this seed; the full bisection took 3.19-5.28 n.
-            assert n < sum(given_rows) <= 1.6 * n
             if merit in mc._INERTIA_FORMS:
-                # 1.8% (epr) and 1.2% (w) of n at this seed.
+                # 1.15 n (epr) and 1.20 n (w) at this seed; the full bisection
+                # took 3.19-5.28 n.
+                assert n < sum(given_rows) <= 1.6 * n
+                # 0.65% (epr) and 0.72% (w) of n at this seed.
                 assert sum(eigvalsh_rows) <= 0.05 * n
+            else:
+                # 0.083 n through eigvalsh and 2.10 n certified at this seed:
+                # rows left unresolved at a step are certified again later.
+                assert sum(eigvalsh_rows) <= 0.15 * n
+                assert sum(given_rows) <= 2.5 * n
 
     def test_pruning_condition_holds_off_slater(self):
         expected = {(b, m) for b in ("epr", "w", "ghz") for m in mc.MERIT_LABELS}
@@ -373,8 +379,202 @@ class TestInertiaStatus:
         decided = np.concatenate([dec for _, dec in factored])
         status = negatives <= mc._INERTIA_FORMS[merit]
         assert np.array_equal(status[decided], want[decided])
-        assert np.array_equal(np.concatenate(routed), np.flatnonzero(~decided))
+        routed = np.concatenate([np.empty(0, np.intp), *routed])
+        assert np.array_equal(routed, np.flatnonzero(~decided))
         assert np.array_equal(got, want)
+
+
+F_W_PAIRS = [(base, "f_w") for base in polytope.CLASS_LABELS]
+
+
+def _hermitian_draws(h: np.ndarray) -> np.ndarray:
+    """The draws whose perturbation of the zero matrix at sigma = 1 is h, (n, 6, 6)."""
+    rows, cols = np.triu_indices(6, k=1)
+    upper = h[:, rows, cols]
+    return np.concatenate(
+        [np.diagonal(h, axis1=1, axis2=2).real, upper.real, upper.imag], axis=1
+    )
+
+
+def _with_spectrum(rng, lam):
+    """(len(lam), 6, 6) Hermitian matrices U diag(lam_r) U^H with random unitaries."""
+    lam = np.asarray(lam, dtype=float)
+    z = rng.standard_normal((len(lam), 6, 6)) + 1j * rng.standard_normal((len(lam), 6, 6))
+    u = np.linalg.qr(z)[0]
+    h = (u * lam[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    return (h + h.conj().transpose(0, 2, 1)) / 2
+
+
+class TestTopThreeBounds:
+    """lambda1+lambda2+lambda3 from the trace and the traceless norm (F_W's certificate)."""
+
+    @staticmethod
+    def _bounds_and_sum(h):
+        draws = _hermitian_draws(h)
+        assert np.array_equal(mc._perturbed_batch(np.zeros((6, 6)), 1.0, draws), h)
+        lower, upper, margin = mc._top_three_bounds(np.zeros(6), 1.0, draws)
+        top = np.linalg.eigvalsh(h)[:, ::-1][:, :3].sum(axis=1)
+        return lower, upper, margin, top
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["gaussian", "near_identity", "rank_deficient"]),
+        scale=st.sampled_from([1e-12, 1e-6, 1.0, 1e3]),
+    )
+    def test_bounds_hold_on_hermitian_matrices(self, seed, kind, scale):
+        rng = np.random.default_rng(seed)
+        n = 500
+        z = rng.standard_normal((n, 6, 6)) + 1j * rng.standard_normal((n, 6, 6))
+        h = scale * (z + z.conj().transpose(0, 2, 1)) / 2
+        if kind == "near_identity":
+            h = h * 1e-9 + rng.uniform(-2, 2, (n, 1, 1)) * np.eye(6)
+        elif kind == "rank_deficient":
+            lam = scale * rng.standard_normal((n, 6))
+            lam[rng.random((n, 6)) < 0.5] = 0.0
+            h = _with_spectrum(rng, lam)
+        lower, upper, margin, top = self._bounds_and_sum(h)
+        assert np.all(lower - margin <= top)
+        assert np.all(top <= upper + margin)
+
+    @pytest.mark.parametrize(
+        "spectrum, bound",
+        [((1, 1, 1, -1, -1, -1), "upper"), ((1, 1, 1, 1, 1, -5), "lower")],
+    )
+    def test_tight_spectra_reach_their_bound(self, spectrum, bound):
+        rng = np.random.default_rng(4)
+        scale = rng.uniform(0.1, 2.0, 200)
+        shift = rng.uniform(-1.0, 1.0, 200)
+        h = _with_spectrum(rng, scale[:, None] * np.array(spectrum) + shift[:, None])
+        lower, upper, _, top = self._bounds_and_sum(h)
+        assert np.max(np.abs({"lower": lower, "upper": upper}[bound] - top)) <= 1e-12
+
+    @pytest.mark.parametrize("base", polytope.CLASS_LABELS)
+    def test_traceless_norm_has_no_cancellation(self, base):
+        """Near gamma0 = 1/2 I (ghz) S is sigma^2 times the draws' own norm, to a few ulps.
+
+        S = ||gamma||_F^2 - t^2 / 6 would carry an absolute error near u, so
+        sqrt(S) one near sqrt(u), far above the certificate's margin.
+        """
+        sigma = 1e-10
+        gamma0, draws = mc._base_and_draws(base, 300, 5)
+        g = np.diag(gamma0).real
+        lower, upper, _ = mc._top_three_bounds(g, sigma, draws)
+        diag = g + sigma * draws[:, :6]
+        centred = diag - diag.mean(axis=1, keepdims=True)
+        s = np.sum(centred**2, axis=1) + 2 * sigma**2 * np.sum(draws[:, 6:] ** 2, axis=1)
+        t = diag.sum(axis=1)
+        assert np.allclose(upper - t / 2, np.sqrt(1.5 * s), rtol=1e-6, atol=1e-17)
+        assert np.allclose(lower - t / 2, np.sqrt(0.3 * s), rtol=1e-6, atol=1e-17)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pair=st.sampled_from(F_W_PAIRS),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(-4, 4),
+        pilot=st.sampled_from([None, 0.25, 0.5]),
+    )
+    def test_decided_rows_match_eigvalsh_and_the_rest_go_to_it(self, pair, seed, steps, pilot):
+        """Near sigma* +- a few grid steps, and at the pilot's scale."""
+        base, merit = pair
+        n = mc._CHUNK_ROWS + 952
+        sigma = pilot or max(0.0, _sigma_star(base, merit, 2_048, 0) + steps * mc._STEP)
+        certified, routed = [], []
+        certificate, merit_values = mc._certificate, mc._merit_values
+
+        def spy_certificate(gamma0, merit, sigma, draws):
+            certified.append(certificate(gamma0, merit, sigma, draws))
+            return certified[-1]
+
+        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
+            routed.append(rows)
+            return merit_values(gamma0, merit_fn, sigma, draws, rows)
+
+        gamma0, draws = mc._base_and_draws(base, n, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "_certificate", spy_certificate)
+            patch.setattr(mc, "_merit_values", spy_eigvalsh)
+            got = mc._violations(gamma0, merit, sigma, draws, np.arange(n))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            want = oracles.full_batch_merits(base, merit, sigma, mc._standard_draws(n, seed)) < 0
+        status = np.concatenate([violates for violates, _ in certified])
+        decided = np.concatenate([dec for _, dec in certified])
+        assert np.array_equal(status[decided], want[decided])
+        routed = np.concatenate([np.empty(0, np.intp), *routed])
+        assert np.array_equal(routed, np.flatnonzero(~decided))
+        assert np.array_equal(got, want)
+
+
+class TestEarlyStop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 10**6),
+        confidence=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_violators_needed_is_the_mean_test(self, n, confidence):
+        k = mc._violators_needed(n, confidence)
+        assert np.mean(np.arange(n) < k) >= confidence
+        assert k == 0 or not np.mean(np.arange(n) < k - 1) >= confidence
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        attained=st.integers(3, 10**6).flatmap(
+            lambda n: st.tuples(st.integers(n // 2 + 1, n - 1), st.just(n))
+        )
+    )
+    @example(attained=(64_443, 86_376))  # ceil(c n) = k + 1 at c = k / n
+    def test_attained_fraction_needs_exactly_its_violators(self, attained):
+        k, n = attained
+        assert mc._violators_needed(n, k / n) == k
+
+    @pytest.mark.parametrize("base, merit", CANONICAL)
+    def test_confidence_at_an_attained_fraction(self, base, merit):
+        """The step at sigma* passes with k / n == confidence exactly, and the next fails."""
+        n, seed = 5_000, 3
+        sigma = _exhaustive(base, merit, n, seed)
+        draws = mc._standard_draws(n, seed)
+        k = int(np.count_nonzero(oracles.full_batch_merits(base, merit, sigma, draws) < 0))
+        assert k < n
+        confidence = k / n
+        got = max_tolerated_sigma(base, merit, confidence, n_samples=n, seed=seed)
+        ref = oracles.exhaustive_max_tolerated_sigma(base, merit, confidence, n, seed)
+        assert got == ref == sigma
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_failing_step_leaves_rows_unresolved(self, seed, monkeypatch):
+        """With 256-row chunks, a step that fails stops resolving before the last chunk."""
+        n = 5_000
+        steps = []
+        violations, certificate, merit_values = mc._violations, mc._certificate, mc._merit_values
+        counts = {"undecided": 0, "resolved": 0}
+
+        def spy_certificate(gamma0, merit, sigma, draws):
+            violates, decided = certificate(gamma0, merit, sigma, draws)
+            counts["undecided"] += np.count_nonzero(~decided)
+            return violates, decided
+
+        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
+            counts["resolved"] += len(rows)
+            return merit_values(gamma0, merit_fn, sigma, draws, rows)
+
+        def spy_violations(gamma0, merit, sigma, draws, rows, needed=None):
+            counts.update(undecided=0, resolved=0)
+            out = violations(gamma0, merit, sigma, draws, rows, needed)
+            steps.append((needed, np.count_nonzero(out), counts["undecided"], counts["resolved"]))
+            return out
+
+        monkeypatch.setattr(mc, "_CHUNK_ROWS", 256)
+        monkeypatch.setattr(mc, "_certificate", spy_certificate)
+        monkeypatch.setattr(mc, "_merit_values", spy_eigvalsh)
+        monkeypatch.setattr(mc, "_violations", spy_violations)
+        got = max_tolerated_sigma("ghz", "f_w", n_samples=n, seed=seed)
+        cut = [
+            s for s in steps if s[0] is not None and s[1] < s[0] and s[3] < s[2]
+        ]
+        assert cut, steps
+        assert got == _exhaustive("ghz", "f_w", n, seed)
 
 
 class TestHistogram:
