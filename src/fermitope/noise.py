@@ -26,8 +26,8 @@ PAPER_DEPHASING_RATE = 1.66e5  # 1/s at 4 K
 DEFAULT_PAIRS = ((1, 2), (3, 4), (5, 6))
 
 # Most Trotter steps one run may take, gates and free time together.  A
-# d = 6 step costs about 110 us, so the longest run accepted there takes
-# about 11 s.
+# d = 6 step costs about 50 us on one CPU, so the longest run accepted
+# there takes about 5 s.
 _MAX_STEPS = 100_000
 
 
@@ -57,20 +57,13 @@ class Trajectory:
     margin_epsilon: float
 
     def rows(self) -> list[dict]:
-        out = []
-        for k in range(len(self.times)):
-            row = {
-                "time_s": float(self.times[k]),
-                "fidelity": float(self.fidelity[k]),
-                "purity": float(self.purity[k]),
-            }
-            for i in range(self.lambdas.shape[1]):
-                row[f"lambda{i + 1}"] = float(self.lambdas[k, i])
-            row["F1"] = float(self.f1[k])
-            row["F2"] = float(self.f2[k])
-            row["margin_ok"] = bool(self.margin_ok[k])
-            out.append(row)
-        return out
+        columns = {
+            "time_s": self.times, "fidelity": self.fidelity, "purity": self.purity,
+            **{f"lambda{i + 1}": lam for i, lam in enumerate(self.lambdas.T)},
+            "F1": self.f1, "F2": self.f2, "margin_ok": self.margin_ok,
+        }
+        values = zip(*(column.tolist() for column in columns.values()))
+        return [dict(zip(columns, row)) for row in values]
 
 
 @lru_cache(maxsize=None)
@@ -79,10 +72,6 @@ def _hamming_matrix(d: int, n_particles: int) -> np.ndarray:
     hd = np.bitwise_count(masks[:, None] ^ masks[None, :]).astype(np.float64)
     hd.flags.writeable = False
     return hd
-
-
-def _dephasing_kernel(d: int, n_particles: int, rate: float, dt: float) -> np.ndarray:
-    return np.exp(-rate * dt * _hamming_matrix(d, n_particles) / 2.0)
 
 
 def fidelity(state: MixedState | PureState, target: PureState) -> float:
@@ -114,7 +103,8 @@ def evolve_noisy_protocol(
     applies the partial gate unitary and then the dephasing channel.
     ``free_time`` appends channel-only evolution after the last gate.
     Zero rates reproduce the noiseless protocol exactly.  A run that
-    needs more than ``_MAX_STEPS`` steps is refused before the first.
+    needs more than ``_MAX_STEPS`` steps, or a gate on a site beyond
+    ``initial.d``, is refused before the first step.
     """
     if initial is None:
         initial = gates.target_state("slater")
@@ -122,6 +112,8 @@ def evolve_noisy_protocol(
     durations = [g.duration for g in protocol.gates]
     if any(dur is None for dur in durations):
         raise InvalidGateError("every gate needs a duration for noisy evolution")
+    for gate in protocol.gates:
+        gates._check_sites(gate, d)
     if not 0.0 < dt < math.inf:
         raise StepSizeError("dt must be positive and finite")
     if not 0.0 <= free_time < math.inf:
@@ -130,71 +122,72 @@ def evolve_noisy_protocol(
         raise InvalidDimensionError("margin_epsilon must lie in [0, 1]")
     if durations and dt > min(durations) / 10.0:
         raise StepSizeError("dt must not exceed one tenth of the shortest gate")
+    # Segments are (gate or None, dephasing rate, span); free time has no gate.
+    gate_rate = params.dephasing_rate + params.emission_rate
+    segments = [(g, gate_rate, g.duration) for g in protocol.gates]
+    if free_time > 0.0:
+        segments.append((None, params.dephasing_rate, free_time))
     # Each span's ratio is clamped before the ceiling, so that an infinite
     # one is counted as too many instead of raising OverflowError.
-    spans = durations + ([free_time] if free_time > 0.0 else [])
-    plan = [max(1, math.ceil(min(span / dt, _MAX_STEPS + 1))) for span in spans]
-    if sum(plan) > _MAX_STEPS:
+    plan = [max(1, math.ceil(min(span / dt, _MAX_STEPS + 1))) for *_, span in segments]
+    n_steps = sum(plan)
+    if n_steps > _MAX_STEPS:
         raise StepSizeError(f"the run needs more than {_MAX_STEPS} Trotter steps at dt={dt:g}")
 
-    psi = initial.normalized().amplitudes.copy()
-    rho = np.outer(psi, psi.conj())
-
-    times = [0.0]
-    records = [_snapshot(rho, psi, d, n, margin_epsilon)]
-    t = 0.0
-
-    gate_rate = params.dephasing_rate + params.emission_rate
-    for gate, steps in zip(protocol.gates, plan):
-        delta = gate.duration / steps
-        u_slice = gates.gate_matrix(gate.scaled(1.0 / steps), d, n)
-        kernel = _dephasing_kernel(d, n, gate_rate, delta)
-        for _ in range(steps):
-            rho = u_slice @ rho @ u_slice.conj().T
-            rho *= kernel
-            psi = u_slice @ psi
-            t += delta
-            times.append(t)
-            records.append(_snapshot(rho, psi, d, n, margin_epsilon))
-
-    if free_time > 0.0:
-        steps = plan[-1]
-        delta = free_time / steps
-        kernel = _dephasing_kernel(d, n, params.dephasing_rate, delta)
-        for _ in range(steps):
-            rho *= kernel
-            t += delta
-            times.append(t)
-            records.append(_snapshot(rho, psi, d, n, margin_epsilon))
+    # One row per recorded state: the initial one and one after every step.
+    # Each 1-RDM is stored as its Hermitian part, so the batch needs no
+    # second (steps, d, d) array.
+    times, fid, pur = np.empty((3, n_steps + 1))
+    herm = np.empty((n_steps + 1, d, d), dtype=complex)
+    states = _trotter_states(zip(segments, plan), initial.normalized().amplitudes, d, n)
+    for k, (t, rho, psi) in enumerate(states):
+        times[k] = t
+        fid[k] = np.real(psi.conj() @ rho @ psi)
+        pur[k] = np.sum(np.abs(rho) ** 2)
+        gamma = fock._rdm_kernel(d, n, rho, density=True)
+        herm[k] = (gamma + gamma.conj().T) / 2.0
+    lambdas = np.linalg.eigvalsh(herm)[:, ::-1]
+    if d == 6:
+        f1, f2 = polytope._MERITS["f1"](lambdas), polytope._MERITS["f2"](lambdas)
+        margin_ok = polytope._weakened_slacks(lambdas, margin_epsilon)[2]
+    else:
+        # The margin check is specific to six modes; other sectors report lambdas only.
+        f1, f2 = np.full((2, len(times)), np.nan)
+        margin_ok = np.ones(len(times), dtype=bool)
 
     rho = (rho + rho.conj().T) / 2.0
     final = MixedState(d, n, rho)
     trajectory = Trajectory(
-        times=np.array(times),
-        fidelity=np.array([r[0] for r in records]),
-        purity=np.array([r[1] for r in records]),
-        lambdas=np.array([r[2] for r in records]),
-        f1=np.array([r[3] for r in records]),
-        f2=np.array([r[4] for r in records]),
-        margin_ok=np.array([r[5] for r in records]),
+        times=times,
+        fidelity=fid,
+        purity=pur,
+        lambdas=lambdas,
+        f1=f1,
+        f2=f2,
+        margin_ok=margin_ok,
         margin_epsilon=margin_epsilon,
     )
     return trajectory, final
 
 
-def _snapshot(rho: np.ndarray, psi_ideal: np.ndarray, d: int, n: int, eps: float):
-    fid = float(np.real(psi_ideal.conj() @ rho @ psi_ideal))
-    pur = float(np.sum(np.abs(rho) ** 2))
-    gamma = fock._rdm_kernel(d, n, rho, density=True)
-    lam = np.linalg.eigvalsh((gamma + gamma.conj().T) / 2.0)[::-1]
-    if d == 6:
-        report = polytope.check_weakened(lam, eps)
-        f1 = float(polytope._MERITS["f1"](lam))
-        f2 = float(polytope._MERITS["f2"](lam))
-        return (fid, pur, lam, f1, f2, report.member)
-    # The margin check is specific to six modes; other sectors report
-    # lambdas only.
-    return (fid, pur, lam, float("nan"), float("nan"), True)
+def _trotter_states(planned_segments, psi: np.ndarray, d: int, n: int):
+    """Yield (t, rho, psi) at t = 0 and after every step: the gate's slice,
+    if any, then the dephasing channel.  ``rho`` changes in place after a
+    yield, so read it before asking for the next step."""
+    rho = np.outer(psi, psi.conj())
+    t = 0.0
+    yield t, rho, psi
+    for (gate, rate, span), steps in planned_segments:
+        delta = span / steps
+        u = None if gate is None else gates.gate_matrix(gate.scaled(1.0 / steps), d, n)
+        kernel = np.exp(-rate * delta * _hamming_matrix(d, n) / 2.0)
+        for _ in range(steps):
+            if u is not None:
+                rho = u @ rho @ u.conj().T
+                psi = u @ psi
+            rho *= kernel
+            t += delta
+            yield t, rho, psi
 
 
 @dataclass(frozen=True)

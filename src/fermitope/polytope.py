@@ -261,6 +261,13 @@ class WeakenedReport:
         }
 
 
+def _weakened_slacks(lam: np.ndarray, epsilon: float):
+    """(slack_f1, slack_f2, member) of check_weakened over (..., 6) arrays."""
+    s1 = (1.0 + epsilon) - _MERITS["f1"](lam)
+    s2 = (2.0 + epsilon) - _MERITS["f2"](lam)
+    return s1, s2, (s1 >= -MEMBERSHIP_TOL) & (s2 >= -MEMBERSHIP_TOL)
+
+
 def check_weakened(occupations, epsilon: float) -> WeakenedReport:
     """Slacks of lam1+lam2-lam3 <= 1+eps and lam1+lam2+lam4 <= 2+eps.
 
@@ -269,14 +276,12 @@ def check_weakened(occupations, epsilon: float) -> WeakenedReport:
     """
     if not 0.0 <= epsilon <= 1.0:
         raise InvalidDimensionError("epsilon must lie in [0, 1]")
-    lam = _as_lambda(occupations)
-    s1 = (1.0 + epsilon) - _MERITS["f1"](lam)
-    s2 = (2.0 + epsilon) - _MERITS["f2"](lam)
+    s1, s2, member = _weakened_slacks(_as_lambda(occupations), epsilon)
     return WeakenedReport(
         epsilon=epsilon,
         slack_f1=float(s1),
         slack_f2=float(s2),
-        member=bool(s1 >= -MEMBERSHIP_TOL and s2 >= -MEMBERSHIP_TOL),
+        member=bool(member),
     )
 
 

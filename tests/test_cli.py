@@ -105,10 +105,11 @@ class TestPolytopeAndFunctional:
         ids=["dt-tiny", "free-time-huge", "echo-dt-tiny"],
     )
     def test_too_many_trotter_steps_is_config_error(self, tmp_path, monkeypatch, args):
-        def no_snapshot(*_):
+        def no_step(*_, **__):
             raise AssertionError("a refused run took a step")
 
-        monkeypatch.setattr(noise, "_snapshot", no_snapshot)
+        # The noisy run computes one 1-RDM per step.
+        monkeypatch.setattr(noise.fock, "_rdm_kernel", no_step)
         code, _ = run(tmp_path, "bad.json", args)
         assert code == EXIT_CONFIG
 

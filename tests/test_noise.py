@@ -9,7 +9,9 @@ from fermitope import gates, noise
 from fermitope.errors import (
     InvalidDimensionError, InvalidGateError, SectorMismatchError, StepSizeError,
 )
-from fermitope.fock import MixedState, basis_vector, maximally_mixed, one_rdm, random_pure_state
+from fermitope.fock import (
+    MixedState, basis_vector, maximally_mixed, natural_occupations, one_rdm, random_pure_state,
+)
 from fermitope.gates import Protocol, build_protocol, target_state
 from fermitope.noise import (
     NoiseParams,
@@ -19,10 +21,20 @@ from fermitope.noise import (
     purity,
     purity_lower_bound,
 )
+from fermitope.polytope import check_weakened, merit_values
 
 ZERO_NOISE = NoiseParams(dephasing_rate=0.0, emission_rate=0.0)
 PAPER_NOISE = NoiseParams()
 DT = 1e-12
+
+
+def forbid_steps(monkeypatch):
+    """Make every recorded step fail: the 1-RDM kernel runs once per step."""
+
+    def no_step(*_, **__):
+        raise AssertionError("a refused run took a step")
+
+    monkeypatch.setattr(noise.fock, "_rdm_kernel", no_step)
 
 
 class TestFidelityAndPurity:
@@ -132,12 +144,18 @@ class TestEvolveNoisyProtocol:
         ids=["dt-tiny", "dt-subnormal", "dt-1e-16", "free-time-1s", "free-time-huge"],
     )
     def test_too_many_steps_refused_before_the_first(self, monkeypatch, dt, free_time):
-        def no_snapshot(*_):
-            raise AssertionError("a refused run took a step")
-
-        monkeypatch.setattr(noise, "_snapshot", no_snapshot)
+        forbid_steps(monkeypatch)
         with pytest.raises(StepSizeError, match="Trotter steps"):
             evolve_noisy_protocol(build_protocol("w"), PAPER_NOISE, dt, free_time=free_time)
+
+    def test_gate_beyond_the_sector_refused_before_the_first_step(self, monkeypatch):
+        # The first gate is valid; the second names site 7 of six.
+        protocol = Protocol(
+            "bad", (gates.rotation(1, 2, 1.0, 20e-12), gates.rotation(3, 7, 1.0, 20e-12))
+        )
+        forbid_steps(monkeypatch)
+        with pytest.raises(InvalidGateError, match="exceed d=6"):
+            evolve_noisy_protocol(protocol, PAPER_NOISE, DT)
 
     def test_step_cap_counts_gate_and_free_time_steps(self, monkeypatch):
         protocol = build_protocol("w")
@@ -184,14 +202,57 @@ class TestEvolveNoisyProtocol:
         with pytest.raises(InvalidGateError):
             evolve_noisy_protocol(protocol, PAPER_NOISE, DT)
 
+    @pytest.mark.parametrize("free_time", [0.0, 5 * DT], ids=["gates", "free-time"])
+    @pytest.mark.parametrize("label", ["epr", "w", "ghz"])
+    def test_every_row_matches_its_own_occupations(self, label, free_time):
+        # At margin_epsilon = 0 some rows pass the margin and some fail, so
+        # a batch off by one row or transposed shows in margin_ok too.
+        protocol = build_protocol(label)
+        planned = sum(math.ceil(g.duration / DT) for g in protocol.gates)
+        planned += math.ceil(free_time / DT)
+        for eps in (0.0, 0.06):
+            trajectory, _ = evolve_noisy_protocol(
+                protocol, PAPER_NOISE, DT, free_time=free_time, margin_epsilon=eps
+            )
+            assert len(trajectory.times) == planned + 1
+            assert trajectory.lambdas.shape == (planned + 1, 6)
+            for k, lam in enumerate(trajectory.lambdas):
+                merits = merit_values(lam)
+                assert trajectory.f1[k] == merits.f1
+                assert trajectory.f2[k] == merits.f2
+                assert trajectory.margin_ok[k] == check_weakened(lam, eps).member
+
+    @pytest.mark.parametrize("free_time", [0.0, 5 * DT], ids=["gates", "free-time"])
+    @pytest.mark.parametrize("label", ["epr", "w", "ghz"])
+    def test_gate_boundaries_match_the_noiseless_protocol(self, label, free_time):
+        protocol = build_protocol(label)
+        trajectory, _ = evolve_noisy_protocol(protocol, ZERO_NOISE, DT, free_time=free_time)
+        initial = target_state("slater")
+        boundaries = np.cumsum([0] + [math.ceil(g.duration / DT) for g in protocol.gates])
+        states = [initial, *gates.protocol_states(initial, protocol)]
+        for k, state in zip(boundaries, states, strict=True):
+            want, _ = natural_occupations(one_rdm(state))
+            assert np.max(np.abs(trajectory.lambdas[k] - want)) <= 1e-12
+        # Free time at zero noise leaves the last gate's state in place.
+        assert np.max(np.abs(trajectory.lambdas[-1] - want)) <= 1e-12
+
     def test_trajectory_rows_schema(self):
         trajectory, _ = evolve_noisy_protocol(build_protocol("epr"), PAPER_NOISE, DT)
-        row = trajectory.rows()[0]
-        assert list(row) == [
+        rows = trajectory.rows()
+        assert list(rows[0]) == [
             "time_s", "fidelity", "purity",
             "lambda1", "lambda2", "lambda3", "lambda4", "lambda5", "lambda6",
             "F1", "F2", "margin_ok",
         ]
+        assert len(rows) == len(trajectory.times)
+        for k, row in enumerate(rows):
+            want = [
+                float(trajectory.times[k]), float(trajectory.fidelity[k]),
+                float(trajectory.purity[k]), *map(float, trajectory.lambdas[k]),
+                float(trajectory.f1[k]), float(trajectory.f2[k]), bool(trajectory.margin_ok[k]),
+            ]
+            assert list(row.values()) == want
+            assert [type(v) for v in row.values()] == [type(v) for v in want]
 
 
 class TestLoschmidtEcho:
@@ -237,8 +298,6 @@ class TestPurityLowerBound:
 class TestMixednessCrossCheck:
     @pytest.mark.parametrize("label", ["epr", "ghz", "w"])
     def test_weakened_bounds_with_spectral_epsilon(self, label):
-        from fermitope.polytope import check_weakened
-
         _, final = evolve_noisy_protocol(
             build_protocol(label), NoiseParams(dephasing_rate=5e8), DT
         )
