@@ -47,7 +47,7 @@ def _emit(payload: dict, rows: list[dict] | None, params: dict) -> None:
     if fmt == "json":
         if rows is not None:
             payload = {**payload, "rows": rows}
-        text = json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         lines = [
             "# tool=fermitope",
@@ -86,14 +86,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 def _label(params: dict, key: str, choices) -> str:

@@ -76,19 +76,21 @@ def _sector_masks(d: int, n_particles: int) -> np.ndarray:
     return masks
 
 
-@lru_cache(maxsize=None)
-def _sector_index(d: int, n_particles: int) -> dict[int, int]:
-    return {int(m): i for i, m in enumerate(_sector_masks(d, n_particles))}
+def _positions(d: int, n_particles: int, masks) -> np.ndarray:
+    """Sector indices of basis-state masks; one outside the sector raises InvalidDimensionError."""
+    ascending = _sector_masks(d, n_particles)[::-1]
+    masks = np.asarray(masks, dtype=np.int64)
+    found = np.searchsorted(ascending, masks)
+    outside = ascending[np.minimum(found, len(ascending) - 1)] != masks
+    if np.any(outside):
+        bad = format(int(masks[outside][0]), f"0{d}b")
+        raise InvalidDimensionError(f"|{bad}> is not in the (d={d}, N={n_particles}) sector")
+    return len(ascending) - 1 - found
 
 
-@lru_cache(maxsize=None)
-def _occupation_table(d: int, n_particles: int) -> np.ndarray:
-    """(dim, d) 0/1 table; column s-1 is the occupation of site s."""
-    masks = _sector_masks(d, n_particles)
-    table = (masks[:, None] >> np.arange(d - 1, -1, -1)[None, :]) & 1
-    table = table.astype(np.float64)
-    table.flags.writeable = False
-    return table
+def _occupied(d: int, n_particles: int, site: int) -> np.ndarray:
+    """Whether each basis state of the sector occupies ``site``."""
+    return (_sector_masks(d, n_particles) >> _site_bit(d, site)) & 1 == 1
 
 
 def _site_bit(d: int, site: int) -> int:
@@ -185,8 +187,9 @@ class PureState:
         return float(abs(a.overlap(b)) ** 2)
 
     def amplitude(self, occupations: str) -> complex:
-        idx = _sector_index(self.d, self.n_particles)[int(occupations, 2)]
-        return complex(self.amplitudes[idx])
+        """The amplitude of |occupations>, a 0/1 string of length d and weight N."""
+        _check_occupations(self.d, [occupations])
+        return complex(self.amplitudes[_positions(self.d, self.n_particles, int(occupations, 2))])
 
     def to_json(self) -> dict:
         return {
@@ -211,28 +214,25 @@ def _same_sector(a, b) -> None:
         )
 
 
+def _check_occupations(d: int, terms: Iterable[str]) -> None:
+    if any(len(occ) != d or set(occ) - {"0", "1"} for occ in terms):
+        raise InvalidDimensionError("occupations must be 0/1 strings of length d")
+
+
 def basis_vector(d: int, occupations: str) -> PureState:
     """The basis state |occupations>, e.g. ``basis_vector(6, "101010")``."""
-    if len(occupations) != d or set(occupations) - {"0", "1"}:
-        raise InvalidDimensionError("occupations must be a 0/1 string of length d")
-    n = occupations.count("1")
-    amps = np.zeros(sector_dim(d, n), dtype=np.complex128)
-    amps[_sector_index(d, n)[int(occupations, 2)]] = 1.0
-    return PureState(d, n, amps)
+    return superposition(d, {occupations: 1.0})
 
 
 def superposition(d: int, terms: dict[str, complex]) -> PureState:
     """Normalized superposition from a mapping occupations -> amplitude."""
-    if any(len(occ) != d or set(occ) - {"0", "1"} for occ in terms):
-        raise InvalidDimensionError("occupations must be 0/1 strings of length d")
+    _check_occupations(d, terms)
     weights = {occ.count("1") for occ in terms}
     if len(weights) != 1:
         raise InvalidDimensionError("all terms must share one particle number")
     n = weights.pop()
     amps = np.zeros(sector_dim(d, n), dtype=np.complex128)
-    index = _sector_index(d, n)
-    for occ, coeff in terms.items():
-        amps[index[int(occ, 2)]] += coeff
+    amps[_positions(d, n, [int(occ, 2) for occ in terms])] += list(terms.values())
     return PureState(d, n, amps).normalized()
 
 
@@ -369,8 +369,6 @@ def _creation_table(d: int, n_particles: int) -> tuple[np.ndarray, np.ndarray]:
     """
     _check_sector(d, n_particles)
     masks = _sector_masks(d, n_particles - 1) if n_particles else np.zeros(0, np.int64)
-    # Sector masks are descending; searchsorted needs ascending order.
-    ascending = _sector_masks(d, n_particles)[::-1]
     index = np.zeros((len(masks), d), dtype=np.int32)
     signs = np.zeros((len(masks), d), dtype=np.int8)
     for col in range(d):
@@ -379,7 +377,7 @@ def _creation_table(d: int, n_particles: int) -> tuple[np.ndarray, np.ndarray]:
         k = masks[rows]
         parity = (np.bitwise_count(k >> (bit + 1)) & 1).astype(np.int8)
         signs[rows, col] = 1 - 2 * parity
-        index[rows, col] = len(ascending) - 1 - np.searchsorted(ascending, k | (1 << bit))
+        index[rows, col] = _positions(d, n_particles, k | (1 << bit))
     for arr in (index, signs):
         arr.flags.writeable = False
     return index, signs
@@ -428,8 +426,7 @@ def natural_occupations(rdm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def occupation_expectation(state: PureState | MixedState, site: int) -> float:
     """<n_site> for a pure or mixed sector state."""
-    _site_bit(state.d, site)
-    occ = _occupation_table(state.d, state.n_particles)[:, site - 1]
+    occ = _occupied(state.d, state.n_particles, site)
     if isinstance(state, PureState):
         norm2 = float(np.vdot(state.amplitudes, state.amplitudes).real)
         if norm2 <= ATOL_STATE**2:

@@ -24,7 +24,6 @@ from .polytope import PolytopeSpec
 
 _N_PARTICLES = 3
 _CLIP = 1e-12
-_FEASIBILITY_TOL = 1e-9
 
 
 def shannon_entropy(distribution) -> float:
@@ -142,6 +141,6 @@ def quantum_functional(spec: PolytopeSpec) -> EntropyValue:
     )
     # res.success is no gate: SLSQP can report status 8 at a correct optimum.
     lam = _full_lambda(res.x)
-    if not spec.contains(lam, tol=_FEASIBILITY_TOL):
+    if not spec.contains(lam):
         raise InfeasiblePolytopeError(f"solver left {spec.label!r}: {res.message}")
     return EntropyValue(float(_entropy_reduced(res.x)), lam)

@@ -145,11 +145,10 @@ def _apply_to_amplitudes(
     """Apply a gate along the last axis of an amplitude array."""
     if gate.kind == "phase":
         i, j = gate.sites
-        occ = fock._occupation_table(d, n_particles)
-        ni, nj = occ[:, i - 1], occ[:, j - 1]
+        ni, nj = fock._occupied(d, n_particles, i), fock._occupied(d, n_particles, j)
         phase = np.ones(amps.shape[-1], dtype=np.complex128)
-        phase[(ni == 1) & (nj == 0)] = np.exp(-1j * gate.angle / 2)
-        phase[(ni == 0) & (nj == 1)] = np.exp(+1j * gate.angle / 2)
+        phase[ni & ~nj] = np.exp(-1j * gate.angle / 2)
+        phase[nj & ~ni] = np.exp(+1j * gate.angle / 2)
         return amps * phase
 
     if gate.kind == "rotation":
@@ -160,8 +159,7 @@ def _apply_to_amplitudes(
 
     src, dst, sign = fock._pair_transitions(d, n_particles, i, j)
     if control is not None:
-        occ = fock._occupation_table(d, n_particles)[:, control - 1]
-        keep = occ[src] == 1
+        keep = fock._occupied(d, n_particles, control)[src]
         src, dst, sign = src[keep], dst[keep], sign[keep]
 
     c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)

@@ -322,8 +322,7 @@ def _certificate(
     """(violates, decided) for each perturbation in ``draws``; violates is False where undecided.
 
     F_EPR and F_Slater read the inertia of I - gamma from ``_ldl_inertia``,
-    F_W bounds the sum of the top three eigenvalues by ``_top_three_bounds``,
-    and other merits decide nothing.
+    and F_W bounds the sum of the top three eigenvalues by ``_top_three_bounds``.
     """
     if merit in _INERTIA_FORMS:
         order = np.argsort(np.diag(gamma0).real, kind="stable")
@@ -331,12 +330,9 @@ def _certificate(
         m = m[order[:, None], order]
         negatives, decided = _ldl_inertia(np.subtract(np.eye(_N_MODES)[:, :, None], m, out=m))
         return decided & (negatives <= _INERTIA_FORMS[merit]), decided
-    if merit == "f_w":
-        lower, upper, margin = _top_three_bounds(np.diag(gamma0).real, sigma, draws)
-        violates = upper < 2.0 - margin
-        return violates, violates | (lower > 2.0 + margin)
-    undecided = np.zeros(len(draws), dtype=bool)
-    return undecided, undecided
+    lower, upper, margin = _top_three_bounds(np.diag(gamma0).real, sigma, draws)
+    violates = upper < 2.0 - margin
+    return violates, violates | (lower > 2.0 + margin)
 
 
 def _top_three_bounds(
@@ -408,8 +404,8 @@ def merit_samples(
     base_state: str, merit: str, sigma: float, n_samples: int, seed: int
 ) -> np.ndarray:
     """Merit values of ``n_samples`` perturbed 1-RDMs."""
-    gamma0, draws = _checked_base_and_draws(base_state, merit, sigma, n_samples, seed)
-    return _merit_values(gamma0, _merit(merit), sigma, draws, np.arange(n_samples))
+    merit_fn, gamma0, draws = _checked_base_and_draws(base_state, merit, sigma, n_samples, seed)
+    return _merit_values(gamma0, merit_fn, sigma, draws, np.arange(n_samples))
 
 
 def violation_probability(
@@ -418,17 +414,16 @@ def violation_probability(
     """Fraction of perturbed samples with merit < 0."""
     base = base_state.lower()
     _warn_if_unpaired(base, merit)
-    gamma0, draws = _checked_base_and_draws(base, merit, sigma, n_samples, seed)
+    _, gamma0, draws = _checked_base_and_draws(base, merit, sigma, n_samples, seed)
     return float(np.mean(_violations(gamma0, merit, sigma, draws, np.arange(n_samples))))
 
 
 def _checked_base_and_draws(
     base_state: str, merit: str, sigma: float, n_samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_base_and_draws`` after checking sigma and the merit label."""
+):
+    """The merit function and ``_base_and_draws``, after checking sigma and the merit label."""
     _check_sigma(sigma)
-    _merit(merit)
-    return _base_and_draws(base_state, n_samples, seed)
+    return _merit(merit), *_base_and_draws(base_state, n_samples, seed)
 
 
 def _warn_if_unpaired(base: str, merit: str) -> None:
@@ -535,7 +530,7 @@ def merit_histogram(
     bins: int = _BINS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(bin_centers, counts) for the merit distribution at one sigma."""
-    return _histogram(merit_samples(base_state.lower(), merit, sigma, n_samples, seed), bins)
+    return _histogram(merit_samples(base_state, merit, sigma, n_samples, seed), bins)
 
 
 def _histogram(values: np.ndarray, bins: int = _BINS) -> tuple[np.ndarray, np.ndarray]:

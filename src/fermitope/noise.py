@@ -12,7 +12,6 @@ coherence decay during gate windows only.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -66,14 +65,6 @@ class Trajectory:
         return [dict(zip(columns, row)) for row in values]
 
 
-@lru_cache(maxsize=None)
-def _hamming_matrix(d: int, n_particles: int) -> np.ndarray:
-    masks = fock._sector_masks(d, n_particles)
-    hd = np.bitwise_count(masks[:, None] ^ masks[None, :]).astype(np.float64)
-    hd.flags.writeable = False
-    return hd
-
-
 def fidelity(state: MixedState | PureState, target: PureState) -> float:
     """<target|rho|target> (equals |<target|psi>|^2 for pure input)."""
     if (state.d, state.n_particles) != (target.d, target.n_particles):
@@ -102,12 +93,14 @@ def evolve_noisy_protocol(
     Each gate is sliced into steps no longer than ``dt``; every step
     applies the partial gate unitary and then the dephasing channel.
     ``free_time`` appends channel-only evolution after the last gate.
-    Zero rates reproduce the noiseless protocol exactly.  A run that
-    needs more than ``_MAX_STEPS`` steps, or a gate on a site beyond
-    ``initial.d``, is refused before the first step.
+    Zero rates reproduce the noiseless protocol exactly.  A start that is
+    not a PureState, a run that needs more than ``_MAX_STEPS`` steps, or a
+    gate on a site beyond ``initial.d``, is refused before the first step.
     """
     if initial is None:
         initial = gates.target_state("slater")
+    if not isinstance(initial, PureState):
+        raise InvalidDimensionError("the initial state must be a PureState")
     d, n = initial.d, initial.n_particles
     durations = [g.duration for g in protocol.gates]
     if any(dur is None for dur in durations):
@@ -175,12 +168,14 @@ def _trotter_states(planned_segments, psi: np.ndarray, d: int, n: int):
     if any, then the dephasing channel.  ``rho`` changes in place after a
     yield, so read it before asking for the next step."""
     rho = np.outer(psi, psi.conj())
+    masks = fock._sector_masks(d, n)
+    hamming = np.bitwise_count(masks[:, None] ^ masks)
     t = 0.0
     yield t, rho, psi
     for (gate, rate, span), steps in planned_segments:
         delta = span / steps
         u = None if gate is None else gates.gate_matrix(gate.scaled(1.0 / steps), d, n)
-        kernel = np.exp(-rate * delta * _hamming_matrix(d, n) / 2.0)
+        kernel = np.exp(-rate * delta * hamming / 2.0)
         for _ in range(steps):
             if u is not None:
                 rho = u @ rho @ u.conj().T

@@ -1,12 +1,13 @@
 """Command-line interface: payloads, formats, exit codes, reproducibility."""
 
+import csv
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from fermitope import fock, functional, montecarlo, noise
+from fermitope import cli, fock, functional, montecarlo, noise
 from fermitope.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from fermitope.errors import InfeasiblePolytopeError
 
@@ -281,6 +282,53 @@ class TestEchoAndRdm:
         assert np.allclose(
             payload["natural_occupations"], [2 / 3] * 3 + [1 / 3] * 3, atol=1e-9
         )
+
+
+class TestEveryFormat:
+    """Every subcommand in both formats: exit 0 and output that parses."""
+
+    ARGS = {
+        "prepare": ["prepare", "--target", "epr"],
+        "rdm": ["rdm", "--target", "w", "--shots", "500"],
+        "polytope": ["polytope", "--target", "ghz"],
+        "functional": ["functional", "--polytope", "epr"],
+        "noisy": ["noisy", "--target", "epr"],
+        "echo": ["echo", "--target", "w"],
+        "montecarlo": ["montecarlo", "--base", "epr", "--n-samples", "1000"],
+        "montecarlo-sigma": [
+            "montecarlo", "--base", "w", "--sigma", "0.05", "--n-samples", "1000",
+        ],
+    }
+    # Commands without rows write their scalar payload items as key,value lines.
+    KEY_VALUE = {"prepare", "functional", "echo", "montecarlo"}
+
+    def test_every_subcommand_is_covered(self):
+        assert {args[0] for args in self.ARGS.values()} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("name", ARGS)
+    def test_json(self, tmp_path, name):
+        code, out = run(tmp_path, "out.json", self.ARGS[name] + ["--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["meta"]["command"] == self.ARGS[name][0]
+        if name == "noisy":
+            assert payload["rows"] and set(payload["rows"][0]) >= {"time_s", "F1", "margin_ok"}
+        if name == "montecarlo-sigma":
+            assert 0.0 <= payload["violation_probability"] <= 1.0
+
+    @pytest.mark.parametrize("name", ARGS)
+    def test_csv(self, tmp_path, name):
+        code, out = run(tmp_path, "out.csv", self.ARGS[name] + ["--format", "csv"])
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert [line.split("=")[0] for line in lines[:4]] == [
+            "# tool", "# version", "# seed", "# config_sha256",
+        ]
+        header, *rows = list(csv.reader(lines[4:]))
+        assert rows and all(len(row) == len(header) for row in rows)
+        if name in self.KEY_VALUE:
+            assert header == ["key", "value"]
+            assert [row[0] for row in rows] == sorted(row[0] for row in rows)
 
 
 class TestReproducibility:

@@ -64,6 +64,22 @@ class TestSectorBasis:
             )
             assert fock._sector_masks(d, n).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_positions_and_occupations_read_the_masks(self, d):
+        for n in range(d + 1):
+            basis = sector_basis(d, n)
+            masks = fock._sector_masks(d, n)
+            assert fock._positions(d, n, masks).tolist() == list(range(len(basis)))
+            for site in range(1, d + 1):
+                want = [b.occupations[site - 1] == "1" for b in basis]
+                assert fock._occupied(d, n, site).tolist() == want
+
+    def test_positions_refuse_a_mask_outside_the_sector(self):
+        with pytest.raises(InvalidDimensionError, match=r"\|110000> is not in"):
+            fock._positions(6, 3, [0b111000, 0b110000])
+        with pytest.raises(InvalidDimensionError):
+            fock._positions(6, 3, 1 << 6 | 0b11)
+
     @pytest.mark.parametrize("d,n", [(3, 4), (0, 0), (25, 2), (4, -1)])
     def test_invalid_sectors_raise(self, d, n):
         with pytest.raises(InvalidDimensionError):
@@ -391,6 +407,31 @@ class TestStateTypes:
         bad[0, 1] = 0.5
         with pytest.raises(InvalidRDMError):
             MixedState(6, 3, bad)  # not Hermitian
+
+    def test_amplitude_reads_its_basis_state(self):
+        state = superposition(6, {"101010": 1.0, "010101": -1.0, "011001": 2j})
+        assert state.amplitude("011001") == pytest.approx(2j / math.sqrt(6))
+        assert state.amplitude("010101") == pytest.approx(-1 / math.sqrt(6))
+        assert state.amplitude("111000") == 0.0
+
+    @pytest.mark.parametrize(
+        "occupations",
+        ["111", "10101010", "11a000", "1_1000", " 11000", "110000", "111100"],
+        ids=["short", "long", "letter", "underscore", "space", "light", "heavy"],
+    )
+    def test_malformed_amplitude_string_raises(self, occupations):
+        # int(s, 2) accepts "111", "1_1000" and " 11000"; none is a (6, 3) basis state.
+        with pytest.raises(InvalidDimensionError):
+            random_pure_state(6, 3, seed=0).amplitude(occupations)
+
+    @pytest.mark.parametrize("occupations", ["101010", "000000", "1111", "0", "0110", "1"])
+    def test_basis_vector_is_one_unit_amplitude(self, occupations):
+        d = len(occupations)
+        state = basis_vector(d, occupations)
+        basis = [b.occupations for b in sector_basis(d, state.n_particles)]
+        want = np.zeros(len(basis), dtype=complex)
+        want[basis.index(occupations)] = 1.0
+        assert state.amplitudes.tobytes() == want.tobytes()
 
     def test_amplitudes_are_immutable(self):
         state = basis_vector(6, "101010")

@@ -46,6 +46,15 @@ class TestFidelityAndPurity:
         rho = maximally_mixed(6, 3)
         assert fidelity(rho, target_state("ghz")) == pytest.approx(1 / 20)
 
+    @pytest.mark.parametrize("d,n,seed", [(6, 3, 1), (6, 3, 2), (8, 4, 3), (2, 1, 4)])
+    def test_pure_state_fidelity_is_squared_overlap(self, d, n, seed):
+        psi, t = random_pure_state(d, n, seed), random_pure_state(d, n, seed + 100)
+        want = abs(np.vdot(t.amplitudes, psi.amplitudes)) ** 2
+        assert fidelity(psi, t) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert fidelity(psi, t) == pytest.approx(
+            fidelity(MixedState.from_pure(psi), t), rel=1e-12, abs=1e-15
+        )
+
     def test_sector_mismatch_raises(self):
         with pytest.raises(SectorMismatchError):
             fidelity(maximally_mixed(6, 3), basis_vector(6, "110000"))
@@ -147,6 +156,22 @@ class TestEvolveNoisyProtocol:
         forbid_steps(monkeypatch)
         with pytest.raises(StepSizeError, match="Trotter steps"):
             evolve_noisy_protocol(build_protocol("w"), PAPER_NOISE, dt, free_time=free_time)
+
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            maximally_mixed(6, 3),
+            MixedState.from_pure(target_state("w")),
+            target_state("w").amplitudes,
+        ],
+        ids=["maximally-mixed", "pure-projector", "bare-amplitudes"],
+    )
+    def test_start_that_is_not_a_pure_state_refused_before_the_first_step(
+        self, monkeypatch, initial
+    ):
+        forbid_steps(monkeypatch)
+        with pytest.raises(InvalidDimensionError, match="must be a PureState"):
+            evolve_noisy_protocol(build_protocol("w"), PAPER_NOISE, DT, initial=initial)
 
     def test_gate_beyond_the_sector_refused_before_the_first_step(self, monkeypatch):
         # The first gate is valid; the second names site 7 of six.
