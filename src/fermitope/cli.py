@@ -43,10 +43,7 @@ def _meta(command: str, params: dict) -> dict:
 
 def _emit(payload: dict, rows: list[dict] | None, params: dict) -> None:
     """Write JSON (payload) or CSV (rows, falling back to payload items)."""
-    fmt = params["format"]
-    if fmt == "json":
-        if rows is not None:
-            payload = {**payload, "rows": rows}
+    if params["format"] == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         lines = [
@@ -96,7 +93,7 @@ def _label(params: dict, key: str, choices) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (payload, rows), meta is added by main
+# Subcommand handlers: each returns (payload, CSV rows), meta is added by main
 # ---------------------------------------------------------------------------
 
 def _cmd_prepare(params: dict) -> tuple[dict, None]:
@@ -118,7 +115,7 @@ def _cmd_prepare(params: dict) -> tuple[dict, None]:
     return payload, None
 
 
-def _cmd_rdm(params: dict) -> tuple[dict, list[dict] | None]:
+def _cmd_rdm(params: dict) -> tuple[dict, list[dict]]:
     target = _label(params, "target", polytope.CLASS_LABELS)
     shots = None if params["exact"] else params["shots"]
     state = gates.target_state(target)
@@ -129,8 +126,6 @@ def _cmd_rdm(params: dict) -> tuple[dict, list[dict] | None]:
         "estimate": estimate.to_json(),
         "natural_occupations": [float(x) for x in lam],
     }
-    if params["format"] != "csv":
-        return payload, None
     # One row per matrix entry; sites are numbered from 1.
     return payload, [
         {"i": i + 1, "j": j + 1, "re": float(z.real), "im": float(z.imag), "sigma": float(s)}
@@ -151,7 +146,7 @@ def _lambda_from_params(params: dict) -> np.ndarray:
     return np.array(polytope.CLASS_OCCUPATIONS[target])
 
 
-def _cmd_polytope(params: dict) -> tuple[dict, list[dict] | None]:
+def _cmd_polytope(params: dict) -> tuple[dict, list[dict]]:
     lam = _lambda_from_params(params)
     report, member = polytope.check_pure_bd(lam)
     weak = polytope.check_weakened(lam, params["epsilon"])
@@ -166,8 +161,6 @@ def _cmd_polytope(params: dict) -> tuple[dict, list[dict] | None]:
         "class_membership": memberships,
         "weakened": weak.to_json(),
     }
-    if params["format"] != "csv":
-        return payload, None
     rows = [
         {"constraint": k, "slack": float(v)} for k, v in sorted(report.slacks.items())
     ]
@@ -204,14 +197,16 @@ def _cmd_noisy(params: dict) -> tuple[dict, list[dict]]:
         free_time=params["free_time"],
         margin_epsilon=params["margin_epsilon"],
     )
+    rows = trajectory.rows()
     payload = {
         "target": target,
         "final_purity": noise.purity(final),
         "final_fidelity": float(trajectory.fidelity[-1]),
         "margin_epsilon": trajectory.margin_epsilon,
         "margin_ok_everywhere": bool(trajectory.margin_ok.all()),
+        "rows": rows,
     }
-    return payload, trajectory.rows()
+    return payload, rows
 
 
 def _cmd_echo(params: dict) -> tuple[dict, None]:
@@ -240,11 +235,8 @@ def _cmd_montecarlo(params: dict) -> tuple[dict, list[dict] | None]:
     if sigma is not None:
         # One set of samples gives both the probability and the histogram.
         values = montecarlo.merit_samples(base, merit, sigma, n_samples, seed)
-        montecarlo._warn_if_unpaired(base, merit)
         payload["sigma"] = sigma
         payload["violation_probability"] = float(np.mean(values < 0.0))
-        if params["format"] != "csv":
-            return payload, None
         centers, counts = montecarlo._histogram(values)
         return payload, [
             {"f_value": float(c), "count": int(k)} for c, k in zip(centers, counts)

@@ -439,9 +439,16 @@ def occupation_expectation(state: PureState | MixedState, site: int) -> float:
 # State constructions
 # ---------------------------------------------------------------------------
 
+def checked_integer(value, name: str) -> int:
+    """``value`` itself if an int or numpy integer; else (bools too) InvalidDimensionError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidDimensionError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def checked_seed(seed: int) -> int:
-    """``seed`` itself; a negative seed raises InvalidDimensionError."""
-    if seed < 0:
+    """``seed`` itself; a negative or non-integer seed raises InvalidDimensionError."""
+    if checked_integer(seed, "seed") < 0:
         raise InvalidDimensionError(f"seed must be non-negative, got {seed}")
     return seed
 

@@ -76,9 +76,9 @@ c2 u ||gamma|| from 0 and has the sign of B's, and lambda_i - 1 (whose
 sign a float subtraction gets right) is positive for exactly as many i
 as there are negative pivots.  Rows stay undecided near a singular
 I - gamma (epr's zero pivot at sigma = 0, or lambda_i within about _TAU
-of 1) or when the multipliers grow: 1.1-2.0% of n in a canonical search
-at n = 1e5, over half of them in the pilot's steps at sigma = 0.5 and
-0.25.  With the early stop below, 0.65-0.72% of n reach eigvalsh.
+of 1) or when the multipliers grow: 1.1-2.5% of n in a canonical search
+at n = 1e5 (seeds 0 and 42), about 1,050 of them in the pilot's steps at
+sigma = 0.5 and 0.25.  With the early stop below, 0-3 rows reach eigvalsh.
 
 F_W = lambda1 + lambda2 + lambda3 - 2 needs no matrix.  Let t = tr gamma,
 x the descending eigenvalues of gamma - (t/6) I, which sum to 0, y =
@@ -139,8 +139,7 @@ proved too.  A row whose status was guessed lies in v_lo & ~v_hi and is
 evaluated again at the next step.  So the search visits the same steps
 with the same outcomes, and sigma* does not change.  In a ghz/F_W search
 at n = 1e5, 0.07-0.08 n rows reach eigvalsh (1.39 n without the bounds).
-violation_probability, the non-monotone bisection and the pilot's first
-call (at sigma = 0.5) resolve every row.
+violation_probability and the non-monotone bisection resolve every row.
 
 Samples are perturbed and diagonalised in fixed chunks of _CHUNK_ROWS
 rows.  Sampling uses the counter-based Philox generator so runs are
@@ -209,7 +208,7 @@ class PerturbationSpec:
     def __post_init__(self) -> None:
         gates.entanglement_class(self.base_state)
         _check_sigma(self.sigma)
-        if self.n_samples < 1:
+        if fock.checked_integer(self.n_samples, "n_samples") < 1:
             raise InvalidDimensionError("n_samples must be >= 1")
 
 
@@ -240,7 +239,7 @@ def _base_and_draws(
     base_state: str, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """gamma0 of the base state and the draws of its ``n_samples`` perturbations."""
-    if n_samples < 1:
+    if fock.checked_integer(n_samples, "n_samples") < 1:
         raise InvalidDimensionError("n_samples must be >= 1")
     folded = list(gates.entanglement_class(base_state).folded_draws)
     draws = _standard_draws(n_samples, fock.checked_seed(seed))
@@ -298,7 +297,7 @@ def _violations(
     passes: the rows left are then marked violating if it passes and not
     violating if it fails.
     """
-    merit_fn = _merit(merit)
+    merit_fn = polytope._MERITS[merit]
     out = np.empty(len(rows), dtype=bool)
     decided = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), _CHUNK_ROWS):
@@ -394,7 +393,7 @@ def sample_perturbed_rdm(spec: PerturbationSpec, sample_index: int = 0) -> np.nd
     Draws only the first ``sample_index + 1`` samples: Philox's first rows
     do not depend on how many rows are drawn.
     """
-    if sample_index < 0 or sample_index >= spec.n_samples:
+    if not 0 <= fock.checked_integer(sample_index, "sample_index") < spec.n_samples:
         raise InvalidDimensionError("sample_index outside 0..n_samples-1")
     gamma0, draws = _base_and_draws(spec.base_state, sample_index + 1, spec.seed)
     return _perturbed_batch(gamma0, spec.sigma, draws[sample_index:])[0]
@@ -412,28 +411,25 @@ def violation_probability(
     base_state: str, merit: str, sigma: float, n_samples: int = 10**5, seed: int = 0
 ) -> float:
     """Fraction of perturbed samples with merit < 0."""
-    base = base_state.lower()
-    _warn_if_unpaired(base, merit)
-    _, gamma0, draws = _checked_base_and_draws(base, merit, sigma, n_samples, seed)
+    _, gamma0, draws = _checked_base_and_draws(base_state, merit, sigma, n_samples, seed)
     return float(np.mean(_violations(gamma0, merit, sigma, draws, np.arange(n_samples))))
 
 
 def _checked_base_and_draws(
     base_state: str, merit: str, sigma: float, n_samples: int, seed: int
 ):
-    """The merit function and ``_base_and_draws``, after checking sigma and the merit label."""
+    """Checked merit function, gamma0 and draws; warns the caller's caller if merit is unpaired."""
     _check_sigma(sigma)
-    return _merit(merit), *_base_and_draws(base_state, n_samples, seed)
-
-
-def _warn_if_unpaired(base: str, merit: str) -> None:
-    """Warn, on behalf of the caller's caller, when merit is not base's pairing."""
+    merit_fn = _merit(merit)
+    gamma0, draws = _base_and_draws(base_state, n_samples, seed)
+    base = base_state.lower()
     if CANONICAL_PAIRING.get(base) != merit:
         warnings.warn(
             f"{base!r} is conventionally paired with {CANONICAL_PAIRING.get(base)!r},"
             f" not {merit!r}",
             stacklevel=3,
         )
+    return merit_fn, gamma0, draws
 
 
 def max_tolerated_sigma(
@@ -479,8 +475,7 @@ def max_tolerated_sigma(
     # Without monotonicity only the bisection over every sample is exact:
     # then the pilot takes every sample and is the whole search.
     k = min(n_samples, _CHUNK_ROWS) if monotone else n_samples
-    v_top = _violations(gamma0, merit, _TOP * _STEP, draws, np.arange(k))
-    m_hat = search(0, _TOP, everyone[:k], v_top)
+    m_hat = search(0, _TOP, everyone[:k], status(_TOP, everyone[:k], ~everyone[:k]))
     if k == n_samples:
         return m_hat * _STEP
     hi = min(_TOP, m_hat + max(_MARGIN_STEPS, m_hat // 4))

@@ -385,7 +385,7 @@ def hill_climb_extremal(
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidDimensionError("epsilon must lie in (0, 1)")
-    if iterations < 1:
+    if fock.checked_integer(iterations, "iterations") < 1:
         raise InvalidDimensionError("iterations must be >= 1")
     if objective not in ("f1", "f2"):
         raise InvalidDimensionError(f"objective must be 'f1' or 'f2', got {objective!r}")

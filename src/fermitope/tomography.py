@@ -74,7 +74,7 @@ def _shot_sample(
     p: float, shots: int, rng: np.random.Generator
 ) -> tuple[int, float, float]:
     """(ones, estimate, sigma) of ``shots`` readouts of an occupation of mean p."""
-    if shots < 1:
+    if fock.checked_integer(shots, "shots") < 1:
         raise InvalidDimensionError("shots must be >= 1")
     ones = int(rng.binomial(shots, min(max(p, 0.0), 1.0)))
     estimate = ones / shots

@@ -232,7 +232,8 @@ class TestMonteCarloCommand:
         assert len(calls) == 1
         assert len(caught) == 1
         rows = [line.split(",") for line in out.read_text().splitlines()[5:]]
-        centers, counts = montecarlo.merit_histogram("ghz", "f_epr", 0.05, 3000, seed=0)
+        with pytest.warns(UserWarning, match="conventionally paired"):
+            centers, counts = montecarlo.merit_histogram("ghz", "f_epr", 0.05, 3000, seed=0)
         assert [float(c) for c, _ in rows] == centers.tolist()
         assert [int(k) for _, k in rows] == counts.tolist()
 
@@ -301,6 +302,16 @@ class TestEveryFormat:
     }
     # Commands without rows write their scalar payload items as key,value lines.
     KEY_VALUE = {"prepare", "functional", "echo", "montecarlo"}
+    # The others write their own table, whatever their JSON payload holds.
+    HEADERS = {
+        "rdm": ["i", "j", "re", "im", "sigma"],
+        "polytope": ["constraint", "slack"],
+        "noisy": [
+            "time_s", "fidelity", "purity", *(f"lambda{i}" for i in range(1, 7)),
+            "F1", "F2", "margin_ok",
+        ],
+        "montecarlo-sigma": ["f_value", "count"],
+    }
 
     def test_every_subcommand_is_covered(self):
         assert {args[0] for args in self.ARGS.values()} == set(cli._COMMANDS)
@@ -313,6 +324,8 @@ class TestEveryFormat:
         assert payload["meta"]["command"] == self.ARGS[name][0]
         if name == "noisy":
             assert payload["rows"] and set(payload["rows"][0]) >= {"time_s", "F1", "margin_ok"}
+        else:
+            assert "rows" not in payload
         if name == "montecarlo-sigma":
             assert 0.0 <= payload["violation_probability"] <= 1.0
 
@@ -329,6 +342,8 @@ class TestEveryFormat:
         if name in self.KEY_VALUE:
             assert header == ["key", "value"]
             assert [row[0] for row in rows] == sorted(row[0] for row in rows)
+        else:
+            assert header == self.HEADERS[name]
 
 
 class TestReproducibility:

@@ -286,6 +286,15 @@ class TestRandomPureState:
         with pytest.raises(InvalidDimensionError):
             random_pure_state(6, 3, -1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(InvalidDimensionError, match="seed must be an integer"):
+            random_pure_state(6, 3, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = random_pure_state(6, 3, np.int64(4))
+        assert np.array_equal(a.amplitudes, random_pure_state(6, 3, 4).amplitudes)
+
 
 class TestWedgeEmbed:
     def test_disjoint_supports(self):

@@ -144,6 +144,48 @@ class TestPerturbedSampling:
         with pytest.raises(InvalidDimensionError):
             call()
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            pytest.param(
+                lambda: max_tolerated_sigma("w", "f_epr", 0.999, 3000, seed=1.5), "seed",
+                id="threshold-seed",
+            ),
+            pytest.param(
+                lambda: violation_probability("w", "f_epr", 0.05, n_samples=1.5), "n_samples",
+                id="prob-n",
+            ),
+            pytest.param(
+                lambda: max_tolerated_sigma("w", "f_epr", n_samples=100.0), "n_samples",
+                id="threshold-n",
+            ),
+            pytest.param(
+                lambda: merit_samples("w", "f_epr", 0.05, True, 0), "n_samples", id="samples-bool"
+            ),
+            pytest.param(
+                lambda: PerturbationSpec("w", 0.05, 10.0, 0), "n_samples", id="spec-n"
+            ),
+            pytest.param(
+                lambda: sample_perturbed_rdm(PerturbationSpec("w", 0.05, 10, 0), 0.5),
+                "sample_index",
+                id="sample-index",
+            ),
+        ],
+    )
+    def test_non_integer_counts_and_seeds_rejected(self, call, name):
+        """Philox would truncate seed 1.5 to 1; numpy raises TypeError on the others."""
+        with pytest.raises(InvalidDimensionError, match=f"{name} must be an integer"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        spec = PerturbationSpec("w", 0.05, np.int64(10), np.int32(3))
+        assert np.array_equal(
+            sample_perturbed_rdm(spec, np.uint8(9)),
+            sample_perturbed_rdm(PerturbationSpec("w", 0.05, 10, 3), 9),
+        )
+        got = max_tolerated_sigma("w", "f_epr", n_samples=np.int64(3000), seed=np.int64(1))
+        assert got == max_tolerated_sigma("w", "f_epr", n_samples=3000, seed=1)
+
     def test_sigma_is_bounded_so_every_entry_stays_finite(self):
         above = np.nextafter(mc._MAX_SIGMA, np.inf)
         for sigma in (above, 1e308):
@@ -194,6 +236,28 @@ class TestViolationProbability:
     def test_non_canonical_pairing_warns(self):
         with pytest.warns(UserWarning):
             violation_probability("ghz", "f_slater", 0.05, 100, seed=0)
+
+    @pytest.mark.parametrize(
+        "base, merit, sigma", [("bell", "f_w", 0.05), ("ghz", "f_x", 0.05), ("ghz", "f_epr", -1.0)]
+    )
+    def test_rejected_input_does_not_warn(self, base, merit, sigma):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidDimensionError):
+                violation_probability(base, merit, sigma, 100, seed=0)
+        assert caught == []
+
+    def test_unpaired_merit_warns_once_in_merit_samples_and_never_in_the_search(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            merit_samples("ghz", "f_slater", 0.05, 10, 0)
+        assert [str(w.message) for w in caught] == [
+            "'ghz' is conventionally paired with 'f_w', not 'f_slater'"
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            max_tolerated_sigma("ghz", "f_slater", n_samples=100, seed=0)
+        assert caught == []
 
     def test_zero_pivot_goes_to_eigvalsh(self):
         """At sigma = 0, I - gamma0 on epr has an exact zero pivot, which decides nothing.
@@ -315,19 +379,38 @@ class TestMaxToleratedSigma:
                 # 1.15 n (epr) and 1.20 n (w) at this seed; the full bisection
                 # took 3.19-5.28 n.
                 assert n < sum(given_rows) <= 1.6 * n
-                # 0.65% (epr) and 0.72% (w) of n at this seed.
-                assert sum(eigvalsh_rows) <= 0.05 * n
+                # 0 rows (epr and w) at this seed: the early stop settles every
+                # step, the pilot's at sigma = 0.5 too, before its undecided rows.
+                assert sum(eigvalsh_rows) <= 0.001 * n
             else:
                 # 0.083 n through eigvalsh and 2.10 n certified at this seed:
                 # rows left unresolved at a step are certified again later.
                 assert sum(eigvalsh_rows) <= 0.15 * n
                 assert sum(given_rows) <= 2.5 * n
 
+    @pytest.mark.parametrize("seed", [0, 42])
+    @pytest.mark.parametrize("base, merit", [("w", "f_epr"), ("epr", "f_slater")])
+    def test_pilot_top_step_stops_before_eigvalsh(self, base, merit, seed, monkeypatch):
+        """The pilot's step at sigma = 0.5 fails without resolving its undecided rows."""
+        n = 5_000
+        routed = []
+        merit_values = mc._merit_values
+
+        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
+            routed.append((sigma, len(rows)))
+            return merit_values(gamma0, merit_fn, sigma, draws, rows)
+
+        monkeypatch.setattr(mc, "_merit_values", spy_eigvalsh)
+        got = max_tolerated_sigma(base, merit, n_samples=n, seed=seed)
+        assert [rows for sigma, rows in routed if sigma == 0.5] == []
+        assert got == _exhaustive(base, merit, n, seed)
+
     def test_pruning_condition_holds_off_slater(self):
         expected = {(b, m) for b in ("epr", "w", "ghz") for m in mc.MERIT_LABELS}
         assert expected <= set(MONOTONE_PAIRS)
         assert ("slater", "f_w") not in MONOTONE_PAIRS
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=25, deadline=None)
     @given(pair=st.sampled_from(MONOTONE_PAIRS), seed=st.integers(0, 2**32 - 1))
     def test_violation_status_non_increasing_in_sigma(self, pair, seed):

@@ -196,6 +196,15 @@ class TestHillClimb:
         with pytest.raises(InvalidDimensionError):
             hill_climb_extremal(0.06, seed=-1)
 
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(InvalidDimensionError, match="seed must be an integer"):
+            hill_climb_extremal(0.06, "f1", seed=2.5)
+
+    @pytest.mark.parametrize("iterations", [2.5, 10.0, True])
+    def test_non_integer_iterations_rejected(self, iterations):
+        with pytest.raises(InvalidDimensionError, match="iterations must be an integer"):
+            hill_climb_extremal(0.06, "f1", iterations=iterations)
+
     def test_proposition_form_states_satisfy_weakened_bounds(self):
         rng = np.random.default_rng(21)
         for _ in range(100):

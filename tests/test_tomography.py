@@ -156,6 +156,22 @@ class TestReconstruction:
         with pytest.raises(InvalidDimensionError):
             reconstruct_one_rdm(target_state("w"), shots=shots, seed=-1)
 
+    @pytest.mark.parametrize("shots", [2.5, 100.0, True])
+    def test_non_integer_shots_rejected(self, shots):
+        """numpy would draw 2-shot binomials for 2.5 shots, and their counts be divided by 2.5."""
+        with pytest.raises(InvalidDimensionError, match="shots must be an integer"):
+            reconstruct_one_rdm(target_state("w"), shots, seed=0)
+
+    @pytest.mark.parametrize("shots", [None, 100])
+    def test_non_integer_seed_rejected(self, shots):
+        with pytest.raises(InvalidDimensionError, match="seed must be an integer"):
+            reconstruct_one_rdm(target_state("w"), shots, seed=2.5)
+
+    def test_numpy_integer_shots_and_seed_accepted(self):
+        a = reconstruct_one_rdm(target_state("w"), np.int64(50), seed=np.uint8(3))
+        b = reconstruct_one_rdm(target_state("w"), 50, seed=3)
+        assert np.array_equal(a.matrix, b.matrix) and a.shots_per_setting == 50
+
     def test_setting_count_is_d_squared(self):
         estimate = reconstruct_one_rdm(target_state("ghz"), shots=None)
         assert estimate.settings == 36
