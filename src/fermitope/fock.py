@@ -38,11 +38,9 @@ ATOL_EIG = 1e-10
 
 
 def _check_sector(d: int, n_particles: int) -> None:
-    if not (isinstance(d, int) and isinstance(n_particles, int)):
-        raise InvalidDimensionError("mode and particle counts must be integers")
-    if not (1 <= d <= MAX_MODES):
+    if not (1 <= _checked_integer(d, "d") <= MAX_MODES):
         raise InvalidDimensionError(f"mode count d={d} outside 1..{MAX_MODES}")
-    if not (0 <= n_particles <= d):
+    if not (0 <= _checked_integer(n_particles, "n_particles") <= d):
         raise InvalidDimensionError(
             f"particle count N={n_particles} outside 0..{d}"
         )
@@ -94,7 +92,7 @@ def _occupied(d: int, n_particles: int, site: int) -> np.ndarray:
 
 
 def _site_bit(d: int, site: int) -> int:
-    if not 1 <= site <= d:
+    if not 1 <= _checked_integer(site, "site") <= d:
         raise InvalidDimensionError(f"site {site} outside 1..{d}")
     return d - site
 
@@ -193,8 +191,8 @@ class PureState:
 
     def to_json(self) -> dict:
         return {
-            "d": self.d,
-            "N": self.n_particles,
+            "d": int(self.d),
+            "N": int(self.n_particles),
             "basis_order": "lex",
             "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
         }
@@ -441,6 +439,12 @@ def occupation_expectation(state: PureState | MixedState, site: int) -> float:
 
 def checked_integer(value, name: str) -> int:
     """``value`` itself if an int or numpy integer; else (bools too) InvalidDimensionError."""
+    return _checked_integer(value, name)
+
+
+def _checked_integer(value, name: str) -> int:
+    # The sector and site checks call this, not checked_integer, so that a
+    # tracer wrapping the public functions sees no call inside one_rdm.
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidDimensionError(f"{name} must be an integer, got {value!r}")
     return value

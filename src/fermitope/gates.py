@@ -58,6 +58,11 @@ class GateOp:
         n_sites = 3 if self.kind == "controlled_rotation" else 2
         if len(self.sites) != n_sites:
             raise InvalidGateError(f"{self.kind} takes {n_sites} sites")
+        try:
+            for site in self.sites:
+                fock.checked_integer(site, "gate site")
+        except InvalidDimensionError as err:
+            raise InvalidGateError(str(err)) from None
         if len(set(self.sites)) != len(self.sites):
             raise InvalidGateError("gate sites must be distinct")
         if any(s < 1 for s in self.sites):

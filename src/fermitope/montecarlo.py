@@ -31,7 +31,7 @@ samples that do not violate at hi, about 1 - c of them.  If p(hi) >= c
 the pilot fell short: the samples violating at hi are evaluated at 0.5
 and the search walks up over [hi, 2**12].  In all, about 1.1-1.4 full
 evaluations of the samples, against 3.2-5.3 for a bisection down from
-0.5 (the canonical pairs, n = 1e5; ghz/F_W hands 2.0-2.1 n rows to its
+0.5 (the canonical pairs, n = 1e5; ghz/F_W hands 2.1-2.2 n rows to its
 certificate, because the early stop below leaves rows to later steps).
 Where the condition fails (slater with F_W) the search is that
 bisection, evaluating every sample at every step.
@@ -43,42 +43,53 @@ comes from an LDL^H of A (L unit lower triangular, D = diag(d_k) real)
 with no pivoting inside a row.  One symmetric permutation, fixed by
 gamma0, puts the sites with the smallest 1 - gamma0_ii last: a site at
 1 (epr's) gives a pivot near zero, and the last pivot divides nothing.
-By Sylvester's law of inertia, A has as many negative eigenvalues as D
-has negative pivots.  A row is decided when
+The factorisation reads the permuted lower triangle straight from the
+draws, in real arithmetic with one real and one imaginary array per
+entry: with gamma0 = diag(g) (below), the diagonal (1 - g_i) - sigma
+d_i, and below it -sigma (re - i im), conjugated where the permutation
+swaps a pair's two sites.  By Sylvester's law of inertia, A has as many
+negative eigenvalues as D has negative pivots.  A row is decided when
 
     min_k |d_k| >= _TAU g^2 (1 + w),  g = prod_k (1 + |l_k|),
                                       w = sum_k |d_k| (1 + |l_k|^2),
 
 with l_k the multipliers below pivot k and |.| the 2-norm.  Every other
 row goes to eigvalsh.  A decided row gets the status that eigvalsh gives
-it.  Let u = 2**-53, gamma the float sample that eigvalsh sees and M the
-computed I - gamma, which differs from A by one rounding of each
-diagonal entry: ||M - A|| <= u ||M||.
+it.  Let u = 2**-53, gamma the float sample that eigvalsh sees (diagonal
+fl(g_i + fl(sigma d_i)), off-diagonal parts fl(sigma re) and
+fl(sigma im)), A = I - gamma exactly, and M the matrix the factorisation
+starts from.  M's off-diagonal entries are A's (negation is exact).  Its
+diagonal fl(fl(1 - g_i) - fl(sigma d_i)) differs from A's by the
+roundings of 1 - g_i, of g_i + sigma d_i in gamma and of the
+subtraction, at most u (|1 - g_i| + |gamma_ii| + |M_ii|) with 0 <= g_i
+<= 1, so ||M - A|| <= 3u (1 + ||M||).
 
 - The computed factors are exact for B = M + E, |E| <= c1 u |L||D||L^H|
   (the backward error of LDL^T without pivoting, c1 u = gamma_3n in real
-  arithmetic and a small multiple of it in complex arithmetic; the
-  rounding dropped with each pivot's imaginary part belongs to E).
+  arithmetic and a small multiple of it for entries held as real and
+  imaginary parts; each multiplier takes one more rounding, from the
+  reciprocal of its pivot, and that belongs to E too).
   |L||D||L^H| = sum_k |d_k| |(1, l_k)| |(1, l_k)|^T, so ||E|| <= c1 u w,
-  ||M|| <= (1 + c1 u) w and ||gamma|| <= 1 + (1 + u) ||M|| <= 1 + 2w.
+  ||M|| <= (1 + c1 u) w and ||gamma|| <= 1 + ||A|| <= 2 (1 + w).
 - L is the product of the I + l_k e_k^T, and ||I - l_k e_k^T|| <=
   1 + |l_k|, so ||L^-1|| <= g: every eigenvalue of B has modulus at
   least min_k |d_k| / g^2 >= _TAU (1 + w).
 - eigvalsh is backward stable: its eigenvalues are exact for gamma + F,
-  ||F|| <= c2 u ||gamma|| <= c2 u (1 + 2w), c2 a modest constant.
+  ||F|| <= c2 u ||gamma|| <= 2 c2 u (1 + w), c2 a modest constant.
 
-By Weyl, A's eigenvalues lie within ||E|| + ||M - A|| <= (c1 + 2) u w
-of B's, and the computed lambda_i within c2 u (1 + 2w) of 1 - A's.  Both
-bounds are far below _TAU (1 + w): _TAU / u = 2**23, while c1 and c2 are
-at most a few hundred at n = 6, and the rounding of g, w and the test
-itself is a few u relative.  So every eigenvalue of A is further than
-c2 u ||gamma|| from 0 and has the sign of B's, and lambda_i - 1 (whose
-sign a float subtraction gets right) is positive for exactly as many i
-as there are negative pivots.  Rows stay undecided near a singular
-I - gamma (epr's zero pivot at sigma = 0, or lambda_i within about _TAU
-of 1) or when the multipliers grow: 1.1-2.5% of n in a canonical search
-at n = 1e5 (seeds 0 and 42), about 1,050 of them in the pilot's steps at
-sigma = 0.5 and 0.25.  With the early stop below, 0-3 rows reach eigvalsh.
+By Weyl, A's eigenvalues lie within ||E|| + ||M - A|| <= (c1 + 7) u
+(1 + w) of B's, and the computed lambda_i within 2 c2 u (1 + w) of 1 -
+A's.  Both bounds are far below _TAU (1 + w): _TAU / u = 2**23, while c1
+and c2 are at most a few hundred at n = 6, and the rounding of g, w and
+the test itself is a few u relative.  So every eigenvalue of A is
+further than c2 u ||gamma|| from 0 and has the sign of B's, and
+lambda_i - 1 (whose sign a float subtraction gets right) is positive for
+exactly as many i as there are negative pivots.  Rows stay undecided
+near a singular I - gamma (epr's zero pivot at sigma = 0, or lambda_i
+within about _TAU of 1) or when the multipliers grow: 1.1-2.5% of n in a
+canonical search at n = 1e5 (seeds 0 and 42), 1,026-1,055 of them in the
+pilot's steps at sigma = 0.5 and 0.25.  With the early stop below, 0-3
+rows reach eigvalsh.
 
 F_W = lambda1 + lambda2 + lambda3 - 2 needs no matrix.  Let t = tr gamma,
 x the descending eigenvalues of gamma - (t/6) I, which sum to 0, y =
@@ -124,22 +135,25 @@ All of this stays far below _TAU (1 + ||gamma||_F) = 2**23 u (1 +
 ||gamma||_F), so a decided row gets eigvalsh's status.  At sigma* (n =
 1e5) the upper bound alone decides 98.4-98.6% of the ghz rows.
 
-The rows a certificate leaves undecided go to eigvalsh one chunk at a
-time.  In the monotone search a step passes when k / n >= c, k its
-violators (np.mean's float test), so the step can tell _violations how
-many violators it needs.  Resolution stops once the violators found
-reach that number (the step passes) or the violators found plus the rows
-left fall short of it (it fails).  The rows left are then marked
-violating in a passing step and not violating in a failing one.  Each
-step's outcome is exact, and so is every status read later: a failing
-step only ever becomes the upper end v_hi of a bracket, where only its
-True statuses are used, and those are proved; a passing step only the
-lower end v_lo, where only its False statuses are used, and those are
-proved too.  A row whose status was guessed lies in v_lo & ~v_hi and is
-evaluated again at the next step.  So the search visits the same steps
-with the same outcomes, and sigma* does not change.  In a ghz/F_W search
-at n = 1e5, 0.07-0.08 n rows reach eigvalsh (1.39 n without the bounds).
-violation_probability and the non-monotone bisection resolve every row.
+The rows a certificate leaves undecided go to eigvalsh in pieces of at
+most _CHUNK_ROWS rows.  In the monotone search a step passes when k / n
+>= c, k its violators (np.mean's float test), so the step can tell
+_violations how many violators it needs.  Resolution stops once the
+violators found reach that number (the step passes) or the violators
+found plus the rows left fall short of it (it fails), so each piece
+holds the fewest rows that could settle the step, min(needed - found,
+found + left - needed + 1), but at least _MIN_PIECE.  The rows left are
+then marked violating in a passing step and not violating in a failing
+one.  Each step's outcome is exact, and so is every status read later: a
+failing step only ever becomes the upper end v_hi of a bracket, where
+only its True statuses are used, and those are proved; a passing step
+only the lower end v_lo, where only its False statuses are used, and
+those are proved too.  A row whose status was guessed lies in v_lo &
+~v_hi and is evaluated again at the next step.  So the search visits the
+same steps with the same outcomes, and sigma* does not change.  In a
+ghz/F_W search at n = 1e5, 0.046-0.048 n rows reach eigvalsh (1.39 n
+without the bounds).  violation_probability and the non-monotone
+bisection resolve every row.
 
 Samples are perturbed and diagonalised in fixed chunks of _CHUNK_ROWS
 rows.  Sampling uses the counter-based Philox generator so runs are
@@ -167,6 +181,10 @@ _N_MODES = 6
 # them to the system after each chunk and faulted them in again: 12x the
 # minor page faults of 2048 rows.  Per-chunk call overhead is below 1%.
 _CHUNK_ROWS = 2048
+
+# Fewest undecided rows a search step sends to eigvalsh at once.  At 16, a
+# ghz/F_W search (n = 1e5) sends 4,754 rows, not 4,759, in 2.4x the calls.
+_MIN_PIECE = 64
 
 # Bins of a merit histogram.
 _BINS = 200
@@ -210,6 +228,7 @@ class PerturbationSpec:
         _check_sigma(self.sigma)
         if fock.checked_integer(self.n_samples, "n_samples") < 1:
             raise InvalidDimensionError("n_samples must be >= 1")
+        fock.checked_seed(self.seed)
 
 
 def _check_sigma(sigma: float) -> None:
@@ -291,11 +310,12 @@ def _violations(
     """Whether each sample ``draws[rows]`` violates (merit < 0).
 
     ``_certificate`` decides what it can, chunk by chunk; the other rows go
-    through ``_merit_values`` one chunk at a time.  Given ``needed``, the
-    violators among ``rows`` that a search step needs to pass, the
-    resolution stops once the count can no longer change whether it
-    passes: the rows left are then marked violating if it passes and not
-    violating if it fails.
+    through ``_merit_values`` at most a chunk at a time.  Given ``needed``,
+    the violators among ``rows`` that a search step needs to pass, each
+    piece holds the fewest rows that could settle whether it passes, and
+    the resolution stops once the count can no longer change that: the
+    rows left are then marked violating if it passes and not violating if
+    it fails.
     """
     merit_fn = polytope._MERITS[merit]
     out = np.empty(len(rows), dtype=bool)
@@ -305,11 +325,15 @@ def _violations(
         out[part], decided[part] = _certificate(gamma0, merit, sigma, draws[rows[part]])
     rest = np.flatnonzero(~decided)
     found = np.count_nonzero(out)
-    for start in range(0, len(rest), _CHUNK_ROWS):
-        if needed is not None and not found < needed <= found + len(rest) - start:
-            out[rest[start:]] = found >= needed
-            break
-        chunk = rest[start : start + _CHUNK_ROWS]
+    while len(rest):
+        size = _CHUNK_ROWS
+        if needed is not None:
+            if not found < needed <= found + len(rest):
+                out[rest] = found >= needed
+                break
+            fewest = min(needed - found, found + len(rest) - needed + 1)
+            size = min(size, max(_MIN_PIECE, fewest))
+        chunk, rest = rest[:size], rest[size:]
         out[chunk] = _merit_values(gamma0, merit_fn, sigma, draws, rows[chunk]) < 0.0
         found += np.count_nonzero(out[chunk])
     return out
@@ -323,13 +347,11 @@ def _certificate(
     F_EPR and F_Slater read the inertia of I - gamma from ``_ldl_inertia``,
     and F_W bounds the sum of the top three eigenvalues by ``_top_three_bounds``.
     """
+    g = np.diag(gamma0).real
     if merit in _INERTIA_FORMS:
-        order = np.argsort(np.diag(gamma0).real, kind="stable")
-        m = _perturbed_batch(gamma0, sigma, draws).transpose(1, 2, 0)
-        m = m[order[:, None], order]
-        negatives, decided = _ldl_inertia(np.subtract(np.eye(_N_MODES)[:, :, None], m, out=m))
+        negatives, decided = _ldl_inertia(g, sigma, draws)
         return decided & (negatives <= _INERTIA_FORMS[merit]), decided
-    lower, upper, margin = _top_three_bounds(np.diag(gamma0).real, sigma, draws)
+    lower, upper, margin = _top_three_bounds(g, sigma, draws)
     violates = upper < 2.0 - margin
     return violates, violates | (lower > 2.0 + margin)
 
@@ -353,37 +375,54 @@ def _top_three_bounds(
     return t / 2.0 + np.sqrt(0.3 * s), t / 2.0 + np.sqrt(1.5 * s), margin
 
 
-def _ldl_inertia(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(negative pivots, decided) of the LDL^H of each matrix m[:, :, r].
+def _ldl_inertia(g: np.ndarray, sigma: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(negative pivots, decided) of the LDL^H of I - gamma per perturbation of diag(g).
 
-    ``m`` is (n, n, rows), Hermitian in its first two axes, and is
-    overwritten.  A row stays decided while its pivots and multipliers
+    Entry (a, b), a > b, of the permuted I - gamma is -sigma (re - i im)
+    of the draws of sites (order[a], order[b]), conjugated where order[a]
+    < order[b].  A row stays decided while its pivots and multipliers
     pass the certificate of the module docstring; once it fails, its
     multipliers are set to zero, so no division by a small pivot and no
     growth of its entries follows.
     """
-    n, _, n_rows = m.shape
-    negatives = np.zeros(n_rows, dtype=np.int64)
-    decided = np.ones(n_rows, dtype=bool)
-    smallest = np.full(n_rows, np.inf)
-    growth = np.ones(n_rows)  # g
-    weight = np.ones(n_rows)  # 1 + w
-    for k in range(n):
-        d = m[k, k].real
+    n, rows = _N_MODES, len(draws)
+    order = np.argsort(g, kind="stable")
+    column = np.zeros((n, n), dtype=np.intp)  # the draw of each site pair's real part
+    column[np.triu_indices(n, k=1)] = np.arange(n, n + 15)
+    column += column.T
+    a, b = np.tril_indices(n, k=-1)
+    i, j = order[a], order[b]
+    draws = draws.T
+    lower = list(zip(a.tolist(), b.tolist()))
+    re = dict(zip(lower, -sigma * draws[column[i, j]]))
+    im = dict(zip(lower, np.where(i > j, sigma, -sigma)[:, None] * draws[column[i, j] + 15]))
+    diag = list((1.0 - g[order])[:, None] - sigma * draws[order])
+
+    negatives = np.zeros(rows, dtype=np.int64)
+    decided = np.ones(rows, dtype=bool)
+    smallest = np.full(rows, np.inf)
+    growth = np.ones(rows)  # g
+    weight = np.ones(rows)  # 1 + w
+    for k, d in enumerate(diag):
         size = np.abs(d)
         negatives += d < 0.0
         np.minimum(smallest, size, out=smallest)
         decided &= smallest >= _TAU * growth**2 * (weight + size)
         if k == n - 1:
             break
-        col = m[k + 1 :, k] / np.where(decided, d, 1.0)
-        col *= decided
-        norm2 = np.einsum("ij,ij->j", col.real, col.real) + np.einsum(
-            "ij,ij->j", col.imag, col.imag
-        )
+        inv = decided / np.where(decided, d, 1.0)
+        below = range(k + 1, n)
+        l_re = {r: re[r, k] * inv for r in below}
+        l_im = {r: im[r, k] * inv for r in below}
+        norm2 = sum(l_re[r] ** 2 + l_im[r] ** 2 for r in below)
         growth *= 1.0 + np.sqrt(norm2)
         weight += size * (1.0 + norm2)
-        m[k + 1 :, k + 1 :] -= col[:, None, :] * (col.conj() * d)
+        # Entry (r, c) loses l_r conj(l_c) d = l_r conj(entry (c, k)).
+        for r in below:
+            diag[r] -= l_re[r] * re[r, k] + l_im[r] * im[r, k]
+            for c in range(k + 1, r):
+                re[r, c] -= l_re[r] * re[c, k] + l_im[r] * im[c, k]
+                im[r, c] -= l_im[r] * re[c, k] - l_re[r] * im[c, k]
     return negatives, decided
 
 
@@ -525,6 +564,8 @@ def merit_histogram(
     bins: int = _BINS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(bin_centers, counts) for the merit distribution at one sigma."""
+    if fock.checked_integer(bins, "bins") < 1:
+        raise InvalidDimensionError("bins must be >= 1")
     return _histogram(merit_samples(base_state, merit, sigma, n_samples, seed), bins)
 
 

@@ -213,7 +213,12 @@ def entropy_optimality_gap(spec, lam) -> float:
 
 
 def full_batch_merits(base_state: str, merit: str, sigma: float, draws) -> np.ndarray:
-    """Merits of all perturbed samples from one ``eigvalsh`` of the whole batch.
+    """Merits of all perturbed samples from one ``eigvalsh`` of the whole batch."""
+    return polytope._MERITS[merit](full_batch_eigenvalues(base_state, sigma, draws))
+
+
+def full_batch_eigenvalues(base_state: str, sigma: float, draws) -> np.ndarray:
+    """(n, 6) descending eigenvalues of all perturbed samples, one ``eigvalsh`` of the batch.
 
     The perturbation of ``fermitope.montecarlo`` written out directly:
     gamma0 + sigma * Delta with real diagonal draws (|draw| on epr's empty
@@ -234,8 +239,7 @@ def full_batch_merits(base_state: str, merit: str, sigma: float, draws) -> np.nd
     out[:, cols, rows] += sigma * (re - 1j * im)
     idx = np.arange(d)
     out[:, idx, idx] += sigma * diag
-    lam = np.linalg.eigvalsh(out)[:, ::-1]
-    return polytope._MERITS[merit](lam)
+    return np.linalg.eigvalsh(out)[:, ::-1]
 
 
 def exhaustive_max_tolerated_sigma(

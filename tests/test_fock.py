@@ -1,5 +1,6 @@
 """Sector basis, ladder operators, 1-RDM extraction and state constructions."""
 
+import json
 import math
 from itertools import combinations
 
@@ -294,6 +295,19 @@ class TestRandomPureState:
     def test_numpy_integer_seed_accepted(self):
         a = random_pure_state(6, 3, np.int64(4))
         assert np.array_equal(a.amplitudes, random_pure_state(6, 3, 4).amplitudes)
+
+    def test_numpy_integer_sector_accepted(self):
+        a = random_pure_state(np.int64(6), np.int32(3), 0)
+        b = random_pure_state(6, 3, 0)
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(one_rdm(a), one_rdm(b))
+        assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+
+    @pytest.mark.parametrize("d, n", [(True, 1), (6, True), (6.0, 3), (6, 3.0)])
+    def test_non_integer_sector_rejected(self, d, n):
+        """True would pass as a 1-mode sector; numpy integers used to be refused."""
+        with pytest.raises(InvalidDimensionError, match="must be an integer"):
+            random_pure_state(d, n, 0)
 
 
 class TestWedgeEmbed:

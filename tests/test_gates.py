@@ -169,6 +169,12 @@ class TestGateContracts:
         with pytest.raises(InvalidGateError):
             GateOp("twist", (1, 2), 0.5)
 
+    @pytest.mark.parametrize("site", [1.0, 1.5, True])
+    def test_non_integer_site_rejected(self, site):
+        """apply_gate would index the sector tables with 1.5 and raise a bare IndexError."""
+        with pytest.raises(InvalidGateError, match="gate site must be an integer"):
+            GateOp("rotation", (site, 2), 0.5)
+
     def test_gate_json_round_trip(self):
         gate = controlled_rotation(2, 3, 4, math.pi / 2, 60e-12)
         assert GateOp.from_json(gate.to_json()) == gate

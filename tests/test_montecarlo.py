@@ -104,6 +104,8 @@ class TestPerturbedSampling:
     def test_spec_validation(self):
         with pytest.raises(InvalidDimensionError):
             PerturbationSpec("bell", 0.1, 10, 0)
+        with pytest.raises(InvalidDimensionError, match="seed must be non-negative"):
+            PerturbationSpec("w", 0.05, 10, -1)
         for sigma in (-0.1, float("nan"), float("inf")):
             with pytest.raises(InvalidDimensionError):
                 PerturbationSpec("epr", sigma, 10, 0)
@@ -164,6 +166,10 @@ class TestPerturbedSampling:
             ),
             pytest.param(
                 lambda: PerturbationSpec("w", 0.05, 10.0, 0), "n_samples", id="spec-n"
+            ),
+            pytest.param(lambda: PerturbationSpec("w", 0.05, 10, 1.5), "seed", id="spec-seed"),
+            pytest.param(
+                lambda: merit_histogram("w", "f_epr", 0.05, 100, 0, bins=2.5), "bins", id="hist-bins"
             ),
             pytest.param(
                 lambda: sample_perturbed_rdm(PerturbationSpec("w", 0.05, 10, 0), 0.5),
@@ -266,8 +272,7 @@ class TestViolationProbability:
         an F_EPR violation; lambda1 = 1 is none.
         """
         gamma0, draws = mc._base_and_draws("epr", 1000, 0)
-        batch = mc._perturbed_batch(gamma0, 0.0, draws).transpose(1, 2, 0)
-        _, decided = mc._ldl_inertia(np.eye(6)[:, :, None] - batch)
+        _, decided = mc._ldl_inertia(np.diag(gamma0).real, 0.0, draws)
         assert not np.any(decided)
         assert violation_probability("epr", "f_slater", 0.0, 1000, seed=0) == 1.0
         with pytest.warns(UserWarning):
@@ -383,9 +388,10 @@ class TestMaxToleratedSigma:
                 # step, the pilot's at sigma = 0.5 too, before its undecided rows.
                 assert sum(eigvalsh_rows) <= 0.001 * n
             else:
-                # 0.083 n through eigvalsh and 2.10 n certified at this seed:
-                # rows left unresolved at a step are certified again later.
-                assert sum(eigvalsh_rows) <= 0.15 * n
+                # 0.046 n through eigvalsh and 2.21 n certified at this seed:
+                # rows left unresolved at a step are certified again later, and
+                # each step resolves only as many rows as could settle it.
+                assert sum(eigvalsh_rows) <= 0.06 * n
                 assert sum(given_rows) <= 2.5 * n
 
     @pytest.mark.parametrize("seed", [0, 42])
@@ -443,8 +449,8 @@ class TestInertiaStatus:
         factored, routed = [], []
         ldl_inertia, merit_values = mc._ldl_inertia, mc._merit_values
 
-        def spy_ldl(m):
-            factored.append(ldl_inertia(m))
+        def spy_ldl(g, sigma, draws):
+            factored.append(ldl_inertia(g, sigma, draws))
             return factored[-1]
 
         def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
@@ -465,6 +471,49 @@ class TestInertiaStatus:
         routed = np.concatenate([np.empty(0, np.intp), *routed])
         assert np.array_equal(routed, np.flatnonzero(~decided))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("base, merit", INERTIA_PAIRS)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        fixed=st.sampled_from([None, 0.0, 1e-12, 0.5]),
+        steps=st.integers(-4, 4),
+    )
+    def test_negative_pivots_match_the_dense_oracle(self, base, merit, seed, fixed, steps):
+        """At sigma* +- a few grid steps, or at a fixed sigma, each decided row has as
+        many negative pivots as gamma has eigenvalues above 1.
+
+        sigma = 1e-12 leaves epr's pivot at its empty site near zero.
+        """
+        sigma = fixed
+        if sigma is None:
+            sigma = max(0.0, _sigma_star(base, merit, 2_048, 0) + steps * mc._STEP)
+        _, draws = mc._base_and_draws(base, 2_000, seed)
+        assert _inertia_disagreements(base, sigma, draws, draws) == 0
+
+    @pytest.mark.parametrize("base", ["epr", "w"])
+    def test_unflipped_imaginary_sign_is_caught(self, base):
+        """A mutant: swapped pairs keep the imaginary sign of their unpermuted entry."""
+        g = np.diag(theoretical_rdm(base)).real
+        position = np.argsort(np.argsort(g, kind="stable"))
+        rows, cols = np.triu_indices(6, k=1)
+        swapped = 21 + np.flatnonzero(position[rows] > position[cols])
+        assert len(swapped) > 0
+        _, draws = mc._base_and_draws(base, 2_000, 0)
+        mutant = draws.copy()
+        mutant[:, swapped] *= -1.0
+        for sigma in (_sigma_star(base, mc.CANONICAL_PAIRING[base], 2_048, 0), 0.5):
+            assert _inertia_disagreements(base, sigma, draws, draws) == 0
+            assert _inertia_disagreements(base, sigma, draws, mutant) > 0
+
+
+def _inertia_disagreements(base, sigma, draws, kernel_draws) -> int:
+    """Rows decided by ``_ldl_inertia`` on kernel_draws whose negative pivots differ
+    from the count of eigenvalues above 1 of the dense oracle on draws."""
+    g = np.diag(theoretical_rdm(base)).real
+    negatives, decided = mc._ldl_inertia(g, sigma, kernel_draws)
+    lam = oracles.full_batch_eigenvalues(base, sigma, draws)
+    return int(np.count_nonzero(decided & (negatives != np.count_nonzero(lam > 1.0, axis=1))))
 
 
 F_W_PAIRS = [(base, "f_w") for base in polytope.CLASS_LABELS]
@@ -660,12 +709,44 @@ class TestEarlyStop:
         assert got == _exhaustive("ghz", "f_w", n, seed)
 
 
+    @pytest.mark.parametrize("short", ["one violator", "every undecided row"])
+    def test_pieces_hold_the_fewest_rows_that_could_settle_the_step(self, short, monkeypatch):
+        """A step that one violator, or one non-violator, settles resolves _MIN_PIECE rows
+        at a time, not whole chunks."""
+        n, seed = 20_000, 0
+        sigma = _sigma_star("ghz", "f_w", n, seed)
+        gamma0, draws = mc._base_and_draws("ghz", n, seed)
+        violates, decided = mc._certificate(gamma0, "f_w", sigma, draws)
+        assert np.count_nonzero(~decided) > 2 * mc._MIN_PIECE
+        needed = np.count_nonzero(violates) + 1
+        if short == "every undecided row":
+            needed += np.count_nonzero(~decided) - 1
+        pieces = []
+        merit_values = mc._merit_values
+
+        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
+            pieces.append(len(rows))
+            return merit_values(gamma0, merit_fn, sigma, draws, rows)
+
+        monkeypatch.setattr(mc, "_merit_values", spy_eigvalsh)
+        got = mc._violations(gamma0, "f_w", sigma, draws, np.arange(n), needed)
+        assert pieces and max(pieces) == mc._MIN_PIECE
+        want = oracles.full_batch_merits("ghz", "f_w", sigma, mc._standard_draws(n, seed)) < 0
+        assert (np.count_nonzero(got) >= needed) == (np.count_nonzero(want) >= needed)
+
+
 class TestHistogram:
     def test_mass_above_zero_matches_confidence_at_threshold(self):
         sigma_star = max_tolerated_sigma("epr", "f_slater", n_samples=50_000, seed=12)
         values = merit_samples("epr", "f_slater", sigma_star, 50_000, seed=12)
         mass_above = float(np.mean(values >= 0))
         assert 0.0 <= mass_above <= 1.5e-3
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_bins_below_one_rejected(self, bins):
+        """numpy raises a bare ValueError for bins=0."""
+        with pytest.raises(InvalidDimensionError, match="bins must be >= 1"):
+            merit_histogram("ghz", "f_w", 0.05, 100, seed=1, bins=bins)
 
     def test_histogram_totals(self):
         centers, counts = merit_histogram("ghz", "f_w", 0.05, 5_000, seed=1, bins=50)

@@ -31,6 +31,12 @@ class TestOccupationCounts:
         assert result.estimate == 1.0
         assert result.sigma == 0.0
 
+    @pytest.mark.parametrize("site", [2.0, True])
+    def test_non_integer_site_rejected(self, site):
+        """Site 2.0 used to raise numpy's bare TypeError, and True read site 1."""
+        with pytest.raises(InvalidDimensionError, match="site must be an integer"):
+            simulate_occupation_counts(target_state("w"), site, 100, 0)
+
     def test_empty_site_of_epr_never_clicks(self):
         result = simulate_occupation_counts(target_state("epr"), 6, 10_000, seed=1)
         assert result.ones == 0
