@@ -172,12 +172,7 @@ def _cmd_polytope(params: dict) -> tuple[dict, list[dict]]:
 def _cmd_functional(params: dict) -> tuple[dict, None]:
     label = _label(params, "polytope", polytope.CLASS_LABELS)
     result = functional.quantum_functional(polytope.class_polytope(label))
-    payload = {
-        "polytope": label,
-        "E": result.value,
-        "argmax": [float(x) for x in result.argmax],
-    }
-    return payload, None
+    return {"polytope": label, **result.to_json()}, None
 
 
 def _noise_params(params: dict) -> noise.NoiseParams:

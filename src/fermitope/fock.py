@@ -437,22 +437,22 @@ def occupation_expectation(state: PureState | MixedState, site: int) -> float:
 # State constructions
 # ---------------------------------------------------------------------------
 
-def checked_integer(value, name: str) -> int:
-    """``value`` itself if an int or numpy integer; else (bools too) InvalidDimensionError."""
-    return _checked_integer(value, name)
-
-
 def _checked_integer(value, name: str) -> int:
-    # The sector and site checks call this, not checked_integer, so that a
-    # tracer wrapping the public functions sees no call inside one_rdm.
+    """``value`` itself if an int or numpy integer; else (bools too) InvalidDimensionError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidDimensionError(f"{name} must be an integer, got {value!r}")
     return value
 
 
+def _checked_count(value, name: str) -> None:
+    """InvalidDimensionError unless ``value`` is an integer >= 1."""
+    if _checked_integer(value, name) < 1:
+        raise InvalidDimensionError(f"{name} must be >= 1")
+
+
 def checked_seed(seed: int) -> int:
     """``seed`` itself; a negative or non-integer seed raises InvalidDimensionError."""
-    if checked_integer(seed, "seed") < 0:
+    if _checked_integer(seed, "seed") < 0:
         raise InvalidDimensionError(f"seed must be non-negative, got {seed}")
     return seed
 

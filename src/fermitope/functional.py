@@ -12,7 +12,6 @@ empty.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .errors import (
     InfeasiblePolytopeError,
@@ -75,33 +74,21 @@ def _reduce_spec(spec: PolytopeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Returns (A_eq, b_eq, A_ub, b_ub) over x = (lam1, lam2, lam3) with all
     inequalities oriented as A_ub @ x <= b_ub.
     """
-    pairings_seen = 0
-    eq_rows, eq_b, ub_rows, ub_b = [], [], [], []
-    for ineq in spec.inequalities:
-        c = np.asarray(ineq.coefficients, dtype=np.float64)
-        if c.shape != (6,):
-            raise UnsupportedCaseError("functional requires length-6 constraints")
-        a = c[:3] - c[3:][::-1]
-        b = ineq.bound - c[3:].sum()
-        if ineq.sense == "==":
-            if np.allclose(a, 0.0) and abs(b) < 1e-12:
-                pairings_seen += 1
-                continue
-            eq_rows.append(a)
-            eq_b.append(b)
-        elif ineq.sense == "<=":
-            ub_rows.append(a)
-            ub_b.append(b)
-        else:
-            ub_rows.append(-a)
-            ub_b.append(-b)
-    if pairings_seen < 3:
-        raise UnsupportedCaseError(
-            "polytope must include the three pairing equalities"
-        )
-    A_eq = np.array(eq_rows).reshape(-1, 3)
-    A_ub = np.array(ub_rows).reshape(-1, 3)
-    return A_eq, np.array(eq_b), A_ub, np.array(ub_b)
+    rows = spec.inequalities
+    if any(np.shape(ineq.coefficients) != (6,) for ineq in rows):
+        raise UnsupportedCaseError("functional requires length-6 constraints")
+    c = np.array([ineq.coefficients for ineq in rows], dtype=np.float64).reshape(-1, 6)
+    sense = np.array([ineq.sense for ineq in rows], dtype=str)
+    sign = np.where(sense == ">=", -1.0, 1.0)
+    a = sign[:, None] * (c[:, :3] - c[:, 3:][:, ::-1])
+    bound = np.array([ineq.bound for ineq in rows], dtype=np.float64)
+    b = sign * (bound - c[:, 3:].sum(axis=1))
+    eq = sense == "=="
+    pairing = eq & np.all(np.abs(a) <= 1e-8, axis=1) & (np.abs(b) < 1e-12)
+    if pairing.sum() < 3:
+        raise UnsupportedCaseError("polytope must include the three pairing equalities")
+    kept = eq & ~pairing
+    return a[kept], b[kept], a[~eq], b[~eq]
 
 
 def quantum_functional(spec: PolytopeSpec) -> EntropyValue:
@@ -112,6 +99,9 @@ def quantum_functional(spec: PolytopeSpec) -> EntropyValue:
     SLSQP starts from the Chebyshev centre, since from a start outside the
     polytope it can stall in a line search and end outside it.
     """
+    # Imported here so that ``import fermitope`` does not load scipy.
+    from scipy.optimize import linprog, minimize
+
     A_eq, b_eq, A_ub, b_ub = _reduce_spec(spec)
     # Phase 1 over (x, r) in [0, 1]^4: max r, A_eq x = b_eq, A_ub x + |a_i| r <= b_ub.
     lp = linprog(

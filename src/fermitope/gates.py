@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import fock
 from .errors import InvalidDimensionError, InvalidGateError, InvalidPulseError
@@ -60,7 +59,7 @@ class GateOp:
             raise InvalidGateError(f"{self.kind} takes {n_sites} sites")
         try:
             for site in self.sites:
-                fock.checked_integer(site, "gate site")
+                fock._checked_integer(site, "gate site")
         except InvalidDimensionError as err:
             raise InvalidGateError(str(err)) from None
         if len(set(self.sites)) != len(self.sites):
@@ -354,6 +353,9 @@ def dynamic_phase(pulse: PulseSpec) -> float:
     probe = [integrand(t) for t in np.linspace(0.0, pulse.duration, 33)]
     if not all(math.isfinite(v) for v in probe):
         raise InvalidPulseError("pulse integrand is not finite on [0, T]")
+
+    # Imported here so that ``import fermitope`` does not load scipy.
+    from scipy.integrate import quad
 
     value, _ = quad(
         integrand, 0.0, pulse.duration, epsrel=_PHASE_RTOL, epsabs=1e-30, limit=500

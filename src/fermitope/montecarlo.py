@@ -226,8 +226,7 @@ class PerturbationSpec:
     def __post_init__(self) -> None:
         gates.entanglement_class(self.base_state)
         _check_sigma(self.sigma)
-        if fock.checked_integer(self.n_samples, "n_samples") < 1:
-            raise InvalidDimensionError("n_samples must be >= 1")
+        fock._checked_count(self.n_samples, "n_samples")
         fock.checked_seed(self.seed)
 
 
@@ -258,8 +257,7 @@ def _base_and_draws(
     base_state: str, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """gamma0 of the base state and the draws of its ``n_samples`` perturbations."""
-    if fock.checked_integer(n_samples, "n_samples") < 1:
-        raise InvalidDimensionError("n_samples must be >= 1")
+    fock._checked_count(n_samples, "n_samples")
     folded = list(gates.entanglement_class(base_state).folded_draws)
     draws = _standard_draws(n_samples, fock.checked_seed(seed))
     draws[:, folded] = np.abs(draws[:, folded])
@@ -432,7 +430,7 @@ def sample_perturbed_rdm(spec: PerturbationSpec, sample_index: int = 0) -> np.nd
     Draws only the first ``sample_index + 1`` samples: Philox's first rows
     do not depend on how many rows are drawn.
     """
-    if not 0 <= fock.checked_integer(sample_index, "sample_index") < spec.n_samples:
+    if not 0 <= fock._checked_integer(sample_index, "sample_index") < spec.n_samples:
         raise InvalidDimensionError("sample_index outside 0..n_samples-1")
     gamma0, draws = _base_and_draws(spec.base_state, sample_index + 1, spec.seed)
     return _perturbed_batch(gamma0, spec.sigma, draws[sample_index:])[0]
@@ -564,8 +562,7 @@ def merit_histogram(
     bins: int = _BINS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(bin_centers, counts) for the merit distribution at one sigma."""
-    if fock.checked_integer(bins, "bins") < 1:
-        raise InvalidDimensionError("bins must be >= 1")
+    fock._checked_count(bins, "bins")
     return _histogram(merit_samples(base_state, merit, sigma, n_samples, seed), bins)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import InvalidDimensionError, InvalidGateError
+from .errors import InvalidGateError
 from .fock import MixedState, PureState, occupation_expectation
 from .gates import Protocol, _apply_to_amplitudes, phase_gate, rotation
 
@@ -30,15 +30,6 @@ class ShotResult:
     ones: int
     estimate: float
     sigma: float
-
-    def to_json(self) -> dict:
-        return {
-            "site": self.site,
-            "shots": self.shots,
-            "ones": self.ones,
-            "estimate": self.estimate,
-            "sigma": self.sigma,
-        }
 
 
 @dataclass(frozen=True)
@@ -74,8 +65,7 @@ def _shot_sample(
     p: float, shots: int, rng: np.random.Generator
 ) -> tuple[int, float, float]:
     """(ones, estimate, sigma) of ``shots`` readouts of an occupation of mean p."""
-    if fock.checked_integer(shots, "shots") < 1:
-        raise InvalidDimensionError("shots must be >= 1")
+    fock._checked_count(shots, "shots")
     ones = int(rng.binomial(shots, min(max(p, 0.0), 1.0)))
     estimate = ones / shots
     return ones, estimate, math.sqrt(estimate * (1.0 - estimate) / shots)

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from fermitope import fock, gates, polytope
+from fermitope.errors import UnsupportedCaseError
 
 _SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
 _Z = np.diag([1.0, -1.0]).astype(complex)
@@ -185,6 +186,40 @@ def grid_spec_entropy_maximum(spec, step: float = 0.01, tol: float = 1e-12) -> f
         t = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
         best = max(best, float(-t.sum(axis=-1).max()))
     return best
+
+
+def reduce_spec_rows(spec):
+    """(A_eq, b_eq, A_ub, b_ub) over (lam1, lam2, lam3), one constraint at a time.
+
+    The row loop ``functional._reduce_spec`` replaced: lam4..lam6 are
+    eliminated through the pairings, the three pairing equalities are
+    dropped and every inequality is oriented as A_ub @ x <= b_ub.
+    """
+    pairings_seen = 0
+    eq_rows, eq_b, ub_rows, ub_b = [], [], [], []
+    for ineq in spec.inequalities:
+        c = np.asarray(ineq.coefficients, dtype=np.float64)
+        if c.shape != (6,):
+            raise UnsupportedCaseError("functional requires length-6 constraints")
+        a = c[:3] - c[3:][::-1]
+        b = ineq.bound - c[3:].sum()
+        if ineq.sense == "==":
+            if np.allclose(a, 0.0) and abs(b) < 1e-12:
+                pairings_seen += 1
+                continue
+            eq_rows.append(a)
+            eq_b.append(b)
+        elif ineq.sense == "<=":
+            ub_rows.append(a)
+            ub_b.append(b)
+        else:
+            ub_rows.append(-a)
+            ub_b.append(-b)
+    if pairings_seen < 3:
+        raise UnsupportedCaseError("polytope must include the three pairing equalities")
+    A_eq = np.array(eq_rows).reshape(-1, 3)
+    A_ub = np.array(ub_rows).reshape(-1, 3)
+    return A_eq, np.array(eq_b), A_ub, np.array(ub_b)
 
 
 def entropy_optimality_gap(spec, lam) -> float:

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import fermitope
 from fermitope import cli, fock, functional, montecarlo, noise
 from fermitope.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from fermitope.errors import InfeasiblePolytopeError
@@ -422,3 +426,18 @@ class TestConfigFile:
             ["rdm", "--target", "epr", "--config", str(tmp_path / "nope.json")],
         )
         assert code == EXIT_CONFIG
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        """scipy loads on the first quantum_functional or dynamic_phase call, not on import."""
+        src = os.path.dirname(os.path.dirname(fermitope.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys, fermitope, fermitope.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "[]\n"

@@ -4,11 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fermitope import polytope
-from fermitope.errors import InfeasiblePolytopeError, InvalidDistributionError
-from fermitope.functional import quantum_functional, shannon_entropy
+from fermitope.errors import (
+    InfeasiblePolytopeError,
+    InvalidDistributionError,
+    UnsupportedCaseError,
+)
+from fermitope.functional import _reduce_spec, quantum_functional, shannon_entropy
 from fermitope.polytope import CLASS_OCCUPATIONS, LinearInequality, PolytopeSpec, class_polytope
 
 REFERENCE = {
@@ -17,6 +23,27 @@ REFERENCE = {
     "w": (2 / 3) * math.log(27 / 2),
     "ghz": math.log(6),
 }
+
+CUTS = [
+    LinearInequality((0, 0, 1, 0, 0, 0), 0.6, ">=", "lam3>=0.6"),
+    LinearInequality((0, 0, 1, 0, 0, 0), 0.7, ">=", "lam3>=0.7"),
+    LinearInequality((1, -1, 0, 0, 0, 0), 0.2, ">=", "lam1-lam2>=0.2"),
+    LinearInequality((0, 1, -1, 0, 0, 0), 0.1, ">=", "lam2-lam3>=0.1"),
+    LinearInequality((2, -2, 3, 0, 0, 0), 2.9, ">=", "2lam1-2lam2+3lam3>=2.9"),
+    LinearInequality((1, 0, 1, 0, 0, 0), 1.6, ">=", "lam1+lam3>=1.6"),
+]
+
+
+def _shuffled(spec: PolytopeSpec, seed: int) -> PolytopeSpec:
+    rows = spec.inequalities
+    order = np.random.default_rng(seed).permutation(len(rows))
+    return PolytopeSpec(spec.label, tuple(rows[i] for i in order))
+
+
+def _assert_same_arrays(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
 
 
 class TestShannonEntropy:
@@ -86,18 +113,7 @@ class TestQuantumFunctional:
             quantum_functional(PolytopeSpec("beyond", pairings + (beyond,)))
 
     @pytest.mark.parametrize("label", ["ghz", "w"])
-    @pytest.mark.parametrize(
-        "cut",
-        [
-            LinearInequality((0, 0, 1, 0, 0, 0), 0.6, ">=", "lam3>=0.6"),
-            LinearInequality((0, 0, 1, 0, 0, 0), 0.7, ">=", "lam3>=0.7"),
-            LinearInequality((1, -1, 0, 0, 0, 0), 0.2, ">=", "lam1-lam2>=0.2"),
-            LinearInequality((0, 1, -1, 0, 0, 0), 0.1, ">=", "lam2-lam3>=0.1"),
-            LinearInequality((2, -2, 3, 0, 0, 0), 2.9, ">=", "2lam1-2lam2+3lam3>=2.9"),
-            LinearInequality((1, 0, 1, 0, 0, 0), 1.6, ">=", "lam1+lam3>=1.6"),
-        ],
-        ids=lambda cut: cut.label,
-    )
+    @pytest.mark.parametrize("cut", CUTS, ids=lambda cut: cut.label)
     def test_cut_polytope_matches_spec_grid_oracle(self, label, cut):
         base = class_polytope(label).inequalities
         spec = PolytopeSpec(f"{label}+{cut.label}", base + (cut,))
@@ -105,3 +121,52 @@ class TestQuantumFunctional:
         assert result.value >= oracles.grid_spec_entropy_maximum(spec, step=0.01) - 1e-12
         assert spec.contains(result.argmax)
         assert oracles.entropy_optimality_gap(spec, result.argmax) < 1e-8
+
+
+class TestReduceSpec:
+    """The array reduction against the row loop of ``oracles.reduce_spec_rows``."""
+
+    SPECS = [class_polytope(label) for label in polytope.CLASS_LABELS] + [
+        PolytopeSpec(f"{label}+{cut.label}", class_polytope(label).inequalities + (cut,))
+        for label in ("ghz", "w")
+        for cut in CUTS
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.label)
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_byte_equal_to_row_loop(self, spec, seed):
+        if seed is not None:
+            spec = _shuffled(spec, seed)
+        _assert_same_arrays(_reduce_spec(spec), oracles.reduce_spec_rows(spec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        label=st.sampled_from(polytope.CLASS_LABELS),
+        extra=st.lists(
+            st.tuples(
+                st.lists(st.floats(-3, 3, allow_subnormal=False), min_size=6, max_size=6),
+                st.floats(-3, 3, allow_subnormal=False),
+                st.sampled_from(["<=", ">=", "=="]),
+            ),
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_rows_byte_equal_to_row_loop(self, label, extra, seed):
+        rows = class_polytope(label).inequalities + tuple(
+            LinearInequality(tuple(c), bound, sense) for c, bound, sense in extra
+        )
+        spec = _shuffled(PolytopeSpec(label, rows), seed)
+        _assert_same_arrays(_reduce_spec(spec), oracles.reduce_spec_rows(spec))
+
+    def test_missing_pairings_raise(self):
+        rows = tuple(c for c in class_polytope("ghz").inequalities if c.sense != "==")
+        spec = PolytopeSpec("no-pairings", rows)
+        with pytest.raises(UnsupportedCaseError, match="three pairing equalities"):
+            quantum_functional(spec)
+
+    def test_length_five_row_raises(self):
+        short = LinearInequality((1, 0, 0, 0, 0), 1.0, "<=", "lam1<=1")
+        spec = PolytopeSpec("short", class_polytope("w").inequalities + (short,))
+        with pytest.raises(UnsupportedCaseError, match="length-6 constraints"):
+            quantum_functional(spec)

@@ -147,40 +147,69 @@ class TestPerturbedSampling:
             call()
 
     @pytest.mark.parametrize(
-        "call, name",
+        "call, message",
         [
             pytest.param(
-                lambda: max_tolerated_sigma("w", "f_epr", 0.999, 3000, seed=1.5), "seed",
+                lambda: max_tolerated_sigma("w", "f_epr", 0.999, 3000, seed=1.5),
+                "seed must be an integer",
                 id="threshold-seed",
             ),
             pytest.param(
-                lambda: violation_probability("w", "f_epr", 0.05, n_samples=1.5), "n_samples",
+                lambda: violation_probability("w", "f_epr", 0.05, n_samples=1.5),
+                "n_samples must be an integer",
                 id="prob-n",
             ),
             pytest.param(
-                lambda: max_tolerated_sigma("w", "f_epr", n_samples=100.0), "n_samples",
+                lambda: max_tolerated_sigma("w", "f_epr", n_samples=100.0),
+                "n_samples must be an integer",
                 id="threshold-n",
             ),
             pytest.param(
-                lambda: merit_samples("w", "f_epr", 0.05, True, 0), "n_samples", id="samples-bool"
+                lambda: merit_samples("w", "f_epr", 0.05, True, 0),
+                "n_samples must be an integer",
+                id="samples-bool",
             ),
             pytest.param(
-                lambda: PerturbationSpec("w", 0.05, 10.0, 0), "n_samples", id="spec-n"
+                lambda: PerturbationSpec("w", 0.05, 10.0, 0),
+                "n_samples must be an integer",
+                id="spec-n",
             ),
-            pytest.param(lambda: PerturbationSpec("w", 0.05, 10, 1.5), "seed", id="spec-seed"),
             pytest.param(
-                lambda: merit_histogram("w", "f_epr", 0.05, 100, 0, bins=2.5), "bins", id="hist-bins"
+                lambda: PerturbationSpec("w", 0.05, 10, 1.5), "seed must be an integer", id="spec-seed"
+            ),
+            pytest.param(
+                lambda: merit_histogram("w", "f_epr", 0.05, 100, 0, bins=2.5),
+                "bins must be an integer",
+                id="hist-bins",
             ),
             pytest.param(
                 lambda: sample_perturbed_rdm(PerturbationSpec("w", 0.05, 10, 0), 0.5),
-                "sample_index",
+                "sample_index must be an integer",
                 id="sample-index",
+            ),
+            pytest.param(
+                lambda: PerturbationSpec("w", 0.05, 0, 0), "n_samples must be >= 1", id="spec-n-zero"
+            ),
+            pytest.param(
+                lambda: violation_probability("w", "f_epr", 0.05, n_samples=-1),
+                "n_samples must be >= 1",
+                id="prob-n-negative",
+            ),
+            pytest.param(
+                lambda: max_tolerated_sigma("w", "f_epr", n_samples=0),
+                "n_samples must be >= 1",
+                id="threshold-n-zero",
+            ),
+            pytest.param(
+                lambda: merit_histogram("w", "f_epr", 0.05, 100, 0, bins=-1),
+                "bins must be >= 1",
+                id="hist-bins-negative",
             ),
         ],
     )
-    def test_non_integer_counts_and_seeds_rejected(self, call, name):
-        """Philox would truncate seed 1.5 to 1; numpy raises TypeError on the others."""
-        with pytest.raises(InvalidDimensionError, match=f"{name} must be an integer"):
+    def test_non_integer_counts_and_seeds_rejected(self, call, message):
+        """Philox would truncate seed 1.5 to 1; numpy raises TypeError on the other non-integers."""
+        with pytest.raises(InvalidDimensionError, match=message):
             call()
 
     def test_numpy_integers_accepted(self):

@@ -200,9 +200,10 @@ class TestHillClimb:
         with pytest.raises(InvalidDimensionError, match="seed must be an integer"):
             hill_climb_extremal(0.06, "f1", seed=2.5)
 
-    @pytest.mark.parametrize("iterations", [2.5, 10.0, True])
+    @pytest.mark.parametrize("iterations", [2.5, 10.0, True, 0, -1])
     def test_non_integer_iterations_rejected(self, iterations):
-        with pytest.raises(InvalidDimensionError, match="iterations must be an integer"):
+        message = "must be >= 1" if type(iterations) is int else "must be an integer"
+        with pytest.raises(InvalidDimensionError, match=f"iterations {message}"):
             hill_climb_extremal(0.06, "f1", iterations=iterations)
 
     def test_proposition_form_states_satisfy_weakened_bounds(self):

@@ -162,10 +162,11 @@ class TestReconstruction:
         with pytest.raises(InvalidDimensionError):
             reconstruct_one_rdm(target_state("w"), shots=shots, seed=-1)
 
-    @pytest.mark.parametrize("shots", [2.5, 100.0, True])
+    @pytest.mark.parametrize("shots", [2.5, 100.0, True, 0, -1])
     def test_non_integer_shots_rejected(self, shots):
         """numpy would draw 2-shot binomials for 2.5 shots, and their counts be divided by 2.5."""
-        with pytest.raises(InvalidDimensionError, match="shots must be an integer"):
+        message = "must be >= 1" if type(shots) is int else "must be an integer"
+        with pytest.raises(InvalidDimensionError, match=f"shots {message}"):
             reconstruct_one_rdm(target_state("w"), shots, seed=0)
 
     @pytest.mark.parametrize("shots", [None, 100])
