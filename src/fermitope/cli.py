@@ -7,13 +7,15 @@ override file values.  Input is validated once, by the library: exit 0
 is success, 2 is input the library rejects (``ConfigError``,
 ``InvalidDimensionError``, ``StepSizeError``) and 3 is a numerical
 failure (any other ``ToolkitError``, ``LinAlgError`` or
-``FloatingPointError``).
+``FloatingPointError``).  A library warning prints as one stderr line,
+``fermitope: warning: <message>``, with no path or line number.
 """
 
 import argparse
 import hashlib
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -360,17 +362,19 @@ def _resolve_params(args: argparse.Namespace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        params = _resolve_params(args)
-        payload, rows = _COMMANDS[args.command][0](params)
-        _emit({"meta": _meta(args.command, params), **payload}, rows, params)
-    except (ConfigError, InvalidDimensionError, StepSizeError) as exc:
-        # The library's checks of user-supplied values raise these three.
-        print(f"fermitope: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ToolkitError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"fermitope: numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda msg, *_: print("fermitope: warning:", msg, file=sys.stderr)
+        try:
+            params = _resolve_params(args)
+            payload, rows = _COMMANDS[args.command][0](params)
+            _emit({"meta": _meta(args.command, params), **payload}, rows, params)
+        except (ConfigError, InvalidDimensionError, StepSizeError) as exc:
+            # The library's checks of user-supplied values raise these three.
+            print(f"fermitope: configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (ToolkitError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            print(f"fermitope: numerical error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -222,29 +222,64 @@ def reduce_spec_rows(spec):
     return A_eq, np.array(eq_b), A_ub, np.array(ub_b)
 
 
+def _unit_rows(spec):
+    """``reduce_spec_rows`` with every row scaled to a largest coefficient of 1.
+
+    The solver's tolerances are then distances, and HiGHS, which drops matrix
+    entries up to 1e-9, drops none that moves a row by more than 1e-9.
+    """
+    def unit(a, b):
+        scale = np.abs(a).max(axis=1, initial=0.0)
+        scale = np.where(scale > 0, scale, 1.0)
+        # Past |b| = 4 * scale a row holds or fails on the whole box.
+        return a / scale[:, None], np.clip(b, -4 * scale, 4 * scale) / scale
+
+    A_eq, b_eq, A_ub, b_ub = reduce_spec_rows(spec)
+    return (*unit(A_eq, b_eq), *unit(A_ub, b_ub))
+
+
+def interior_slack(spec) -> float:
+    """Largest r <= 1 with a point of [0, 1]^3 that meets the equalities of ``spec``
+    (pairings substituted) and every inequality with slack r; -inf if none meets
+    the equalities.  A spec with r below the solvers' tolerances is feasible or
+    not depending on them.  HiGHS's "numerical difficulties" (status 4), seen on
+    nearly parallel equalities, also give -inf: no interior that it can find."""
+    A_eq, b_eq, A_ub, b_ub = _unit_rows(spec)
+    lp = linprog(
+        [0.0, 0.0, 0.0, -1.0],
+        A_ub=np.hstack([A_ub, np.ones((len(A_ub), 1))]) if len(A_ub) else None,
+        b_ub=b_ub if len(A_ub) else None,
+        A_eq=np.hstack([A_eq, np.zeros((len(A_eq), 1))]) if len(A_eq) else None,
+        b_eq=b_eq if len(A_eq) else None,
+        bounds=[(0.0, 1.0)] * 3 + [(None, 1.0)],
+        options={"primal_feasibility_tolerance": 1e-10},
+    )
+    assert lp.status in (0, 2, 4), lp.message
+    return -lp.fun if lp.status == 0 else -np.inf
+
+
 def entropy_optimality_gap(spec, lam) -> float:
     """Upper bound on how far the entropy at ``lam`` lies below its maximum.
 
     The scaled-occupation entropy is concave, so its maximum over the
     polytope is at most its value at lam plus max_y grad . (y - lam), the
-    Frank-Wolfe gap.  One linear program over all six occupations of the
-    spec as written gives the max.  Needs every lam_i > 0.
+    Frank-Wolfe gap.  One linear program over (lam1, lam2, lam3), with the
+    pairings substituted, gives the max.  Needs every lam_i > 0.
     """
     lam = np.asarray(lam, dtype=float)
     grad = -(np.log(lam / 3.0) + 1.0) / 3.0
-    sign = {"<=": 1.0, ">=": -1.0}
-    ub = [ineq for ineq in spec.inequalities if ineq.sense != "=="]
-    eq = [ineq for ineq in spec.inequalities if ineq.sense == "=="]
+    grad = grad[:3] - grad[3:][::-1]
+    A_eq, b_eq, A_ub, b_ub = _unit_rows(spec)
     lp = linprog(
         -grad,
-        A_ub=[np.multiply(sign[ineq.sense], ineq.coefficients) for ineq in ub],
-        b_ub=[sign[ineq.sense] * ineq.bound for ineq in ub],
-        A_eq=[ineq.coefficients for ineq in eq],
-        b_eq=[ineq.bound for ineq in eq],
-        bounds=(None, None),
+        A_ub=A_ub if len(A_ub) else None,
+        b_ub=b_ub if len(A_ub) else None,
+        A_eq=A_eq if len(A_eq) else None,
+        b_eq=b_eq if len(A_eq) else None,
+        bounds=(0.0, 1.0),
     )
     assert lp.status == 0, lp.message
-    return float(-lp.fun - grad @ lam)
+    return float(-lp.fun - grad @ lam[:3])
 
 
 def full_batch_merits(base_state: str, merit: str, sigma: float, draws) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 
 import fermitope
 from fermitope import cli, fock, functional, montecarlo, noise
-from fermitope.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from fermitope.cli import _COMMANDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from fermitope.errors import InfeasiblePolytopeError
 
 
@@ -219,7 +219,7 @@ class TestCsvFormat:
 
 
 class TestMonteCarloCommand:
-    def test_csv_at_one_sigma_draws_samples_once(self, tmp_path, monkeypatch):
+    def test_csv_at_one_sigma_draws_samples_once(self, tmp_path, monkeypatch, capsys):
         calls = []
         draw = montecarlo._base_and_draws
 
@@ -230,25 +230,26 @@ class TestMonteCarloCommand:
         monkeypatch.setattr(montecarlo, "_base_and_draws", counted)
         args = ["montecarlo", "--base", "ghz", "--merit", "f_epr", "--sigma", "0.05",
                 "--n-samples", "3000", "--format", "csv"]
-        with pytest.warns(UserWarning, match="conventionally paired") as caught:
-            code, out = run(tmp_path, "hist.csv", args)
+        code, out = run(tmp_path, "hist.csv", args)
         assert code == EXIT_OK
         assert len(calls) == 1
-        assert len(caught) == 1
+        assert capsys.readouterr().err == (
+            "fermitope: warning: 'ghz' is conventionally paired with 'f_w', not 'f_epr'\n"
+        )
         rows = [line.split(",") for line in out.read_text().splitlines()[5:]]
         with pytest.warns(UserWarning, match="conventionally paired"):
             centers, counts = montecarlo.merit_histogram("ghz", "f_epr", 0.05, 3000, seed=0)
         assert [float(c) for c, _ in rows] == centers.tolist()
         assert [int(k) for _, k in rows] == counts.tolist()
 
-    def test_rejected_sigma_prints_no_pairing_warning(self, tmp_path):
+    def test_rejected_sigma_prints_no_pairing_warning(self, tmp_path, capsys):
         args = ["montecarlo", "--base", "ghz", "--merit", "f_epr", "--sigma", "-1",
                 "--n-samples", "10"]
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings():
             warnings.simplefilter("always")
             code, _ = run(tmp_path, "mc.json", args)
         assert code == EXIT_CONFIG
-        assert caught == []
+        assert "warning" not in capsys.readouterr().err
 
     def test_threshold_payload(self, tmp_path):
         code, out = run(
@@ -429,15 +430,34 @@ class TestConfigFile:
 
 
 class TestImport:
-    def test_import_loads_no_scipy(self):
-        """scipy loads on the first quantum_functional or dynamic_phase call, not on import."""
+    # One small run of every subcommand.
+    ARGVS = [
+        ["prepare", "--target", "w"],
+        ["rdm", "--target", "w", "--shots", "10"],
+        ["polytope", "--target", "w"],
+        ["functional", "--polytope", "w"],
+        ["noisy", "--target", "epr"],
+        ["echo", "--target", "epr"],
+        ["montecarlo", "--base", "epr", "--sigma", "0.05", "--n-samples", "100"],
+    ]
+
+    def _scipy_modules(self, code: str) -> str:
         src = os.path.dirname(os.path.dirname(fermitope.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = (
-            "import sys, fermitope, fermitope.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
+        code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert done.stdout == "[]\n"
+        return done.stdout.splitlines()[-1]
+
+    def test_import_loads_no_scipy(self):
+        """scipy loads on the first dynamic_phase call, not on import."""
+        assert self._scipy_modules("import sys, fermitope, fermitope.cli") == "[]"
+
+    def test_every_subcommand_runs_without_scipy(self, tmp_path):
+        assert set(_COMMANDS) == {argv[0] for argv in self.ARGVS}
+        runs = "; ".join(
+            f"assert main({[*argv, '--out', str(tmp_path / argv[0])]!r}) == 0"
+            for argv in self.ARGVS
+        )
+        assert self._scipy_modules(f"import sys; from fermitope.cli import main; {runs}") == "[]"

@@ -34,6 +34,22 @@ CUTS = [
 ]
 
 
+# A class polytope plus up to three random rows of any sense, as written.
+RANDOM_ROWS = st.lists(
+    st.tuples(
+        st.lists(st.floats(-3, 3, allow_subnormal=False), min_size=6, max_size=6),
+        st.floats(-3, 3, allow_subnormal=False),
+        st.sampled_from(["<=", ">=", "=="]),
+    ),
+    max_size=3,
+)
+
+
+def _with_rows(label: str, extra) -> PolytopeSpec:
+    rows = tuple(LinearInequality(tuple(c), bound, sense) for c, bound, sense in extra)
+    return PolytopeSpec(label, class_polytope(label).inequalities + rows)
+
+
 def _shuffled(spec: PolytopeSpec, seed: int) -> PolytopeSpec:
     rows = spec.inequalities
     order = np.random.default_rng(seed).permutation(len(rows))
@@ -123,6 +139,56 @@ class TestQuantumFunctional:
         assert oracles.entropy_optimality_gap(spec, result.argmax) < 1e-8
 
 
+class TestConvexSolve:
+    """The vertex step and the dual Newton solve against the linear-programming oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(label=st.sampled_from(polytope.CLASS_LABELS), extra=RANDOM_ROWS)
+    def test_random_rows_are_solved_or_infeasible(self, label, extra):
+        """Both checks leave room for the tolerances: a spec feasible only within 1e-8
+        may go either way, and an occupation lam stored as 1 - x carries an error
+        of 1.1e-16, so log(lam) does of 1.1e-16 / lam."""
+        spec = _with_rows(label, extra)
+        try:
+            result = quantum_functional(spec)
+        except InfeasiblePolytopeError:
+            assert oracles.interior_slack(spec) < 1e-8
+            return
+        assert spec.contains(result.argmax)
+        if np.all(result.argmax > 0):
+            gap = oracles.entropy_optimality_gap(spec, result.argmax)
+            assert gap < 1e-8 + 1e-15 / result.argmax.min()
+
+    def test_one_point_spec(self):
+        cuts = (
+            LinearInequality((0, 0, 1, 0, 0, 0), 0.7, ">=", "lam3>=0.7"),
+            LinearInequality((1, 0, 0, 0, 0, 0), 0.7, "<=", "lam1<=0.7"),
+        )
+        spec = PolytopeSpec("point", class_polytope("ghz").inequalities + cuts)
+        result = quantum_functional(spec)
+        assert np.max(np.abs(result.argmax - [0.7, 0.7, 0.7, 0.3, 0.3, 0.3])) <= 1e-12
+
+    def test_dependent_rows(self):
+        """EPR's lam2 = lam3 beside lam2 >= lam3, and a W facet repeated at twice the scale."""
+        double = LinearInequality((2, 2, 2, 0, 0, 0), 4.0, ">=", "2(lam1+lam2+lam3)>=4")
+        w2 = PolytopeSpec("w2", class_polytope("w").inequalities + (double,))
+        for spec, label in ((class_polytope("epr"), "epr"), (w2, "w")):
+            result = quantum_functional(spec)
+            assert result.value == pytest.approx(REFERENCE[label], abs=1e-12)
+            assert np.max(np.abs(result.argmax - CLASS_OCCUPATIONS[label])) <= 1e-12
+
+    def test_two_hundred_rows_finish(self):
+        rng = np.random.default_rng(0)
+        coefficients = rng.uniform(-1, 1, (192, 6))
+        # Every extra row holds at the GHZ occupations with a slack in [0.05, 0.55].
+        bounds = coefficients.sum(axis=1) / 2 + rng.uniform(0.05, 0.55, 192)
+        extra = tuple(LinearInequality(tuple(c), b, "<=") for c, b in zip(coefficients, bounds))
+        spec = PolytopeSpec("ghz+192", class_polytope("ghz").inequalities + extra)
+        assert len(spec.inequalities) == 200
+        result = quantum_functional(spec)
+        assert result.value == pytest.approx(REFERENCE["ghz"], abs=1e-12)
+
+
 class TestReduceSpec:
     """The array reduction against the row loop of ``oracles.reduce_spec_rows``."""
 
@@ -142,21 +208,11 @@ class TestReduceSpec:
     @settings(max_examples=60, deadline=None)
     @given(
         label=st.sampled_from(polytope.CLASS_LABELS),
-        extra=st.lists(
-            st.tuples(
-                st.lists(st.floats(-3, 3, allow_subnormal=False), min_size=6, max_size=6),
-                st.floats(-3, 3, allow_subnormal=False),
-                st.sampled_from(["<=", ">=", "=="]),
-            ),
-            max_size=3,
-        ),
+        extra=RANDOM_ROWS,
         seed=st.integers(0, 2**16),
     )
     def test_random_rows_byte_equal_to_row_loop(self, label, extra, seed):
-        rows = class_polytope(label).inequalities + tuple(
-            LinearInequality(tuple(c), bound, sense) for c, bound, sense in extra
-        )
-        spec = _shuffled(PolytopeSpec(label, rows), seed)
+        spec = _shuffled(_with_rows(label, extra), seed)
         _assert_same_arrays(_reduce_spec(spec), oracles.reduce_spec_rows(spec))
 
     def test_missing_pairings_raise(self):

@@ -320,3 +320,41 @@ def test_lidskii_bounds_f2_of_mixtures(seed, rank, epsilon):
     ceiling = (1 - epsilon) * f2(lam_psi) + epsilon * lam_1[:3].sum()
     assert f2(lam) <= ceiling + 1e-12
     assert ceiling <= 2 + epsilon + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 5),
+    epsilon=st.floats(0.0, 1.0, allow_nan=False),
+)
+def test_ky_fan_and_weyl_bound_f1_of_mixtures(seed, rank, epsilon):
+    """Criterion 6's F1 ceiling, proved rather than searched for.
+
+    With A = (1-eps) gamma_psi and B = eps gamma_1, Ky Fan's inequality
+    (lam1 + lam2)(A + B) <= (lam1 + lam2)(A) + (lam1 + lam2)(B) and Weyl's
+    lam3(A + B) >= lam3(A) + lam6(B) bound F1(gamma) by (1-eps) F1(gamma_psi) +
+    eps (lam1 + lam2 - lam6)(gamma_1).  That is at most (1-eps) + 2 eps, since
+    F1(gamma_psi) <= 1 is the pure-state inequality with lam3 + lam4 = 1.
+    """
+    psi, _, _, rho1, gamma = lidskii_mixture(seed, rank, epsilon)
+    f1 = polytope._MERITS["f1"]
+    lam = np.linalg.eigvalsh(gamma)[::-1]
+    lam_psi = np.linalg.eigvalsh(one_rdm(psi))[::-1]
+    lam_1 = np.linalg.eigvalsh(one_rdm(rho1))[::-1]
+    ceiling = (1 - epsilon) * f1(lam_psi) + epsilon * (lam_1[0] + lam_1[1] - lam_1[5])
+    assert f1(lam) <= ceiling + 1e-12
+    assert ceiling <= 1 + epsilon + 1e-12
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.06, 0.5])
+def test_f1_and_f2_ceilings_are_attained(epsilon):
+    """psi0 = |111000> mixed with rho1 = |110100><110100| (rho1 orthogonal to psi0,
+    rank 1) has lam = (1, 1, 1-eps, eps, 0, 0), so F1 = 1+eps and F2 = 2+eps."""
+    psi0 = fock.basis_vector(6, "111000").amplitudes
+    psi1 = fock.basis_vector(6, "110100").amplitudes
+    rho = (1 - epsilon) * np.outer(psi0, psi0.conj()) + epsilon * np.outer(psi1, psi1.conj())
+    lam, _ = natural_occupations(one_rdm(fock.MixedState(6, 3, rho)))
+    assert np.max(np.abs(lam - [1, 1, 1 - epsilon, epsilon, 0, 0])) <= 4e-16
+    assert abs(polytope._MERITS["f1"](lam) - (1 + epsilon)) <= 4e-16
+    assert abs(polytope._MERITS["f2"](lam) - (2 + epsilon)) <= 4e-16
