@@ -143,17 +143,22 @@ def _check_sites(gate: GateOp, d: int) -> None:
         raise InvalidGateError(f"gate sites {gate.sites} exceed d={d}")
 
 
-def _apply_to_amplitudes(
-    amps: np.ndarray, gate: GateOp, d: int, n_particles: int
-) -> np.ndarray:
-    """Apply a gate along the last axis of an amplitude array."""
+def _gate_action(gate: GateOp, d: int, n_particles: int):
+    """How the gate acts on the sector basis; every gate application reads it.
+
+    A phase gate is diagonal: the result is its phase vector p.  A rotation
+    or controlled rotation only mixes the pairs (src, dst) of
+    ``fock._pair_transitions``: the result is (src, dst, mix, c), and the
+    gate maps a[src] -> c a[src] - mix a[dst] and a[dst] -> c a[dst] +
+    mix a[src], with mix = sin(angle/2) times the pair's sign.
+    """
     if gate.kind == "phase":
         i, j = gate.sites
         ni, nj = fock._occupied(d, n_particles, i), fock._occupied(d, n_particles, j)
-        phase = np.ones(amps.shape[-1], dtype=np.complex128)
+        phase = np.ones(fock.sector_dim(d, n_particles), dtype=np.complex128)
         phase[ni & ~nj] = np.exp(-1j * gate.angle / 2)
         phase[nj & ~ni] = np.exp(+1j * gate.angle / 2)
-        return amps * phase
+        return phase
 
     if gate.kind == "rotation":
         control = None
@@ -165,13 +170,21 @@ def _apply_to_amplitudes(
     if control is not None:
         keep = fock._occupied(d, n_particles, control)[src]
         src, dst, sign = src[keep], dst[keep], sign[keep]
+    return src, dst, math.sin(gate.angle / 2) * sign, math.cos(gate.angle / 2)
 
-    c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
+
+def _apply_to_amplitudes(
+    amps: np.ndarray, gate: GateOp, d: int, n_particles: int
+) -> np.ndarray:
+    """Apply a gate along the last axis of an amplitude array."""
+    if gate.kind == "phase":
+        return amps * _gate_action(gate, d, n_particles)
+    src, dst, mix, c = _gate_action(gate, d, n_particles)
     out = amps.copy()
     a10 = amps[..., src]
     a01 = amps[..., dst]
-    out[..., src] = c * a10 - s * sign * a01
-    out[..., dst] = c * a01 + s * sign * a10
+    out[..., src] = c * a10 - mix * a01
+    out[..., dst] = c * a01 + mix * a10
     return out
 
 

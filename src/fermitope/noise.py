@@ -18,16 +18,19 @@ import numpy as np
 from . import fock, gates, polytope
 from .errors import InvalidDimensionError, InvalidGateError, SectorMismatchError, StepSizeError
 from .fock import MixedState, PureState
-from .gates import Protocol
+from .gates import GateOp, Protocol
 
 PAPER_DEPHASING_RATE = 1.66e5  # 1/s at 4 K
 
 DEFAULT_PAIRS = ((1, 2), (3, 4), (5, 6))
 
 # Most Trotter steps one run may take, gates and free time together.  A
-# d = 6 step costs about 50 us on one CPU, so the longest run accepted
-# there takes about 5 s.
+# d = 6 step, observables included, costs 8-13 us on one CPU, so the
+# longest run accepted there takes about 1.3 s.
 _MAX_STEPS = 100_000
+
+# Recorded states are observed in blocks of about this many bytes.
+_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,12 @@ def evolve_noisy_protocol(
     """Trotterized noisy protocol run from |101010> (or ``initial``).
 
     Each gate is sliced into steps no longer than ``dt``; every step
-    applies the partial gate unitary and then the dephasing channel.
+    applies the partial gate unitary and then the dephasing channel, in
+    O(dim^2): a rotation slice only mixes the basis pairs that the hop
+    a_j^+ a_i connects, so it changes their rows and columns of rho, and a
+    phase slice is diagonal, so it joins the channel's kernel.  Fidelity,
+    purity and the 1-RDM are computed over blocks of recorded states of
+    about ``_BLOCK_BYTES``, so only the d x d 1-RDMs grow with the steps.
     ``free_time`` appends channel-only evolution after the last gate.
     Zero rates reproduce the noiseless protocol exactly.  A start that is
     not a PureState, a run that needs more than ``_MAX_STEPS`` steps, or a
@@ -132,13 +140,15 @@ def evolve_noisy_protocol(
     # second (steps, d, d) array.
     times, fid, pur = np.empty((3, n_steps + 1))
     herm = np.empty((n_steps + 1, d, d), dtype=complex)
-    states = _trotter_states(zip(segments, plan), initial.normalized().amplitudes, d, n)
-    for k, (t, rho, psi) in enumerate(states):
-        times[k] = t
-        fid[k] = np.real(psi.conj() @ rho @ psi)
-        pur[k] = np.sum(np.abs(rho) ** 2)
-        gamma = fock._rdm_kernel(d, n, rho, density=True)
-        herm[k] = (gamma + gamma.conj().T) / 2.0
+    psi = initial.normalized().amplitudes
+    w = np.vstack([np.outer(psi, psi.conj()), psi])
+    size = min(n_steps + 1, max(1, _BLOCK_BYTES // w.nbytes))
+    start = 0
+    for block_times, states in _trotter_blocks(zip(segments, plan), w, d, n, size):
+        block = slice(start, start + len(states))
+        times[block] = block_times
+        fid[block], pur[block], herm[block] = _observe(states, d, n)
+        start = block.stop
     lambdas = np.linalg.eigvalsh(herm)[:, ::-1]
     if d == 6:
         f1, f2 = polytope._MERITS["f1"](lambdas), polytope._MERITS["f2"](lambdas)
@@ -148,6 +158,7 @@ def evolve_noisy_protocol(
         f1, f2 = np.full((2, len(times)), np.nan)
         margin_ok = np.ones(len(times), dtype=bool)
 
+    rho = states[-1, :-1]
     rho = (rho + rho.conj().T) / 2.0
     final = MixedState(d, n, rho)
     trajectory = Trajectory(
@@ -163,26 +174,100 @@ def evolve_noisy_protocol(
     return trajectory, final
 
 
-def _trotter_states(planned_segments, psi: np.ndarray, d: int, n: int):
-    """Yield (t, rho, psi) at t = 0 and after every step: the gate's slice,
-    if any, then the dephasing channel.  ``rho`` changes in place after a
-    yield, so read it before asking for the next step."""
-    rho = np.outer(psi, psi.conj())
-    masks = fock._sector_masks(d, n)
-    hamming = np.bitwise_count(masks[:, None] ^ masks)
-    t = 0.0
-    yield t, rho, psi
+def _trotter_blocks(planned_segments, w: np.ndarray, d: int, n: int, size: int):
+    """Yield (times, states) for t = 0 and after every step, in blocks of
+    ``size`` states (the last may be shorter).  Like the start ``w``, which
+    is not changed, states[k, :-1] is rho and states[k, -1] is psi, the
+    same run without noise, as a row.  Both arrays are overwritten once the
+    next block is asked for.
+    """
+    times = np.zeros(size)
+    states = np.empty((size,) + w.shape, dtype=complex)
+    slots = states.reshape(size, -1)
+    states[0], filled, t = w, 1, 0.0
+    w = w.copy()
     for (gate, rate, span), steps in planned_segments:
         delta = span / steps
-        u = None if gate is None else gates.gate_matrix(gate.scaled(1.0 / steps), d, n)
-        kernel = np.exp(-rate * delta * hamming / 2.0)
+        slice_ = None if gate is None else gate.scaled(1.0 / steps)
+        w, rotation, kernel, back = _segment(w, slice_, rate * delta, d, n)
         for _ in range(steps):
-            if u is not None:
-                rho = u @ rho @ u.conj().T
-                psi = u @ psi
-            rho *= kernel
+            if filled == size:
+                yield times, states
+                filled = 0
+            _step(w, rotation, kernel)
             t += delta
-            yield t, rho, psi
+            times[filled] = t
+            if back is None:
+                states[filled] = w
+            else:
+                w.take(back, out=slots[filled], mode="clip")
+            filled += 1
+        if back is not None:
+            w = w.take(back).reshape(w.shape)
+    yield times[:filled], states[:filled]
+
+
+def _segment(w: np.ndarray, gate: GateOp | None, decay: float, d: int, n: int):
+    """(w, rotation, kernel, back) for the steps of one slice, or of free time.
+
+    A rotation slice maps each of its pairs (a, b) = (src, dst) to
+    (c a - mix b, c b + mix a); with a and b swapped where mix < 0, every
+    pair turns by the same real matrix r = [[c, -|mix|], [|mix|, c]].  So w
+    is returned in a basis ordered by the pairs' a, then their b, then the
+    rest, and ``rotation`` is r with the float views of the pairs' rows of
+    rho and of their columns of w, which hold psi too.  ``back`` gathers a
+    flattened state back to the sector basis.  A phase slice is diagonal:
+    rho -> p rho p^H and psi -> p psi join the dephasing ``kernel``, which
+    scales the coherence of two basis states by exp(-decay * hamming / 2).
+    """
+    dim = w.shape[1]
+    order, rotation, back = np.arange(dim), None, None
+    if gate is not None and gate.kind != "phase":
+        src, dst, mix, c = gates._gate_action(gate, d, n)
+        flip = np.signbit(mix)
+        rest = np.setdiff1d(order, np.concatenate([src, dst]), assume_unique=True)
+        order = np.concatenate([np.where(flip, dst, src), np.where(flip, src, dst), rest])
+        rows = np.append(order, dim)
+        w = w[rows[:, None], order]
+        inverse = np.argsort(rows)
+        back = (inverse[:, None] * dim + inverse[:dim]).ravel()
+        m, s = len(src), abs(mix[0]) if len(src) else 0.0
+        floats = w.view(float)
+        rotation = (
+            np.array([[c, -s], [s, c]]),
+            floats[: 2 * m].reshape(2, 2 * m * dim),
+            floats[:, : 4 * m].reshape(dim + 1, 2, 2 * m),
+        )
+    # The kernel depends on the Hamming distance alone: one exp per distance.
+    masks = fock._sector_masks(d, n)[order]
+    hamming = np.bitwise_count(masks[:, None] ^ masks)
+    kernel = np.ones(w.shape)
+    kernel[:-1] = np.exp(-decay * np.arange(d + 1) / 2.0)[hamming]
+    if gate is not None and gate.kind == "phase":
+        phase = gates._gate_action(gate, d, n)
+        kernel = kernel * np.vstack([np.outer(phase, phase.conj()), phase])
+    return w, rotation, kernel, back
+
+
+def _step(w: np.ndarray, rotation, kernel: np.ndarray) -> None:
+    """One Trotter step in place: the rotation slice, if any, then the kernel."""
+    if rotation is not None:
+        r, rows, cols = rotation
+        np.matmul(r, rows, out=rows)
+        np.matmul(r, cols, out=cols)
+    w *= kernel
+
+
+def _observe(states: np.ndarray, d: int, n: int):
+    """Fidelity, purity and the Hermitian 1-RDM of a block of recorded states."""
+    rho, psi = states[:, :-1], states[:, -1]
+    flat = rho.reshape(len(rho), -1)
+    gamma = fock._rdm_kernel(d, n, rho, density=True)
+    return (
+        np.real(psi.conj()[:, None, :] @ rho @ psi[:, :, None])[:, 0, 0],
+        np.real(np.vecdot(flat, flat)),
+        (gamma + np.swapaxes(gamma, 1, 2).conj()) / 2.0,
+    )
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,75 @@ def dense_one_rdm(state: fock.PureState) -> np.ndarray:
     return gamma
 
 
+def sector_hop_operators(d: int, n_particles: int) -> np.ndarray:
+    """E[i, j] = a_{j+1}^+ a_{i+1} on the sector, from dense full-space operators,
+    so that the 1-RDM of a sector density matrix rho is tr(rho E[i, j])."""
+    ops = np.empty((d, d) + (fock.sector_dim(d, n_particles),) * 2, dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            hop = dense_creation(d, j + 1) @ dense_annihilation(d, i + 1)
+            ops[i, j] = restrict(hop, d, n_particles, n_particles)
+    return ops
+
+
+def dephasing_kernel(d: int, n_particles: int, rate: float, delta: float) -> np.ndarray:
+    """exp(-rate * delta * hamming(a, b) / 2) over the sector's basis states,
+    with Hamming distances taken from their full-Fock indices."""
+    masks = sector_indices(d, n_particles)
+    hamming = np.array([[bin(a ^ b).count("1") for b in masks] for a in masks])
+    return np.exp(-rate * delta * hamming / 2.0)
+
+
+def dense_trotter_states(protocol, params, dt, initial, free_time=0.0):
+    """Yield (t, rho, psi) at t = 0 and after every Trotter step.
+
+    Each step conjugates rho by the dense `gate_matrix` of the gate's slice,
+    moves psi with it, and multiplies rho by `dephasing_kernel`.  The plan
+    (ceil(span / dt) steps per gate, then per free-time segment) is the one
+    `evolve_noisy_protocol` documents.
+    """
+    d, n = initial.d, initial.n_particles
+    gate_rate = params.dephasing_rate + params.emission_rate
+    segments = [(g, gate_rate, g.duration) for g in protocol.gates]
+    if free_time > 0.0:
+        segments.append((None, params.dephasing_rate, free_time))
+    psi = initial.normalized().amplitudes
+    rho = np.outer(psi, psi.conj())
+    t = 0.0
+    yield t, rho, psi
+    for gate, rate, span in segments:
+        steps = max(1, math.ceil(span / dt))
+        delta = span / steps
+        u = None if gate is None else gates.gate_matrix(gate.scaled(1.0 / steps), d, n)
+        kernel = dephasing_kernel(d, n, rate, delta)
+        for _ in range(steps):
+            if u is not None:
+                rho = u @ rho @ u.conj().T
+                psi = u @ psi
+            rho = rho * kernel
+            t += delta
+            yield t, rho, psi
+
+
+def dense_trajectory(protocol, params, dt, initial, free_time=0.0, margin_epsilon=0.06):
+    """The columns of a noisy trajectory on a six-mode sector, from
+    `dense_trotter_states` and dense 1-RDMs: (columns, final rho)."""
+    ops = sector_hop_operators(initial.d, initial.n_particles)
+    rows = {key: [] for key in ("times", "fidelity", "purity", "lambdas", "f1", "f2", "margin_ok")}
+    for t, rho, psi in dense_trotter_states(protocol, params, dt, initial, free_time):
+        gamma = np.einsum("ab,ijba->ij", rho, ops)
+        lam = np.linalg.eigvalsh((gamma + gamma.conj().T) / 2.0)[::-1]
+        merits = polytope.merit_values(lam)
+        rows["times"].append(t)
+        rows["fidelity"].append(np.real(psi.conj() @ rho @ psi))
+        rows["purity"].append(np.sum(np.abs(rho) ** 2))
+        rows["lambdas"].append(lam)
+        rows["f1"].append(merits.f1)
+        rows["f2"].append(merits.f2)
+        rows["margin_ok"].append(polytope.check_weakened(lam, margin_epsilon).member)
+    return {key: np.array(values) for key, values in rows.items()}, rho
+
+
 def many_body_readout(state, protocol: gates.Protocol, sites) -> list[float]:
     """Occupations of ``sites`` after ``protocol`` acts on the whole sector state.
 

@@ -113,8 +113,7 @@ class TestPolytopeAndFunctional:
         def no_step(*_, **__):
             raise AssertionError("a refused run took a step")
 
-        # The noisy run computes one 1-RDM per step.
-        monkeypatch.setattr(noise.fock, "_rdm_kernel", no_step)
+        monkeypatch.setattr(noise, "_step", no_step)
         code, _ = run(tmp_path, "bad.json", args)
         assert code == EXIT_CONFIG
 

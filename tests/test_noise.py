@@ -1,8 +1,10 @@
 """Dephasing channel, noisy trajectories, echo and the purity bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from fermitope import gates, noise
@@ -12,7 +14,9 @@ from fermitope.errors import (
 from fermitope.fock import (
     MixedState, basis_vector, maximally_mixed, natural_occupations, one_rdm, random_pure_state,
 )
-from fermitope.gates import Protocol, build_protocol, target_state
+from fermitope.gates import (
+    Protocol, build_protocol, controlled_rotation, phase_gate, rotation, target_state,
+)
 from fermitope.noise import (
     NoiseParams,
     evolve_noisy_protocol,
@@ -29,12 +33,12 @@ DT = 1e-12
 
 
 def forbid_steps(monkeypatch):
-    """Make every recorded step fail: the 1-RDM kernel runs once per step."""
+    """Make every Trotter step fail."""
 
     def no_step(*_, **__):
         raise AssertionError("a refused run took a step")
 
-    monkeypatch.setattr(noise.fock, "_rdm_kernel", no_step)
+    monkeypatch.setattr(noise, "_step", no_step)
 
 
 class TestFidelityAndPurity:
@@ -278,6 +282,106 @@ class TestEvolveNoisyProtocol:
             ]
             assert list(row.values()) == want
             assert [type(v) for v in row.values()] == [type(v) for v in want]
+
+
+# One gate of each kind; every site lies within the smallest sector, d = 6.
+SLICE_GATES = {
+    "rotation-i-above-j": rotation(5, 2, 2.3, 20e-12),
+    "controlled-inside-the-pair": controlled_rotation(3, 1, 5, -1.7, 60e-12),
+    "controlled-outside-the-pair": controlled_rotation(6, 1, 4, 4.1, 60e-12),
+    "phase": phase_gate(2, 5, 0.9, 20e-12),
+}
+
+
+class TestStepsAgainstDenseConjugation:
+    @pytest.mark.parametrize("gate", SLICE_GATES.values(), ids=SLICE_GATES.keys())
+    @pytest.mark.parametrize("d,n", [(6, 3), (8, 4), (10, 5)])
+    def test_every_slice_is_the_dense_conjugation(self, d, n, gate):
+        # A random Hermitian rho and an unrelated psi, four slices of one gate.
+        dim = math.comb(d, n)
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = (a + a.conj().T) / 2.0
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        start = np.vstack([rho, psi])
+        steps, rate = 4, 1e10
+        plan = [((gate, rate, gate.duration), steps)]
+        ((times, states),) = noise._trotter_blocks(plan, start, d, n, steps + 1)
+        assert np.array_equal(states[0], start)
+        u = gates.gate_matrix(gate.scaled(1.0 / steps), d, n)
+        kernel = oracles.dephasing_kernel(d, n, rate, gate.duration / steps)
+        for state in states[1:]:
+            rho, psi = kernel * (u @ rho @ u.conj().T), u @ psi
+            assert np.max(np.abs(state[:-1] - rho)) <= 1e-14
+            assert np.max(np.abs(state[-1] - psi)) <= 1e-14
+        assert times[-1] == pytest.approx(gate.duration, rel=1e-15)
+
+
+class TestTrajectoryAgainstDenseOracle:
+    COLUMNS = ("times", "fidelity", "purity", "lambdas", "f1", "f2")
+
+    @pytest.mark.parametrize("free_time", [0.0, 7 * DT], ids=["gates", "free-time"])
+    @pytest.mark.parametrize("rate", [noise.PAPER_DEPHASING_RATE, 1e10], ids=["paper", "1e10"])
+    @pytest.mark.parametrize("label", ["epr", "w", "ghz"])
+    def test_protocol_targets(self, label, rate, free_time):
+        params = NoiseParams(dephasing_rate=rate)
+        self.check(build_protocol(label), params, target_state("slater"), free_time)
+
+    def test_random_protocol_with_a_phase_gate(self):
+        protocol = Protocol(
+            "random",
+            (
+                rotation(4, 1, 2.2, 20e-12),
+                phase_gate(6, 2, 1.3, 20e-12),
+                controlled_rotation(5, 2, 6, -2.9, 60e-12),
+                rotation(3, 6, 0.4, 20e-12),
+            ),
+        )
+        params = NoiseParams(dephasing_rate=1e10, emission_rate=2e9)
+        self.check(protocol, params, random_pure_state(6, 3, seed=7), 5 * DT)
+
+    def check(self, protocol, params, initial, free_time):
+        trajectory, final = evolve_noisy_protocol(
+            protocol, params, DT, initial=initial, free_time=free_time
+        )
+        want, rho = oracles.dense_trajectory(protocol, params, DT, initial, free_time)
+        for column in self.COLUMNS:
+            assert np.max(np.abs(getattr(trajectory, column) - want[column])) <= 1e-12, column
+        assert np.array_equal(trajectory.margin_ok, want["margin_ok"])
+        assert np.max(np.abs(final.matrix - (rho + rho.conj().T) / 2.0)) <= 1e-12
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_large_sector_run_holds_a_few_states(self):
+        # 41 recorded states of 1 MB each; the run may hold seven at once.
+        initial = random_pure_state(10, 5, seed=2)
+        protocol = Protocol("one", (rotation(1, 10, 1.0, 20e-12),))
+        (trajectory, _), peak = traced_peak(
+            lambda: evolve_noisy_protocol(protocol, PAPER_NOISE, 2e-12, initial, 60e-12)
+        )
+        assert len(trajectory.times) == 41
+        rho_bytes, herm_bytes = math.comb(10, 5) ** 2 * 16, 41 * 10 * 10 * 16
+        assert peak < 7 * rho_bytes + herm_bytes
+
+    def test_long_run_does_not_hold_its_states(self):
+        # 50,000 states of (20 + 1) x 20 entries would take 336 MB; the 1-RDMs
+        # take 28.8 MB.
+        initial, idle = random_pure_state(6, 3, seed=3), Protocol("idle", ())
+        (trajectory, _), peak = traced_peak(
+            lambda: evolve_noisy_protocol(idle, PAPER_NOISE, DT, initial, 50_000 * DT)
+        )
+        assert len(trajectory.times) == 50_001
+        herm_bytes = 50_001 * 6 * 6 * 16
+        assert peak < 1.5 * herm_bytes
 
 
 class TestLoschmidtEcho:
