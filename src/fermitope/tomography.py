@@ -8,10 +8,14 @@ rotation (real part) or a quarter phase followed by a quarter rotation
 Every readout gate is one-body, so a setting whose sequence has mode
 matrix u measures the diagonal of u gamma u^+, where gamma is the
 state's d x d 1-RDM; full reconstruction uses exactly d^2 settings.
+The mode matrices depend on d alone: they are built once per d, and
+every setting is read from one stacked product.  Per-setting seeds are
+spawned only when shots are finite.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,59 +95,82 @@ def readout_sequence_offdiag(i: int, j: int, part: str) -> Protocol:
     return Protocol(label=f"offdiag-{i}-{j}-{part}", gates=tuple(ops))
 
 
+@lru_cache(maxsize=None)
+def _readout_modes(d: int) -> np.ndarray:
+    """Read-only (d^2 - d, d, d) stack of the off-diagonal settings' u^T.
+
+    Setting 2k is Re and 2k + 1 is Im of the k-th pair i < j in row-major
+    order.  Each slice applies the gates of ``readout_sequence_offdiag`` to
+    the rows of the d x d identity, so the rows of slice s are the images
+    of the one-particle basis states under that setting's sequence.
+    """
+    stack = []
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            for part in ("real", "imag"):
+                rows = np.eye(d, dtype=np.complex128)
+                for gate in readout_sequence_offdiag(i, j, part).gates:
+                    rows = _apply_to_amplitudes(rows, gate, d, 1)
+                stack.append(rows)
+    modes = np.array(stack, dtype=np.complex128).reshape(d * d - d, d, d)
+    modes.flags.writeable = False
+    return modes
+
+
 def reconstruct_one_rdm(
     state: PureState | MixedState, shots: int | None, seed: int = 0
 ) -> RDMEstimate:
     """Estimate the full 1-RDM from d^2 measurement settings.
 
     ``shots`` measurements are drawn per setting (``None`` uses exact
-    expectation values, the infinite-shot limit).  Per-setting seeds are
-    spawned deterministically from ``seed``.  The readout gates are
+    expectation values, the infinite-shot limit).  The readout gates are
     one-body, so each setting's occupations are read from the state's
-    1-RDM gamma0 as the diagonal of u gamma0 u^+.  The sequence's mode
-    matrix u is its action on the one-particle sector: applying the gates
-    to the rows of the d x d identity gives u^T.
+    1-RDM gamma0 as the diagonal of u gamma0 u^+, with u the sequence's
+    mode matrix.  The d^2 - d off-diagonal u^T are built once per d
+    (``_readout_modes``) and every setting is read from one stacked
+    product.  For finite shots each setting draws from its own generator,
+    seeded by one of d^2 children spawned from ``seed``; the exact limit
+    validates ``seed`` but spawns nothing.
     """
     d = state.d
-    n_pairs = d * (d - 1) // 2
-    n_settings = d + 2 * n_pairs
-    seeds = iter(np.random.SeedSequence(fock.checked_seed(seed)).spawn(n_settings))
+    seed = fock.checked_seed(seed)
     gamma0 = fock.one_rdm(state)
-
-    def read(measured: np.ndarray, sites) -> list[tuple[float, float]]:
-        """(estimate, sigma) of each site's occupation in the next setting."""
-        setting_seed = next(seeds)
-        probs = [float(measured[site - 1, site - 1].real) for site in sites]
-        if shots is None:
-            return [(p, 0.0) for p in probs]
-        rng = np.random.default_rng(setting_seed)
-        return [_shot_sample(p, shots, rng)[1:] for p in probs]
-
-    gamma = np.zeros((d, d), dtype=np.complex128)
+    modes = _readout_modes(d)
+    measured = np.matmul(np.matmul(modes.swapaxes(1, 2), gamma0), modes.conj())
+    # Setting s off the diagonal measures sites (j-1, j) of its pair i < j.
+    upper = np.triu_indices(d, 1)
+    measured_sites = np.repeat(upper[1], 2)[:, None] + [-1, 0]
+    diag = gamma0.real.diagonal()
+    pair = np.take_along_axis(
+        measured.real.diagonal(axis1=1, axis2=2), measured_sites, axis=1
+    )
     sigma = np.zeros((d, d), dtype=np.float64)
+    if shots is not None:
+        rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(d * d))
+        draws = [
+            [_shot_sample(p, shots, rng)[1:] for p in probs]
+            for rng, probs in zip(rngs, [[p] for p in diag.tolist()] + pair.tolist())
+        ]
+        diag_draws = np.array(draws[:d], dtype=np.float64).reshape(d, 2)
+        pair_draws = np.array(draws[d:], dtype=np.float64).reshape(-1, 2, 2)
+        diag, pair = diag_draws[:, 0], pair_draws[:, :, 0]
+        np.fill_diagonal(sigma, diag_draws[:, 1])
+        # Python's float ** rounds unlike numpy's square in rare last bits.
+        errs = [
+            math.sqrt(sig_lo**2 + sig_hi**2) / 2.0
+            for sig_lo, sig_hi in pair_draws[:, :, 1].tolist()
+        ]
+        sigma[upper] = sigma.T[upper] = [
+            math.sqrt(err_re**2 + err_im**2)
+            for err_re, err_im in zip(errs[0::2], errs[1::2])
+        ]
 
-    for site in range(1, d + 1):
-        [(est, sig)] = read(gamma0, [site])
-        gamma[site - 1, site - 1] = est
-        sigma[site - 1, site - 1] = sig
-
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            parts = {}
-            errs = {}
-            for part in ("real", "imag"):
-                rows = np.eye(d, dtype=np.complex128)
-                for gate in readout_sequence_offdiag(i, j, part).gates:
-                    rows = _apply_to_amplitudes(rows, gate, d, 1)
-                (lo, sig_lo), (hi, sig_hi) = read(rows.T @ gamma0 @ rows.conj(), [j - 1, j])
-                parts[part] = (hi - lo) / 2.0
-                errs[part] = math.sqrt(sig_lo**2 + sig_hi**2) / 2.0
-            gamma[i - 1, j - 1] = parts["real"] + 1j * parts["imag"]
-            gamma[j - 1, i - 1] = parts["real"] - 1j * parts["imag"]
-            sigma[i - 1, j - 1] = sigma[j - 1, i - 1] = math.sqrt(
-                errs["real"] ** 2 + errs["imag"] ** 2
-            )
-
+    half = (pair[:, 1] - pair[:, 0]) / 2.0
+    re, im = half[0::2], half[1::2]
+    gamma = np.zeros((d, d), dtype=np.complex128)
+    np.fill_diagonal(gamma, diag)
+    gamma[upper] = re + 1j * im
+    gamma.T[upper] = re - 1j * im
     return RDMEstimate(
-        matrix=gamma, sigma=sigma, shots_per_setting=shots, settings=n_settings
+        matrix=gamma, sigma=sigma, shots_per_setting=shots, settings=d * d
     )

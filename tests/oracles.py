@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from fermitope import fock, gates, polytope
+from fermitope import fock, gates, polytope, tomography
 from fermitope.errors import UnsupportedCaseError
 
 _SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
@@ -187,6 +187,53 @@ def many_body_readout(state, protocol: gates.Protocol, sites) -> list[float]:
             u = gates.gate_matrix(gate, state.d, state.n_particles) @ u
         measured = fock.MixedState(state.d, state.n_particles, u @ state.matrix @ u.conj().T)
     return [fock.occupation_expectation(measured, site) for site in sites]
+
+
+def readout_by_gates(state, shots, seed) -> tomography.RDMEstimate:
+    """The 1-RDM reconstruction setting by setting, gate by gate.
+
+    Each off-diagonal setting applies its readout gates to the rows of the
+    d x d identity and reads its two occupations from the diagonal of its
+    own u gamma0 u^+.  Seeds are spawned for every call, shots or not.
+    """
+    d = state.d
+    n_pairs = d * (d - 1) // 2
+    n_settings = d + 2 * n_pairs
+    seeds = iter(np.random.SeedSequence(fock.checked_seed(seed)).spawn(n_settings))
+    gamma0 = fock.one_rdm(state)
+
+    def read(measured, sites):
+        setting_seed = next(seeds)
+        probs = [float(measured[site - 1, site - 1].real) for site in sites]
+        if shots is None:
+            return [(p, 0.0) for p in probs]
+        rng = np.random.default_rng(setting_seed)
+        return [tomography._shot_sample(p, shots, rng)[1:] for p in probs]
+
+    gamma = np.zeros((d, d), dtype=np.complex128)
+    sigma = np.zeros((d, d), dtype=np.float64)
+    for site in range(1, d + 1):
+        [(est, sig)] = read(gamma0, [site])
+        gamma[site - 1, site - 1] = est
+        sigma[site - 1, site - 1] = sig
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            parts, errs = {}, {}
+            for part in ("real", "imag"):
+                rows = np.eye(d, dtype=np.complex128)
+                for gate in tomography.readout_sequence_offdiag(i, j, part).gates:
+                    rows = gates._apply_to_amplitudes(rows, gate, d, 1)
+                (lo, sig_lo), (hi, sig_hi) = read(rows.T @ gamma0 @ rows.conj(), [j - 1, j])
+                parts[part] = (hi - lo) / 2.0
+                errs[part] = math.sqrt(sig_lo**2 + sig_hi**2) / 2.0
+            gamma[i - 1, j - 1] = parts["real"] + 1j * parts["imag"]
+            gamma[j - 1, i - 1] = parts["real"] - 1j * parts["imag"]
+            sigma[i - 1, j - 1] = sigma[j - 1, i - 1] = math.sqrt(
+                errs["real"] ** 2 + errs["imag"] ** 2
+            )
+    return tomography.RDMEstimate(
+        matrix=gamma, sigma=sigma, shots_per_setting=shots, settings=n_settings
+    )
 
 
 def grid_entropy_maximum(label: str, step: float = 1e-3) -> float:

@@ -143,12 +143,77 @@ class TestOneBodyReadout:
         assert np.max(np.abs(np.array(probs) - expected)) < 1e-12
 
     @pytest.mark.parametrize(
-        "d,n", [(2, 1), (4, 2), (5, 3), (6, 3), (7, 2), (7, 4), (8, 3), (8, 4), (10, 5)]
+        "d,n",
+        [(2, 1), (4, 2), (5, 3), (6, 3), (7, 2), (7, 4), (8, 3), (8, 4), (10, 5)]
+        + [(24, 1), (24, 2), (24, 23)],
     )
     def test_infinite_shot_limit_on_random_mixed_states(self, d, n):
         state = _random_mixed_state(d, n, seed=10 * d + n)
         estimate = reconstruct_one_rdm(state, shots=None)
         assert np.max(np.abs(estimate.matrix - one_rdm(state))) < 1e-12
+        again = reconstruct_one_rdm(state, shots=None)
+        assert np.array_equal(estimate.matrix, again.matrix)
+        assert estimate.settings == d * d
+
+
+def _sectors_for_oracle():
+    for d in range(2, 11):
+        for n in range(d + 1) if d <= 6 else (1, d // 2, d - 1):
+            yield d, n
+
+
+class TestStackedReadout:
+    """The stacked product reads every setting as the gate-by-gate loop did."""
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    @pytest.mark.parametrize("d,n", list(_sectors_for_oracle()))
+    def test_bit_identical_to_gate_by_gate_readout(self, d, n, kind):
+        state_seed = 100 * d + n
+        if kind == "pure":
+            state = random_pure_state(d, n, state_seed)
+        else:
+            state = _random_mixed_state(d, n, state_seed)
+        for shots in (None, 1, 7, 100_000):
+            for seed in (0, 5, 2**40 + 3):
+                got = reconstruct_one_rdm(state, shots, seed)
+                want = oracles.readout_by_gates(state, shots, seed)
+                assert np.array_equal(got.matrix, want.matrix)
+                assert np.array_equal(got.sigma, want.sigma)
+                assert got.settings == want.settings == d * d
+
+    def test_mode_stack_is_read_only(self):
+        modes = tomography._readout_modes(24)
+        assert modes.shape == (552, 24, 24)
+        with pytest.raises(ValueError):
+            modes[0, 0, 0] = 2.0
+
+    def test_sequences_built_once_per_d(self, monkeypatch):
+        calls = []
+        sequence = tomography.readout_sequence_offdiag
+
+        def spy(i, j, part):
+            calls.append((i, j, part))
+            return sequence(i, j, part)
+
+        monkeypatch.setattr(tomography, "readout_sequence_offdiag", spy)
+        tomography._readout_modes.cache_clear()
+        reconstruct_one_rdm(target_state("w"), shots=None)
+        assert len(calls) == 30
+        reconstruct_one_rdm(target_state("ghz"), shots=100, seed=2)
+        assert len(calls) == 30
+
+    @pytest.mark.parametrize("shots", [None, 100])
+    def test_seeds_spawned_only_for_finite_shots(self, monkeypatch, shots):
+        spawned = []
+
+        class SpySeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(np.random, "SeedSequence", SpySeedSequence)
+        reconstruct_one_rdm(target_state("w"), shots, seed=4)
+        assert spawned == ([] if shots is None else [36])
 
 
 class TestReconstruction:
