@@ -247,12 +247,16 @@ class MixedState:
         rho = np.asarray(self.matrix, dtype=np.complex128)
         if rho.shape != (dim, dim):
             raise InvalidDimensionError(f"density matrix must be {dim}x{dim}")
+        if not np.all(np.isfinite(rho)):
+            raise InvalidRDMError("density matrix must be finite")
         if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
             raise InvalidRDMError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
             raise InvalidRDMError("density matrix trace must be 1 within 1e-12")
-        if np.linalg.eigvalsh(rho)[0] < -1e-10:
-            raise InvalidRDMError("density matrix has an eigenvalue below -1e-10")
+        try:  # rho + 1e-10 I has a Cholesky factor iff no eigenvalue is below -1e-10, to rounding
+            np.linalg.cholesky(rho + 1e-10 * np.eye(dim))
+        except np.linalg.LinAlgError:
+            raise InvalidRDMError("density matrix has an eigenvalue below -1e-10") from None
         rho = rho.copy()
         rho.flags.writeable = False
         object.__setattr__(self, "matrix", rho)
@@ -336,8 +340,7 @@ def _pair_transitions(
     index, signs = _creation_table(d, n_particles)
     rows = np.flatnonzero(signs[:, i - 1] * signs[:, j - 1])
     rows = rows[np.argsort(index[rows, i - 1])]
-    src = index[rows, i - 1].astype(np.intp)
-    dst = index[rows, j - 1].astype(np.intp)
+    src, dst = index[rows, i - 1], index[rows, j - 1]
     sign = (signs[rows, i - 1] * signs[rows, j - 1]).astype(np.float64)
     for arr in (src, dst, sign):
         arr.flags.writeable = False
@@ -362,12 +365,12 @@ def _pair_transitions(
 def _creation_table(d: int, n_particles: int) -> tuple[np.ndarray, np.ndarray]:
     """(C, S), both (binomial(d, N-1), d); empty for N = 0.
 
-    C is int32 (binomial(24, 12) < 2**31) and S int8, built one column at a
-    time: no (binomial(d, N-1), d) int64 temporary is made.
+    C is np.intp, the dtype numpy gathers with, so no gather converts it;
+    S is int8.  Both are built one column at a time.
     """
     _check_sector(d, n_particles)
     masks = _sector_masks(d, n_particles - 1) if n_particles else np.zeros(0, np.int64)
-    index = np.zeros((len(masks), d), dtype=np.int32)
+    index = np.zeros((len(masks), d), dtype=np.intp)
     signs = np.zeros((len(masks), d), dtype=np.int8)
     for col in range(d):
         bit = d - 1 - col

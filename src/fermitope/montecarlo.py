@@ -34,7 +34,7 @@ evaluations of the samples, against 3.2-5.3 for a bisection down from
 0.5 (the canonical pairs, n = 1e5; ghz/F_W hands 2.1-2.2 n rows to its
 certificate, because the early stop below leaves rows to later steps).
 Where the condition fails (slater with F_W) the search is that
-bisection, evaluating every sample at every step.
+bisection, over every sample and with brackets that tell nothing.
 
 F_EPR and F_Slater ask a question of inertia.  With A = I - gamma,
 lambda1 < 1 iff A has no eigenvalue <= 0, and lambda2 < 1 iff A has at
@@ -136,24 +136,25 @@ All of this stays far below _TAU (1 + ||gamma||_F) = 2**23 u (1 +
 1e5) the upper bound alone decides 98.4-98.6% of the ghz rows.
 
 The rows a certificate leaves undecided go to eigvalsh in pieces of at
-most _CHUNK_ROWS rows.  In the monotone search a step passes when k / n
->= c, k its violators (np.mean's float test), so the step can tell
-_violations how many violators it needs.  Resolution stops once the
-violators found reach that number (the step passes) or the violators
-found plus the rows left fall short of it (it fails), so each piece
-holds the fewest rows that could settle the step, min(needed - found,
-found + left - needed + 1), but at least _MIN_PIECE.  The rows left are
-then marked violating in a passing step and not violating in a failing
-one.  Each step's outcome is exact, and so is every status read later: a
-failing step only ever becomes the upper end v_hi of a bracket, where
-only its True statuses are used, and those are proved; a passing step
-only the lower end v_lo, where only its False statuses are used, and
-those are proved too.  A row whose status was guessed lies in v_lo &
-~v_hi and is evaluated again at the next step.  So the search visits the
-same steps with the same outcomes, and sigma* does not change.  In a
-ghz/F_W search at n = 1e5, 0.046-0.048 n rows reach eigvalsh (1.39 n
-without the bounds).  violation_probability and the non-monotone
-bisection resolve every row.
+most _CHUNK_ROWS rows.  A step over n samples passes with
+_violators_needed(n, c) violators (np.mean's test k / n >= c), counted
+once for the pilot and once for all samples, and tells _violations how
+many it still needs.  Resolution stops once the violators found reach
+that number (the step passes) or the violators found plus the rows left
+fall short of it (it fails), so each piece holds the fewest rows that
+could settle the step, min(needed - found, found + left - needed + 1),
+but at least _MIN_PIECE.  The rows left are then marked violating in a
+passing step and not violating in a failing one.  Each step's outcome is
+exact, and so is every status read later: a failing step only ever
+becomes the upper end v_hi of a bracket, where only its True statuses
+are used, and those are proved; a passing step only the lower end v_lo,
+where only its False statuses are used, and those are proved too.  A row
+whose status was guessed lies in v_lo & ~v_hi and is evaluated again at
+the next step; without monotonicity no status is read later.  So the
+search visits the same steps with the same outcomes, and sigma* does not
+change.  In a ghz/F_W search at n = 1e5, 0.046-0.048 n rows reach
+eigvalsh (1.39 n without the bounds).  violation_probability resolves
+every row.
 
 Samples are perturbed and diagonalised in fixed chunks of _CHUNK_ROWS
 rows.  Sampling uses the counter-based Philox generator so runs are
@@ -174,6 +175,12 @@ CANONICAL_PAIRING = {label: c.merit for label, c in gates.CLASSES.items() if c.m
 MERIT_LABELS = tuple(CANONICAL_PAIRING.values())
 
 _N_MODES = 6
+
+# The draw of each entry of Delta: the diagonal draws, then the real parts of
+# the 15 pairs above the diagonal, row by row, then their imaginary parts below.
+_DRAW_COLUMN = np.diag(np.arange(_N_MODES))
+_DRAW_COLUMN[np.triu_indices(_N_MODES, k=1)] = np.arange(_N_MODES, _N_MODES + 15)
+_DRAW_COLUMN.T[np.triu_indices(_N_MODES, k=1)] = np.arange(_N_MODES + 15, 36)
 
 # Samples perturbed and diagonalised at once.  A chunk's temporaries
 # (about 3 MB) stay small enough that the allocator reuses the same pages
@@ -270,18 +277,15 @@ def _perturbed_batch(gamma0: np.ndarray, sigma: float, draws: np.ndarray) -> np.
     Stored with the sample axis last: ``.transpose(1, 2, 0)`` of the
     result is a C-contiguous (6, 6, n) array.
     """
-    d = _N_MODES
     draws = draws.T
-    re = draws[d : d + 15]
-    im = draws[d + 15 :]
-
-    out = np.empty((d, d, draws.shape[1]), dtype=np.complex128)
+    rows, cols = np.triu_indices(_N_MODES, k=1)
+    re, im = draws[_DRAW_COLUMN[rows, cols]], draws[_DRAW_COLUMN[cols, rows]]
+    out = np.empty((_N_MODES, _N_MODES, draws.shape[1]), dtype=np.complex128)
     out[...] = gamma0[:, :, None]
-    rows, cols = np.triu_indices(d, k=1)
     out[rows, cols] += sigma * (re + 1j * im)
     out[cols, rows] += sigma * (re - 1j * im)
-    idx = np.arange(d)
-    out[idx, idx] += sigma * draws[:d]
+    idx = np.arange(_N_MODES)
+    out[idx, idx] += sigma * draws[np.diag(_DRAW_COLUMN)]
     return out.transpose(2, 0, 1)
 
 
@@ -316,8 +320,7 @@ def _violations(
     it fails.
     """
     merit_fn = polytope._MERITS[merit]
-    out = np.empty(len(rows), dtype=bool)
-    decided = np.empty(len(rows), dtype=bool)
+    out, decided = np.empty((2, len(rows)), dtype=bool)
     for start in range(0, len(rows), _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
         out[part], decided[part] = _certificate(gamma0, merit, sigma, draws[rows[part]])
@@ -364,10 +367,10 @@ def _top_three_bounds(
     diagonal and the off-diagonal draws; margin = _TAU (1 + ||gamma||_F).
     """
     t0 = g.sum()
-    diag = draws[:, :_N_MODES]
+    diag = draws.take(np.diag(_DRAW_COLUMN), axis=1)
     t = t0 + sigma * diag.sum(axis=1)
     v = (g - t0 / _N_MODES) + sigma * (diag - diag.mean(axis=1, keepdims=True))
-    off = draws[:, _N_MODES:]
+    off = draws[:, _N_MODES:]  # _DRAW_COLUMN puts every off-diagonal draw after these
     s = np.einsum("ij,ij->i", v, v) + 2.0 * sigma**2 * np.einsum("ij,ij->i", off, off)
     margin = _TAU * (1.0 + np.sqrt(t**2 / _N_MODES + s))
     return t / 2.0 + np.sqrt(0.3 * s), t / 2.0 + np.sqrt(1.5 * s), margin
@@ -385,16 +388,14 @@ def _ldl_inertia(g: np.ndarray, sigma: float, draws: np.ndarray) -> tuple[np.nda
     """
     n, rows = _N_MODES, len(draws)
     order = np.argsort(g, kind="stable")
-    column = np.zeros((n, n), dtype=np.intp)  # the draw of each site pair's real part
-    column[np.triu_indices(n, k=1)] = np.arange(n, n + 15)
-    column += column.T
     a, b = np.tril_indices(n, k=-1)
     i, j = order[a], order[b]
+    p, q = np.minimum(i, j), np.maximum(i, j)  # the pair's real part at (p, q), imaginary at (q, p)
     draws = draws.T
     lower = list(zip(a.tolist(), b.tolist()))
-    re = dict(zip(lower, -sigma * draws[column[i, j]]))
-    im = dict(zip(lower, np.where(i > j, sigma, -sigma)[:, None] * draws[column[i, j] + 15]))
-    diag = list((1.0 - g[order])[:, None] - sigma * draws[order])
+    re = dict(zip(lower, -sigma * draws[_DRAW_COLUMN[p, q]]))
+    im = dict(zip(lower, np.where(i > j, sigma, -sigma)[:, None] * draws[_DRAW_COLUMN[q, p]]))
+    diag = list((1.0 - g[order])[:, None] - sigma * draws[_DRAW_COLUMN[order, order]])
 
     negatives = np.zeros(rows, dtype=np.int64)
     decided = np.ones(rows, dtype=bool)
@@ -490,63 +491,58 @@ def max_tolerated_sigma(
     lam0 = np.linalg.eigvalsh(gamma0)[::-1]
     monotone = merit_fn(lam0) <= 0.0 and lam0[0] <= 1.0
 
-    def status(m: int, v_lo: np.ndarray, v_hi: np.ndarray) -> np.ndarray:
-        """Violations at step m of the first len(v_hi) samples.
-
-        v_lo and v_hi are their statuses at a lower step (all True at
-        step 0, which tells nothing) and a higher one (all False if none).
-        """
+    def status(m: int, needed: int, v_lo: np.ndarray, v_hi: np.ndarray) -> np.ndarray:
+        """Violations at step m of the first len(v_hi) samples, exact as far as
+        whether ``needed`` of them violate.  v_lo and v_hi are their statuses at
+        a lower and a higher step, or all True and all False, which tell nothing."""
+        if not monotone:
+            v_lo, v_hi = np.ones_like(v_lo), np.zeros_like(v_hi)
         out = v_hi.copy()
-        if monotone:
-            rows = np.flatnonzero(v_lo & ~v_hi)
-            needed = _violators_needed(len(v_hi), confidence) - np.count_nonzero(v_hi)
-        else:
-            rows, needed = np.arange(len(v_hi)), None
-        out[rows] = _violations(gamma0, merit, m * _STEP, draws, rows, needed)
+        rows = np.flatnonzero(v_lo & ~v_hi)
+        out[rows] = _violations(gamma0, merit, m * _STEP, draws, rows, needed - out.sum())
         return out
-
-    def search(lo: int, hi: int, v_lo: np.ndarray, v_hi: np.ndarray) -> int:
-        return _largest_passing_step(status, confidence, lo, hi, v_lo, v_hi)
 
     everyone = np.ones(n_samples, dtype=bool)
     # Without monotonicity only the bisection over every sample is exact:
     # then the pilot takes every sample and is the whole search.
     k = min(n_samples, _CHUNK_ROWS) if monotone else n_samples
-    m_hat = search(0, _TOP, everyone[:k], status(_TOP, everyone[:k], ~everyone[:k]))
+    pilot, needed = everyone[:k], _violators_needed(k, confidence)
+    v_top = status(_TOP, needed, pilot, ~pilot)
+    m_hat = _largest_passing_step(status, needed, 0, _TOP, pilot, v_top)
     if k == n_samples:
         return m_hat * _STEP
+    needed = _violators_needed(n_samples, confidence)
     hi = min(_TOP, m_hat + max(_MARGIN_STEPS, m_hat // 4))
-    v_hi = status(hi, everyone, ~everyone)
-    if hi < _TOP and np.mean(v_hi) >= confidence:
+    v_hi = status(hi, needed, everyone, ~everyone)
+    if hi < _TOP and np.count_nonzero(v_hi) >= needed:
         # The pilot fell short; only samples violating at hi can violate above it.
-        return search(hi, _TOP, v_hi, status(_TOP, v_hi, ~everyone)) * _STEP
-    return search(0, hi, everyone, v_hi) * _STEP
+        v_top = status(_TOP, needed, v_hi, ~everyone)
+        return _largest_passing_step(status, needed, hi, _TOP, v_hi, v_top) * _STEP
+    return _largest_passing_step(status, needed, 0, hi, everyone, v_hi) * _STEP
 
 
 def _violators_needed(n: int, confidence: float) -> int:
     """Fewest violators k among n samples with k / n >= confidence, the test of np.mean."""
-    k = math.ceil(confidence * n)
-    while k > 0 and (k - 1) / n >= confidence:
-        k -= 1
+    k = max(0, math.ceil(confidence * n) - 2)  # c n, k / n round by < 1 sample for n < 2**52
     while k / n < confidence:
         k += 1
     return k
 
 
-def _largest_passing_step(status, confidence, lo, hi, v_lo, v_hi) -> int:
-    """Largest grid step in [lo, hi] whose violation fraction reaches confidence.
+def _largest_passing_step(status, needed, lo, hi, v_lo, v_hi) -> int:
+    """Largest grid step in [lo, hi] with at least ``needed`` violators.
 
     ``v_lo`` and ``v_hi`` are the violation statuses at steps lo and hi;
-    step lo is taken to pass.  ``status(m, v_lo, v_hi)`` gives the status
-    at a step between them.  Started on [0, 2**12], its midpoints are the
-    points the float bisection of [0, 0.5] visits.
+    step lo is taken to pass.  ``status(m, needed, v_lo, v_hi)`` gives the
+    status at a step between them.  Started on [0, 2**12], its midpoints
+    are the points the float bisection of [0, 0.5] visits.
     """
-    if np.mean(v_hi) >= confidence:
+    if np.count_nonzero(v_hi) >= needed:
         return hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        v_mid = status(mid, v_lo, v_hi)
-        if np.mean(v_mid) >= confidence:
+        v_mid = status(mid, needed, v_lo, v_hi)
+        if np.count_nonzero(v_mid) >= needed:
             lo, v_lo = mid, v_mid
         else:
             hi, v_hi = mid, v_mid

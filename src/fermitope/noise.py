@@ -158,9 +158,9 @@ def evolve_noisy_protocol(
         f1, f2 = np.full((2, len(times)), np.nan)
         margin_ok = np.ones(len(times), dtype=bool)
 
+    # Rounding moves tr rho over many steps (1.5e-12 after 78,573): restore it.
     rho = states[-1, :-1]
-    rho = (rho + rho.conj().T) / 2.0
-    final = MixedState(d, n, rho)
+    final = MixedState(d, n, (rho + rho.conj().T) / (2.0 * np.trace(rho).real))
     trajectory = Trajectory(
         times=times,
         fidelity=fid,

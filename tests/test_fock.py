@@ -431,6 +431,38 @@ class TestStateTypes:
         with pytest.raises(InvalidRDMError):
             MixedState(6, 3, bad)  # not Hermitian
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_density_matrix_refused(self, bad):
+        rho = np.eye(20) / 20
+        rho[3, 3] = bad
+        with pytest.raises(InvalidRDMError, match="finite"):
+            MixedState(6, 3, rho)
+
+    def test_rank_one_states_are_accepted_in_every_sector(self):
+        for d in range(1, 11):
+            for n in range(d + 1):
+                psi = random_pure_state(d, n, seed=d * 11 + n).amplitudes
+                assert MixedState(d, n, np.outer(psi, psi.conj())).matrix.shape == (len(psi),) * 2
+
+    @pytest.mark.parametrize("smallest, accepted", [(-1e-9, False), (-1e-11, True)])
+    def test_psd_threshold(self, smallest, accepted):
+        """The Cholesky check refuses an eigenvalue below -1e-10 and nothing above it."""
+        dim = sector_dim(8, 4)
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        lam = rng.uniform(0.0, 1.0, dim)
+        lam[0] = 0.0
+        lam *= (1.0 - smallest) / lam.sum()
+        lam[0] = smallest
+        rho = (q * lam) @ q.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+        assert np.linalg.eigvalsh(rho)[0] == pytest.approx(smallest, rel=1e-3)
+        if accepted:
+            MixedState(8, 4, rho)
+        else:
+            with pytest.raises(InvalidRDMError, match="below -1e-10"):
+                MixedState(8, 4, rho)
+
     def test_amplitude_reads_its_basis_state(self):
         state = superposition(6, {"101010": 1.0, "010101": -1.0, "011001": 2j})
         assert state.amplitude("011001") == pytest.approx(2j / math.sqrt(6))

@@ -83,6 +83,15 @@ class TestPerturbedSampling:
             assert np.array_equal(sample_perturbed_rdm(spec, k), batch[k])
         assert rows_drawn == [1, 2, 18, spec.n_samples]
 
+    def test_draw_columns_cover_the_draws_once(self):
+        """Diagonal first, then each pair's real part above the diagonal and its
+        imaginary part at the transposed entry."""
+        table = mc._DRAW_COLUMN
+        assert np.array_equal(np.sort(table, axis=None), np.arange(36))
+        assert np.array_equal(np.diag(table), np.arange(6))
+        upper = np.triu_indices(6, k=1)
+        assert np.array_equal(table[upper] + 15, table.T[upper])
+
     def test_epr_corner_entry_never_negative(self):
         spec = PerturbationSpec("epr", sigma=0.3, n_samples=500, seed=3)
         draws = np.array([sample_perturbed_rdm(spec, k)[5, 5].real for k in range(500)])
@@ -377,18 +386,54 @@ class TestMaxToleratedSigma:
         searches = []
         search = mc._largest_passing_step
 
-        def forced_pilot(status, confidence, lo, hi, v_lo, v_hi):
-            searches.append((lo, hi))
+        def forced_pilot(status, needed, lo, hi, v_lo, v_hi):
+            searches.append((needed, lo, hi))
             if len(searches) == 1:
                 return m_hat
-            return search(status, confidence, lo, hi, v_lo, v_hi)
+            return search(status, needed, lo, hi, v_lo, v_hi)
 
         monkeypatch.setattr(mc, "_largest_passing_step", forced_pilot)
         got = max_tolerated_sigma(base, merit, n_samples=n, seed=seed)
+        # The pilot's count is for its 2048 samples, the walk's for all n.
+        assert searches[0][0] == mc._violators_needed(mc._CHUNK_ROWS, 0.999) == 2046
         # m_hat = 0 leaves sigma* above the first full evaluation (a walk up);
         # m_hat = 4095 puts that evaluation at 0.5 (a walk down from the top).
-        assert searches[1] == ((8, mc._TOP) if m_hat == 0 else (0, mc._TOP))
+        walk = (8, mc._TOP) if m_hat == 0 else (0, mc._TOP)
+        assert searches[1:] == [(mc._violators_needed(n, 0.999), *walk)]
         assert got == _exhaustive(base, merit, n, seed)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_non_monotone_pair_stops_resolving_once_each_step_is_settled(self, seed, monkeypatch):
+        """slater/F_W goes through the one status path with brackets that tell
+        nothing: every step certifies all n samples, and resolves only the
+        undecided ones that could change whether it passes."""
+        n = 5_000
+        given, undecided, resolved = [], [], []
+        violations, certificate, merit_values = mc._violations, mc._certificate, mc._merit_values
+
+        def spy_violations(gamma0, merit, sigma, draws, rows, needed=None):
+            given.append((len(rows), needed))
+            return violations(gamma0, merit, sigma, draws, rows, needed)
+
+        def spy_certificate(gamma0, merit, sigma, draws):
+            violates, decided = certificate(gamma0, merit, sigma, draws)
+            undecided.append(np.count_nonzero(~decided))
+            return violates, decided
+
+        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
+            resolved.append(len(rows))
+            return merit_values(gamma0, merit_fn, sigma, draws, rows)
+
+        monkeypatch.setattr(mc, "_violations", spy_violations)
+        monkeypatch.setattr(mc, "_certificate", spy_certificate)
+        monkeypatch.setattr(mc, "_merit_values", spy_eigvalsh)
+        got = max_tolerated_sigma("slater", "f_w", n_samples=n, seed=seed)
+        assert given == [(n, mc._violators_needed(n, 0.999))] * 13
+        # Resolving every undecided row, as a bisection over every sample
+        # does, sends 0.03-0.04 n of them to eigvalsh at these seeds.
+        assert sum(undecided) > 0.02 * n
+        assert sum(resolved) < sum(undecided)
+        assert got == _exhaustive("slater", "f_w", n, seed)
 
     def test_rows_evaluated_per_search(self, monkeypatch):
         n = 100_000

@@ -140,6 +140,14 @@ class TestEvolveNoisyProtocol:
         )
         assert fidelity(held, target_state("epr")) == pytest.approx(1.0, abs=1e-12)
 
+    def test_final_trace_is_restored_after_many_steps(self):
+        """At dt = 2.8e-15 the w run takes 78,573 steps, and tr rho drifts by
+        1.5e-12, beyond MixedState's 1e-12; the final state is still given."""
+        trajectory, final = evolve_noisy_protocol(build_protocol("w"), PAPER_NOISE, 2.8e-15)
+        assert len(trajectory.times) == 78_574
+        assert abs(np.trace(final.matrix) - 1.0) <= 1e-15
+        assert trajectory.fidelity[-1] > 0.9
+
     def test_step_size_validation(self):
         with pytest.raises(StepSizeError):
             evolve_noisy_protocol(build_protocol("epr"), PAPER_NOISE, dt=5e-12)
