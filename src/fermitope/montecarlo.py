@@ -25,15 +25,17 @@ step evaluates only the samples whose status differs between the ends.
 
 The search first bisects the grid on the first _CHUNK_ROWS samples, a
 pilot whose answer m' is final when there are no more samples.  All
-samples are then evaluated once, at hi = min(2**12, m' + max(8, m' // 4)).
-If p(hi) < c the search walks down over [0, hi], evaluating only the
-samples that do not violate at hi, about 1 - c of them.  If p(hi) >= c
-the pilot fell short: the samples violating at hi are evaluated at 0.5
-and the search walks up over [hi, 2**12].  In all, about 1.1-1.4 full
-evaluations of the samples, against 3.2-5.3 for a bisection down from
-0.5 (the canonical pairs, n = 1e5; ghz/F_W hands 2.1-2.2 n rows to its
-certificate, because the early stop below leaves rows to later steps).
-Where the condition fails (slater with F_W) the search is that
+samples are then evaluated once, at hi = min(2**12, m' + max(8, m' // 4)),
+each block as it is drawn, and only those that the certificate does not
+prove violating at hi are kept.  If p(hi) < c the search walks down over
+[0, hi], evaluating only the samples that do not violate at hi, about
+1 - c of them and all of them kept.  If p(hi) >= c the pilot fell short:
+every sample is drawn again, the samples violating at hi are evaluated
+at 0.5 and the search walks up over [hi, 2**12].  In all, about 1.1-1.4
+full evaluations of the samples, against 3.2-5.3 for a bisection down
+from 0.5 (the canonical pairs, n = 1e5; ghz/F_W hands 2.1-2.2 n rows to
+its certificate, because the early stop below leaves rows to later
+steps).  Where the condition fails (slater with F_W) the search is that
 bisection, over every sample and with brackets that tell nothing.
 
 F_EPR and F_Slater ask a question of inertia.  With A = I - gamma,
@@ -156,13 +158,25 @@ change.  In a ghz/F_W search at n = 1e5, 0.046-0.048 n rows reach
 eigvalsh (1.39 n without the bounds).  violation_probability resolves
 every row.
 
-Samples are perturbed and diagonalised in fixed chunks of _CHUNK_ROWS
-rows.  Sampling uses the counter-based Philox generator so runs are
-reproducible regardless of how samples are batched.
+The draws come from one counter-based Philox generator, _CHUNK_ROWS
+rows at a time in stream order (_draw_blocks).  numpy fills each block
+one normal after another, so the blocks stacked are the one-shot draw,
+and no result depends on how samples are batched.  Samples are perturbed
+and diagonalised in the same blocks.  merit_samples keeps only the n
+merit values, and violation_probability only its count of violators.
+The search holds the pilot's block, then a few boolean masks over all n
+samples and the draws and indices of the samples kept at hi: 3-9% of n
+for epr and w and 28-32% for ghz (seeds 0, 11 and 42, n = 1e5), the
+draws in pages of _CHUNK_ROWS rows (_KeptDraws).  Only a
+walk up and a pair without monotonicity hold every draw, 288 B per
+sample, which _MAX_SAMPLES bounds at 2.9 GB.
 """
 
+import itertools
 import math
 import warnings
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,11 +196,11 @@ _DRAW_COLUMN = np.diag(np.arange(_N_MODES))
 _DRAW_COLUMN[np.triu_indices(_N_MODES, k=1)] = np.arange(_N_MODES, _N_MODES + 15)
 _DRAW_COLUMN.T[np.triu_indices(_N_MODES, k=1)] = np.arange(_N_MODES + 15, 36)
 
-# Samples perturbed and diagonalised at once.  A chunk's temporaries
-# (about 3 MB) stay small enough that the allocator reuses the same pages
-# from chunk to chunk.  At 8192 rows and n_samples = 2e4, glibc returned
-# them to the system after each chunk and faulted them in again: 12x the
-# minor page faults of 2048 rows.  Per-chunk call overhead is below 1%.
+# Samples drawn, perturbed and diagonalised at once.  A block's draws and
+# temporaries (about 2.4 MB) stay small enough that the allocator reuses the
+# same pages from block to block.  At 8192 rows and n_samples = 2e4, glibc
+# returned them to the system after each chunk and faulted them in again:
+# 12x the minor page faults of 2048 rows.  Per-chunk call overhead is below 1%.
 _CHUNK_ROWS = 2048
 
 # Fewest undecided rows a search step sends to eigvalsh at once.  At 16, a
@@ -216,6 +230,15 @@ _INERTIA_FORMS = {"f_epr": 0, "f_slater": 1}
 # entries stays below 1e305: every perturbed entry and norm is finite.
 _MAX_SIGMA = 1e150
 
+# Largest n_samples accepted.  Draws are made and used _CHUNK_ROWS rows at
+# a time, so what grows with n_samples is: 8 B per sample for the merit
+# values of merit_samples (the CLI's --sigma); in a sigma* search, its
+# 1 B masks and the samples it keeps after its pass at hi, 296 B each
+# (draws and index) for 3-9% of n (epr, w) or 28-32% (ghz); and 288 B per
+# sample where a search holds every draw (a walk up, or a pair without
+# monotonicity): 2.9 GB at this bound.
+_MAX_SAMPLES = 10**7
+
 # Certificate of a decided LDL^H row, 2**23 times the unit roundoff; the
 # module docstring shows that this keeps it far above both methods' error.
 _TAU = 2.0**-30
@@ -233,13 +256,19 @@ class PerturbationSpec:
     def __post_init__(self) -> None:
         gates.entanglement_class(self.base_state)
         _check_sigma(self.sigma)
-        fock._checked_count(self.n_samples, "n_samples")
+        _check_samples(self.n_samples)
         fock.checked_seed(self.seed)
 
 
 def _check_sigma(sigma: float) -> None:
     if not 0.0 <= sigma <= _MAX_SIGMA:
         raise InvalidDimensionError(f"sigma must lie in [0, {_MAX_SIGMA:g}]")
+
+
+def _check_samples(n_samples: int) -> None:
+    fock._checked_count(n_samples, "n_samples")
+    if n_samples > _MAX_SAMPLES:
+        raise InvalidDimensionError(f"n_samples must be <= {_MAX_SAMPLES:,}")
 
 
 def theoretical_rdm(base_state: str) -> np.ndarray:
@@ -254,51 +283,72 @@ def _merit(merit: str):
     return polytope._MERITS[merit]
 
 
-def _standard_draws(n_samples: int, seed: int) -> np.ndarray:
-    """(n_samples, 36) standard normals from a counter-based generator."""
+def _draw_blocks(base_state: str, n_samples: int, seed: int) -> Iterator[np.ndarray]:
+    """The draws of the first ``n_samples`` perturbations of the base state, in
+    stream order and blocks of at most ``_CHUNK_ROWS`` rows.
+
+    One Philox generator fills each block one normal after another, so the
+    blocks stacked are its one-shot (n_samples, 36) draw bit for bit.  The
+    base state's folded draws are taken as |draw|.  The body runs only when
+    the first block is asked for: ``_base_and_blocks`` checks the arguments.
+    """
+    folded = list(gates.entanglement_class(base_state).folded_draws)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return rng.standard_normal((n_samples, 36))
+    for start in range(0, n_samples, _CHUNK_ROWS):
+        block = rng.standard_normal((min(_CHUNK_ROWS, n_samples - start), 36))
+        block[:, folded] = np.abs(block[:, folded])
+        yield block
+
+
+def _base_and_blocks(
+    base_state: str, n_samples: int, seed: int
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """gamma0 of the base state and the ``_draw_blocks`` of its ``n_samples``
+    perturbations; every argument is checked before a block is drawn."""
+    _check_samples(n_samples)
+    gamma0 = theoretical_rdm(base_state)
+    return gamma0, _draw_blocks(base_state, n_samples, fock.checked_seed(seed))
 
 
 def _base_and_draws(
     base_state: str, n_samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """gamma0 of the base state and the draws of its ``n_samples`` perturbations."""
-    fock._checked_count(n_samples, "n_samples")
-    folded = list(gates.entanglement_class(base_state).folded_draws)
-    draws = _standard_draws(n_samples, fock.checked_seed(seed))
-    draws[:, folded] = np.abs(draws[:, folded])
-    return theoretical_rdm(base_state), draws
+    """gamma0 and the (n_samples, 36) draws, every block stacked, for a caller
+    that revisits every row."""
+    gamma0, blocks = _base_and_blocks(base_state, n_samples, seed)
+    draws = np.empty((n_samples, 36))
+    for start, block in zip(range(0, n_samples, _CHUNK_ROWS), blocks):
+        draws[start : start + len(block)] = block
+    return gamma0, draws
 
 
 def _perturbed_batch(gamma0: np.ndarray, sigma: float, draws: np.ndarray) -> np.ndarray:
     """(n, 6, 6) Hermitian matrices gamma0 + sigma * Delta, Delta from the draws.
 
     Stored with the sample axis last: ``.transpose(1, 2, 0)`` of the
-    result is a C-contiguous (6, 6, n) array.
+    result is a C-contiguous (6, 6, n) array.  Row r and column r are
+    perturbed in place, one r at a time, so the temporaries take at most
+    5 n values, not 15 n: with the result and a block of draws they stay
+    below twice the result's size, and the allocator reuses their pages
+    from block to block instead of returning them to the system.
     """
     draws = draws.T
-    rows, cols = np.triu_indices(_N_MODES, k=1)
-    re, im = draws[_DRAW_COLUMN[rows, cols]], draws[_DRAW_COLUMN[cols, rows]]
     out = np.empty((_N_MODES, _N_MODES, draws.shape[1]), dtype=np.complex128)
     out[...] = gamma0[:, :, None]
-    out[rows, cols] += sigma * (re + 1j * im)
-    out[cols, rows] += sigma * (re - 1j * im)
-    idx = np.arange(_N_MODES)
-    out[idx, idx] += sigma * draws[np.diag(_DRAW_COLUMN)]
+    for r in range(_N_MODES):
+        right = slice(r + 1, None)
+        re, im = draws[_DRAW_COLUMN[r, right]], draws[_DRAW_COLUMN[right, r]]
+        out[r, right] += sigma * (re + 1j * im)
+        out[right, r] += sigma * (re - 1j * im)
+        out[r, r] += sigma * draws[_DRAW_COLUMN[r, r]]
     return out.transpose(2, 0, 1)
 
 
 def _merit_values(
     gamma0: np.ndarray, merit_fn, sigma: float, draws: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
-    """Merits of the samples ``draws[rows]``, ``_CHUNK_ROWS`` at a time."""
-    out = np.empty(len(rows))
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[start : start + _CHUNK_ROWS]
-        lam = np.linalg.eigvalsh(_perturbed_batch(gamma0, sigma, draws[chunk]))[:, ::-1]
-        out[start : start + len(chunk)] = merit_fn(lam)
-    return out
+    """Merits of the samples ``draws[rows]``, at most ``_CHUNK_ROWS`` of them."""
+    return merit_fn(np.linalg.eigvalsh(_perturbed_batch(gamma0, sigma, draws[rows]))[:, ::-1])
 
 
 def _violations(
@@ -311,32 +361,54 @@ def _violations(
 ) -> np.ndarray:
     """Whether each sample ``draws[rows]`` violates (merit < 0).
 
-    ``_certificate`` decides what it can, chunk by chunk; the other rows go
-    through ``_merit_values`` at most a chunk at a time.  Given ``needed``,
-    the violators among ``rows`` that a search step needs to pass, each
-    piece holds the fewest rows that could settle whether it passes, and
-    the resolution stops once the count can no longer change that: the
-    rows left are then marked violating if it passes and not violating if
-    it fails.
+    ``_certificate`` decides what it can, chunk by chunk, and ``_resolve``
+    the other rows.  Given ``needed``, the violators among ``rows`` that a
+    search step needs to pass, only as many rows are resolved as could
+    settle whether it passes.
     """
-    merit_fn = polytope._MERITS[merit]
     out, decided = np.empty((2, len(rows)), dtype=bool)
     for start in range(0, len(rows), _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
         out[part], decided[part] = _certificate(gamma0, merit, sigma, draws[rows[part]])
     rest = np.flatnonzero(~decided)
-    found = np.count_nonzero(out)
-    while len(rest):
-        size = _CHUNK_ROWS
+    if needed is not None:
+        needed -= np.count_nonzero(out)
+    out[rest] = _resolve(gamma0, merit, sigma, draws, rows[rest], needed)
+    return out
+
+
+def _resolve(
+    gamma0: np.ndarray,
+    merit: str,
+    sigma: float,
+    draws: np.ndarray,
+    rows: np.ndarray,
+    needed: int | None = None,
+) -> np.ndarray:
+    """Whether each sample ``draws[rows]``, left undecided by its certificate, violates.
+
+    The rows go through ``_merit_values`` at most a chunk at a time.  Given
+    ``needed``, the violators among ``rows`` that a search step still needs
+    to pass, each piece holds the fewest rows that could settle whether it
+    passes, and the resolution stops once the count can no longer change
+    that: the rows left are then marked violating if it passes and not
+    violating if it fails.
+    """
+    merit_fn = polytope._MERITS[merit]
+    out = np.empty(len(rows), dtype=bool)
+    found = done = 0
+    while done < len(rows):
+        size, left = _CHUNK_ROWS, len(rows) - done
         if needed is not None:
-            if not found < needed <= found + len(rest):
-                out[rest] = found >= needed
+            if not found < needed <= found + left:
+                out[done:] = found >= needed
                 break
-            fewest = min(needed - found, found + len(rest) - needed + 1)
+            fewest = min(needed - found, found + left - needed + 1)
             size = min(size, max(_MIN_PIECE, fewest))
-        chunk, rest = rest[:size], rest[size:]
-        out[chunk] = _merit_values(gamma0, merit_fn, sigma, draws, rows[chunk]) < 0.0
-        found += np.count_nonzero(out[chunk])
+        piece = out[done : done + size]
+        piece[:] = _merit_values(gamma0, merit_fn, sigma, draws, rows[done : done + size]) < 0.0
+        found += np.count_nonzero(piece)
+        done += size
     return out
 
 
@@ -428,38 +500,50 @@ def _ldl_inertia(g: np.ndarray, sigma: float, draws: np.ndarray) -> tuple[np.nda
 def sample_perturbed_rdm(spec: PerturbationSpec, sample_index: int = 0) -> np.ndarray:
     """One Hermitian perturbed 1-RDM sample (sigma = 0 returns the base).
 
-    Draws only the first ``sample_index + 1`` samples: Philox's first rows
-    do not depend on how many rows are drawn.
+    Draws only the first ``sample_index + 1`` samples, and holds one block
+    of them at a time: Philox's first rows do not depend on how many rows
+    are drawn.
     """
     if not 0 <= fock._checked_integer(sample_index, "sample_index") < spec.n_samples:
         raise InvalidDimensionError("sample_index outside 0..n_samples-1")
-    gamma0, draws = _base_and_draws(spec.base_state, sample_index + 1, spec.seed)
-    return _perturbed_batch(gamma0, spec.sigma, draws[sample_index:])[0]
+    gamma0, blocks = _base_and_blocks(spec.base_state, sample_index + 1, spec.seed)
+    last = deque(blocks, maxlen=1)[0]
+    return _perturbed_batch(gamma0, spec.sigma, last[-1:])[0]
 
 
 def merit_samples(
     base_state: str, merit: str, sigma: float, n_samples: int, seed: int
 ) -> np.ndarray:
-    """Merit values of ``n_samples`` perturbed 1-RDMs."""
-    merit_fn, gamma0, draws = _checked_base_and_draws(base_state, merit, sigma, n_samples, seed)
-    return _merit_values(gamma0, merit_fn, sigma, draws, np.arange(n_samples))
+    """Merit values of ``n_samples`` perturbed 1-RDMs, each block diagonalised as it is drawn."""
+    merit_fn, gamma0, blocks = _checked_base_and_blocks(base_state, merit, sigma, n_samples, seed)
+    out, start = np.empty(n_samples), 0
+    for block in blocks:
+        # slice(None): the whole block as a view, not a copy.
+        out[start : start + len(block)] = _merit_values(gamma0, merit_fn, sigma, block, slice(None))
+        start += len(block)
+    return out
 
 
 def violation_probability(
     base_state: str, merit: str, sigma: float, n_samples: int = 10**5, seed: int = 0
 ) -> float:
-    """Fraction of perturbed samples with merit < 0."""
-    _, gamma0, draws = _checked_base_and_draws(base_state, merit, sigma, n_samples, seed)
-    return float(np.mean(_violations(gamma0, merit, sigma, draws, np.arange(n_samples))))
+    """Fraction of perturbed samples with merit < 0, counted block by block as drawn."""
+    _, gamma0, blocks = _checked_base_and_blocks(base_state, merit, sigma, n_samples, seed)
+    violators = sum(
+        np.count_nonzero(_violations(gamma0, merit, sigma, block, np.arange(len(block))))
+        for block in blocks
+    )
+    return float(violators / n_samples)
 
 
-def _checked_base_and_draws(
+def _checked_base_and_blocks(
     base_state: str, merit: str, sigma: float, n_samples: int, seed: int
 ):
-    """Checked merit function, gamma0 and draws; warns the caller's caller if merit is unpaired."""
+    """Checked merit function, gamma0 and draw blocks; warns the caller's caller if
+    merit is unpaired."""
     _check_sigma(sigma)
     merit_fn = _merit(merit)
-    gamma0, draws = _base_and_draws(base_state, n_samples, seed)
+    gamma0, blocks = _base_and_blocks(base_state, n_samples, seed)
     base = base_state.lower()
     if CANONICAL_PAIRING.get(base) != merit:
         warnings.warn(
@@ -467,7 +551,7 @@ def _checked_base_and_draws(
             f" not {merit!r}",
             stacklevel=3,
         )
-    return merit_fn, gamma0, draws
+    return merit_fn, gamma0, blocks
 
 
 def max_tolerated_sigma(
@@ -482,30 +566,38 @@ def max_tolerated_sigma(
     The float that 12 halvings of [0, 0.5] with common random numbers
     give: a step of the grid 0.5 / 2**12, or 0 if no step passes.  The
     module docstring describes the pilot, the one evaluation of all
-    ``n_samples`` and the walk down or up that find it.
+    ``n_samples`` and the walk down or up that find it, and which draws
+    each of them holds.
     """
     if not 0.5 < confidence < 1.0:
         raise InvalidDimensionError("confidence must lie in (0.5, 1)")
     merit_fn = _merit(merit)
-    gamma0, draws = _base_and_draws(base_state, n_samples, seed)
+    gamma0, blocks = _base_and_blocks(base_state, n_samples, seed)
     lam0 = np.linalg.eigvalsh(gamma0)[::-1]
     monotone = merit_fn(lam0) <= 0.0 and lam0[0] <= 1.0
 
     def status(m: int, needed: int, v_lo: np.ndarray, v_hi: np.ndarray) -> np.ndarray:
         """Violations at step m of the first len(v_hi) samples, exact as far as
         whether ``needed`` of them violate.  v_lo and v_hi are their statuses at
-        a lower and a higher step, or all True and all False, which tell nothing."""
+        a lower and a higher step, or all True and all False, which tell nothing.
+        Sample r is draws[r], or draws[i] with kept[i] = r once only the kept
+        samples are held."""
         if not monotone:
             v_lo, v_hi = np.ones_like(v_lo), np.zeros_like(v_hi)
         out = v_hi.copy()
         rows = np.flatnonzero(v_lo & ~v_hi)
-        out[rows] = _violations(gamma0, merit, m * _STEP, draws, rows, needed - out.sum())
+        at = rows if kept is None else np.searchsorted(kept, rows)
+        out[rows] = _violations(gamma0, merit, m * _STEP, draws, at, needed - out.sum())
         return out
 
     everyone = np.ones(n_samples, dtype=bool)
+    kept = None
     # Without monotonicity only the bisection over every sample is exact:
     # then the pilot takes every sample and is the whole search.
-    k = min(n_samples, _CHUNK_ROWS) if monotone else n_samples
+    if monotone:
+        k, draws = min(n_samples, _CHUNK_ROWS), next(blocks)
+    else:
+        k, draws = n_samples, _base_and_draws(base_state, n_samples, seed)[1]
     pilot, needed = everyone[:k], _violators_needed(k, confidence)
     v_top = status(_TOP, needed, pilot, ~pilot)
     m_hat = _largest_passing_step(status, needed, 0, _TOP, pilot, v_top)
@@ -513,12 +605,85 @@ def max_tolerated_sigma(
         return m_hat * _STEP
     needed = _violators_needed(n_samples, confidence)
     hi = min(_TOP, m_hat + max(_MARGIN_STEPS, m_hat // 4))
-    v_hi = status(hi, needed, everyone, ~everyone)
+    v_hi, kept, draws = _streamed_step(
+        gamma0, merit, hi * _STEP, itertools.chain([draws], blocks), n_samples, needed
+    )
     if hi < _TOP and np.count_nonzero(v_hi) >= needed:
         # The pilot fell short; only samples violating at hi can violate above it.
+        kept, draws = None, _base_and_draws(base_state, n_samples, seed)[1]
         v_top = status(_TOP, needed, v_hi, ~everyone)
         return _largest_passing_step(status, needed, hi, _TOP, v_hi, v_top) * _STEP
+    # Below hi only the samples not violating at hi are evaluated, and all are kept.
     return _largest_passing_step(status, needed, 0, hi, everyone, v_hi) * _STEP
+
+
+def _streamed_step(
+    gamma0: np.ndarray,
+    merit: str,
+    sigma: float,
+    blocks: Iterable[np.ndarray],
+    n_samples: int,
+    needed: int,
+) -> tuple[np.ndarray, np.ndarray, "_KeptDraws"]:
+    """(violates, kept, draws[kept]) at sigma for the ``n_samples`` samples in ``blocks``.
+
+    Each block is certified as it comes; only the samples not proved
+    violating are kept, by index and by draws.  Their undecided rows are
+    resolved as in ``_violations``, exact as far as whether ``needed`` of
+    all the samples violate.
+    """
+    kept, draws, undecided, start = [], _KeptDraws(), [], 0
+    for block in blocks:
+        violates, decided = _certificate(gamma0, merit, sigma, block)
+        rows = np.flatnonzero(~violates)
+        kept.append(start + rows)
+        draws.append(block[rows])
+        undecided.append(~decided[rows])
+        start += len(block)
+    kept = np.concatenate(kept)
+    rest = np.flatnonzero(np.concatenate(undecided))
+    out = np.ones(n_samples, dtype=bool)
+    out[kept] = False
+    out[kept[rest]] = _resolve(gamma0, merit, sigma, draws, rest, needed - (n_samples - len(kept)))
+    return out, kept, draws
+
+
+class _KeptDraws:
+    """The draws of the samples a search keeps, in pages of _CHUNK_ROWS rows.
+
+    Rows are appended in order and read as the rows of one stacked array,
+    which is never made: concatenating per-block pieces would hold the kept
+    draws twice, in arrays of a new size in every search that fragment the
+    heap, so that the peak RSS of a run of searches would scatter with the
+    rows each one kept.  The allocator hands pages of one size from one
+    search to the next.
+    """
+
+    def __init__(self) -> None:
+        self.pages: list[np.ndarray] = []
+        self.rows = 0
+
+    def append(self, draws: np.ndarray) -> None:
+        done = 0
+        while done < len(draws):
+            at = self.rows % _CHUNK_ROWS
+            if at == 0:
+                self.pages.append(np.empty((_CHUNK_ROWS, 36)))
+            take = min(_CHUNK_ROWS - at, len(draws) - done)
+            self.pages[-1][at : at + take] = draws[done : done + take]
+            done += take
+            self.rows += take
+
+    def __getitem__(self, rows: np.ndarray) -> np.ndarray:
+        """The draws of the kept samples at the ascending positions ``rows``."""
+        out, start = np.empty((len(rows), 36)), 0
+        pages = range(rows[0] // _CHUNK_ROWS, rows[-1] // _CHUNK_ROWS + 1) if len(rows) else ()
+        for p, end in zip(pages, np.searchsorted(rows, (np.array(pages) + 1) * _CHUNK_ROWS)):
+            # mode="raise" would copy through a buffer; every position is in range.
+            offsets = rows[start:end] - p * _CHUNK_ROWS
+            np.take(self.pages[p], offsets, axis=0, out=out[start:end], mode="clip")
+            start = end
+        return out
 
 
 def _violators_needed(n: int, confidence: float) -> int:

@@ -398,6 +398,12 @@ def entropy_optimality_gap(spec, lam) -> float:
     return float(-lp.fun - grad @ lam[:3])
 
 
+def standard_draws(n_samples: int, seed: int) -> np.ndarray:
+    """(n_samples, 36) standard normals from one Philox draw, unfolded: the
+    stream that ``fermitope.montecarlo`` draws block by block."""
+    return np.random.Generator(np.random.Philox(key=seed)).standard_normal((n_samples, 36))
+
+
 def full_batch_merits(base_state: str, merit: str, sigma: float, draws) -> np.ndarray:
     """Merits of all perturbed samples from one ``eigvalsh`` of the whole batch."""
     return polytope._MERITS[merit](full_batch_eigenvalues(base_state, sigma, draws))
@@ -438,8 +444,7 @@ def exhaustive_max_tolerated_sigma(
     iterations: int = 12,
 ) -> float:
     """sigma* by bisection that evaluates every sample at every step."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    draws = rng.standard_normal((n_samples, 36))
+    draws = standard_draws(n_samples, seed)
 
     def prob(sigma: float) -> float:
         return float(np.mean(full_batch_merits(base_state, merit, sigma, draws) < 0.0))

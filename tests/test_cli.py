@@ -218,20 +218,13 @@ class TestCsvFormat:
 
 
 class TestMonteCarloCommand:
-    def test_csv_at_one_sigma_draws_samples_once(self, tmp_path, monkeypatch, capsys):
-        calls = []
-        draw = montecarlo._base_and_draws
-
-        def counted(*args):
-            calls.append(args)
-            return draw(*args)
-
-        monkeypatch.setattr(montecarlo, "_base_and_draws", counted)
+    def test_csv_at_one_sigma_draws_samples_once(self, tmp_path, drawn_rows, capsys):
         args = ["montecarlo", "--base", "ghz", "--merit", "f_epr", "--sigma", "0.05",
                 "--n-samples", "3000", "--format", "csv"]
         code, out = run(tmp_path, "hist.csv", args)
         assert code == EXIT_OK
-        assert len(calls) == 1
+        # One block producer, and each of the 3000 rows drawn once.
+        assert drawn_rows == [3000]
         assert capsys.readouterr().err == (
             "fermitope: warning: 'ghz' is conventionally paired with 'f_w', not 'f_epr'\n"
         )
@@ -240,6 +233,15 @@ class TestMonteCarloCommand:
             centers, counts = montecarlo.merit_histogram("ghz", "f_epr", 0.05, 3000, seed=0)
         assert [float(c) for c, _ in rows] == centers.tolist()
         assert [int(k) for _, k in rows] == counts.tolist()
+
+    @pytest.mark.parametrize("sigma", [[], ["--sigma", "0.05"]], ids=["search", "sigma"])
+    def test_huge_sample_count_exits_2_before_any_draw(self, tmp_path, drawn_rows, capsys, sigma):
+        args = ["montecarlo", "--base", "w", "--n-samples", "1000000000000", *sigma]
+        code, out = run(tmp_path, "mc.json", args)
+        assert code == EXIT_CONFIG
+        assert "n_samples must be <= 10,000,000" in capsys.readouterr().err
+        assert drawn_rows == []
+        assert not out.exists()
 
     def test_rejected_sigma_prints_no_pairing_warning(self, tmp_path, capsys):
         args = ["montecarlo", "--base", "ghz", "--merit", "f_epr", "--sigma", "-1",

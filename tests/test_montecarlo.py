@@ -1,6 +1,7 @@
 """Gaussian 1-RDM perturbations, violation probabilities, sigma thresholds."""
 
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fermitope import montecarlo as mc
-from fermitope import polytope
+from fermitope import gates, polytope
 from fermitope.errors import InvalidDimensionError
 from fermitope.montecarlo import (
     PerturbationSpec,
@@ -70,18 +71,25 @@ class TestPerturbedSampling:
             assert np.max(np.abs(gamma - gamma.conj().T)) < 1e-12
 
     @pytest.mark.parametrize("base", ["epr", "ghz"])
-    def test_one_sample_equals_its_row_of_the_full_batch(self, base, monkeypatch):
+    def test_one_sample_equals_its_row_of_the_full_batch(self, base, drawn_rows):
         spec = PerturbationSpec(base, sigma=0.2, n_samples=40, seed=8)
         gamma0, draws = mc._base_and_draws(base, spec.n_samples, spec.seed)
         batch = mc._perturbed_batch(gamma0, spec.sigma, draws)
-        rows_drawn = []
-        standard_draws = mc._standard_draws
-        monkeypatch.setattr(
-            mc, "_standard_draws", lambda n, seed: rows_drawn.append(n) or standard_draws(n, seed)
-        )
         for k in (0, 1, 17, spec.n_samples - 1):
             assert np.array_equal(sample_perturbed_rdm(spec, k), batch[k])
-        assert rows_drawn == [1, 2, 18, spec.n_samples]
+        # The full batch first, then each sample's own draw.
+        assert drawn_rows == [spec.n_samples, 1, 2, 18, spec.n_samples]
+
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 3 * 2048 + 5])
+    @pytest.mark.parametrize("base", list(gates.CLASSES))
+    def test_blocks_stack_to_the_one_shot_stream(self, base, n):
+        blocks = list(mc._draw_blocks(base, n, 5))
+        assert len(blocks[0]) == min(n, mc._CHUNK_ROWS)
+        assert all(len(block) <= mc._CHUNK_ROWS for block in blocks)
+        want = oracles.standard_draws(n, 5)
+        folded = list(gates.CLASSES[base].folded_draws)
+        want[:, folded] = np.abs(want[:, folded])
+        assert np.array_equal(np.concatenate(blocks), want)
 
     def test_draw_columns_cover_the_draws_once(self):
         """Diagonal first, then each pair's real part above the diagonal and its
@@ -99,7 +107,7 @@ class TestPerturbedSampling:
 
     def test_sample_mean_concentrates_on_base(self):
         sigma, n = 0.05, 100_000
-        draws = mc._standard_draws(n, 4)
+        draws = oracles.standard_draws(n, 4)
         batch = mc._perturbed_batch(theoretical_rdm("ghz"), sigma, draws)
         mean = batch.mean(axis=0)
         tol = 3 * sigma / np.sqrt(n)
@@ -230,6 +238,24 @@ class TestPerturbedSampling:
         got = max_tolerated_sigma("w", "f_epr", n_samples=np.int64(3000), seed=np.int64(1))
         assert got == max_tolerated_sigma("w", "f_epr", n_samples=3000, seed=1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda n: PerturbationSpec("w", 0.05, n, 0), id="spec"),
+            pytest.param(lambda n: merit_samples("w", "f_epr", 0.05, n, 0), id="samples"),
+            pytest.param(lambda n: merit_histogram("w", "f_epr", 0.05, n, 0), id="hist"),
+            pytest.param(lambda n: violation_probability("w", "f_epr", 0.05, n, 0), id="prob"),
+            pytest.param(lambda n: max_tolerated_sigma("w", "f_epr", n_samples=n), id="threshold"),
+            pytest.param(lambda n: max_tolerated_sigma("slater", "f_w", n_samples=n), id="slater"),
+        ],
+    )
+    def test_sample_count_above_the_bound_is_refused_before_any_draw(self, call, drawn_rows):
+        for n in (mc._MAX_SAMPLES + 1, 10**12):
+            with pytest.raises(InvalidDimensionError, match="n_samples must be <= 10,000,000"):
+                call(n)
+        assert drawn_rows == []
+        assert PerturbationSpec("w", 0.05, mc._MAX_SAMPLES, 0).n_samples == 10**7
+
     def test_sigma_is_bounded_so_every_entry_stays_finite(self):
         above = np.nextafter(mc._MAX_SIGMA, np.inf)
         for sigma in (above, 1e308):
@@ -248,7 +274,7 @@ class TestPerturbedSampling:
 
     def test_chunked_merits_match_one_shot_batch(self):
         n, k = 2 * mc._CHUNK_ROWS + 123, 1_000
-        draws = mc._standard_draws(n, 9)
+        draws = oracles.standard_draws(n, 9)
         for base, merit in CANONICAL:
             got = merit_samples(base, merit, 0.05, n, seed=9)
             assert np.array_equal(got, oracles.full_batch_merits(base, merit, 0.05, draws))
@@ -324,7 +350,7 @@ class TestViolationProbability:
         sigma = {"zero": 0.0, "tiny": 1e-6, "large": 0.3}.get(which)
         if sigma is None:
             sigma = _sigma_star(base, merit, n, seed)
-        draws = mc._standard_draws(n, seed)
+        draws = oracles.standard_draws(n, seed)
         want = float(np.mean(oracles.full_batch_merits(base, merit, sigma, draws) < 0.0))
         assert violation_probability(base, merit, sigma, n, seed) == want
 
@@ -369,7 +395,7 @@ class TestMaxToleratedSigma:
         """
         n, confidence = 100_000, 0.999
         got = max_tolerated_sigma(base, merit, confidence, n_samples=n, seed=0)
-        draws = np.random.Generator(np.random.Philox(key=0)).standard_normal((n, 36))
+        draws = oracles.standard_draws(n, 0)
 
         def passes(sigma):
             return np.mean(oracles.full_batch_merits(base, merit, sigma, draws) < 0) >= confidence
@@ -436,19 +462,21 @@ class TestMaxToleratedSigma:
         assert got == _exhaustive("slater", "f_w", n, seed)
 
     def test_rows_evaluated_per_search(self, monkeypatch):
+        """Rows are counted where they are certified: the pass at hi certifies
+        each block as it is drawn, every other step through _violations."""
         n = 100_000
         given_rows, eigvalsh_rows = [], []
-        violations, merit_values = mc._violations, mc._merit_values
+        certificate, merit_values = mc._certificate, mc._merit_values
 
-        def counting(gamma0, merit, sigma, draws, rows, needed=None):
-            given_rows.append(len(rows))
-            return violations(gamma0, merit, sigma, draws, rows, needed)
+        def counting(gamma0, merit, sigma, draws):
+            given_rows.append(len(draws))
+            return certificate(gamma0, merit, sigma, draws)
 
         def counting_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
             eigvalsh_rows.append(len(rows))
             return merit_values(gamma0, merit_fn, sigma, draws, rows)
 
-        monkeypatch.setattr(mc, "_violations", counting)
+        monkeypatch.setattr(mc, "_certificate", counting)
         monkeypatch.setattr(mc, "_merit_values", counting_eigvalsh)
         for base, merit in CANONICAL:
             given_rows.clear()
@@ -537,7 +565,8 @@ class TestInertiaStatus:
             patch.setattr(mc, "_merit_values", spy_eigvalsh)
             got = mc._violations(gamma0, merit, sigma, draws, np.arange(n))
 
-        want = oracles.full_batch_merits(base, merit, sigma, mc._standard_draws(n, seed)) < 0.0
+        draws = oracles.standard_draws(n, seed)
+        want = oracles.full_batch_merits(base, merit, sigma, draws) < 0.0
         negatives = np.concatenate([neg for neg, _ in factored])
         decided = np.concatenate([dec for _, dec in factored])
         status = negatives <= mc._INERTIA_FORMS[merit]
@@ -704,7 +733,8 @@ class TestTopThreeBounds:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            want = oracles.full_batch_merits(base, merit, sigma, mc._standard_draws(n, seed)) < 0
+            draws = oracles.standard_draws(n, seed)
+            want = oracles.full_batch_merits(base, merit, sigma, draws) < 0
         status = np.concatenate([violates for violates, _ in certified])
         decided = np.concatenate([dec for _, dec in certified])
         assert np.array_equal(status[decided], want[decided])
@@ -740,7 +770,7 @@ class TestEarlyStop:
         """The step at sigma* passes with k / n == confidence exactly, and the next fails."""
         n, seed = 5_000, 3
         sigma = _exhaustive(base, merit, n, seed)
-        draws = mc._standard_draws(n, seed)
+        draws = oracles.standard_draws(n, seed)
         k = int(np.count_nonzero(oracles.full_batch_merits(base, merit, sigma, draws) < 0))
         assert k < n
         confidence = k / n
@@ -805,8 +835,55 @@ class TestEarlyStop:
         monkeypatch.setattr(mc, "_merit_values", spy_eigvalsh)
         got = mc._violations(gamma0, "f_w", sigma, draws, np.arange(n), needed)
         assert pieces and max(pieces) == mc._MIN_PIECE
-        want = oracles.full_batch_merits("ghz", "f_w", sigma, mc._standard_draws(n, seed)) < 0
+        draws = oracles.standard_draws(n, seed)
+        want = oracles.full_batch_merits("ghz", "f_w", sigma, draws) < 0
         assert (np.count_nonzero(got) >= needed) == (np.count_nonzero(want) >= needed)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Traced peaks at n = 1e5, where all (n, 36) draws take 28.8 MB: only the
+    merit values, or the rows a search can revisit, grow with n."""
+
+    N = 100_000
+
+    def test_merit_samples_hold_their_values_and_one_block(self):
+        merit_samples("ghz", "f_w", 0.05, 3_000, 0)  # warm caches outside the trace
+        peak = _traced_peak(lambda: merit_samples("ghz", "f_w", 0.05, self.N, 0))
+        assert peak <= 4 * 10**6 + 16 * self.N
+
+    # 5.3 MB (w), 4.5 MB (epr) and 10.4 MB (ghz, whose F_W bounds leave a
+    # quarter of the rows unproved at hi); all samples' draws held: 31-32 MB,
+    # and ghz's kept draws concatenated from per-block pieces: 18.3 MB.
+    @pytest.mark.parametrize(
+        "base, merit, bound",
+        [("w", "f_epr", 12 * 10**6), ("epr", "f_slater", 12 * 10**6), ("ghz", "f_w", 16 * 10**6)],
+    )
+    def test_search_holds_only_the_rows_it_can_revisit(self, base, merit, bound):
+        max_tolerated_sigma(base, merit, n_samples=3_000, seed=0)
+        peak = _traced_peak(lambda: max_tolerated_sigma(base, merit, n_samples=self.N, seed=0))
+        assert peak <= bound
+
+    def test_kept_draws_read_as_the_stacked_rows(self):
+        rng = np.random.default_rng(3)
+        pieces = [rng.standard_normal((size, 36)) for size in (0, 700, 2048, 1, 3000, 5)]
+        kept = mc._KeptDraws()
+        for piece in pieces:
+            kept.append(piece)
+        stacked = np.concatenate(pieces)
+        assert kept.rows == len(stacked)
+        assert [page.shape for page in kept.pages] == [(mc._CHUNK_ROWS, 36)] * 3
+        for size in (0, 1, 64, mc._CHUNK_ROWS, len(stacked)):
+            rows = np.sort(rng.choice(len(stacked), size, replace=False))
+            assert np.array_equal(kept[rows], stacked[rows])
 
 
 class TestHistogram:
