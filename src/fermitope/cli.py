@@ -12,6 +12,7 @@ failure (any other ``ToolkitError``, ``LinAlgError`` or
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -231,10 +232,11 @@ def _cmd_montecarlo(params: dict) -> tuple[dict, list[dict] | None]:
 
     if sigma is not None:
         # One set of samples gives both the probability and the histogram.
-        values = montecarlo.merit_samples(base, merit, sigma, n_samples, seed)
+        probability, centers, counts = montecarlo.merit_distribution(
+            base, merit, sigma, n_samples, seed
+        )
         payload["sigma"] = sigma
-        payload["violation_probability"] = float(np.mean(values < 0.0))
-        centers, counts = montecarlo._histogram(values)
+        payload["violation_probability"] = probability
         return payload, [
             {"f_value": float(c), "count": int(k)} for c, k in zip(centers, counts)
         ]
@@ -302,7 +304,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="fermitope",
         description="Few-fermion occupation-number polytope toolkit",

@@ -158,12 +158,87 @@ change.  In a ghz/F_W search at n = 1e5, 0.046-0.048 n rows reach
 eigvalsh (1.39 n without the bounds).  violation_probability resolves
 every row.
 
+merit_distribution (the CLI's --sigma) gives np.mean(v < 0) and
+np.histogram(v, bins) of v = merit_samples(...) bit for bit, without
+diagonalising every sample.  np.histogram's edges depend only on min v
+and max v, and it puts x in the bin k with edges[k] <= x < edges[k+1]
+(the last bin closed): it scales x to an index and corrects that by one
+step against the edges.  So a merit is needed exactly only if it could
+be the least or the largest, or its sign or bin is in doubt; anywhere
+else the lower end of a proved enclosure of it has its sign and its bin.
+
+Each block is perturbed (_perturbed_batch, the float matrices G that
+eigvalsh sees) and reduced to a real tridiagonal T (diagonal a,
+off-diagonal e) by Householder reflections over the whole block
+(_tridiagonal).  Each descending eigenvalue the merit reads (lambda1 for
+F_EPR, lambda2 for F_Slater, lambda1..lambda3 for F_W) is bisected
+_BISECTIONS times with Sturm counts from Gershgorin's interval
+(_sturm_bisection), and the interval [l, l + 2h] it ends with is widened
+by _TAU (1 + ||T||_F) on each side.  The merit function, run on the lower
+and on the upper ends, bounds the float merit_samples gives: each merit
+is a float sum of the eigenvalues it reads, less a constant, and a float
+sum is non-decreasing in each term.  Let u = 2**-53 and j the number of
+eigenvalues below the one bisected.  The widened interval holds
+eigvalsh's float lambda:
+
+- Householder's reduction is backward stable: T is exactly unitarily
+  similar to G + E1, ||E1|| <= c1 u ||G||_F with c1 a modest multiple of
+  n^2 (Wilkinson, The Algebraic Eigenvalue Problem, 1965; Higham,
+  Accuracy and Stability of Numerical Algorithms, 2002, sec. 19.3).  E1
+  takes in the rounding of the sums of squares kept as e^2 and the
+  imaginary rounding left on the diagonal, which is dropped.  The floor
+  _E2_FLOOR on e^2 moves T by at most 2**-499 more.
+- A Sturm count at a float x, the number of q_i = (a_i - x) - e_(i-1)^2 /
+  q_(i-1) whose sign bit is set, is the exact number of eigenvalues below
+  x of a tridiagonal T_x whose a_i - x differ from T's by u relative and
+  whose e^2 by 2u relative (Kahan, 1966; Demmel, Dhillon and Ren, ETNA 3
+  (1995) 116-149), so ||T_x - T|| <= u (|x| + 4 ||T||).  The floor keeps
+  0/0 out, and a q_i of +-0 acts as one of that sign and vanishing size:
+  the division gives the infinity such a q_i approaches, and the sign bit
+  counts -0 as negative.  The counts need not be monotone in x; each is
+  exact for its own T_x.
+- l is Gershgorin's lower end or a point counted at most j, and the last
+  point counted above j (or Gershgorin's upper end) is at most l + 2h plus
+  a rounding of each step's x = l + h, a few u |x|.  Every x lies in
+  Gershgorin's interval, |x| <= 3 ||T||_F, so by Weyl T's eigenvalue lies
+  in [l - 7u ||T||_F, l + 2h + (7 + 3 _BISECTIONS) u ||T||_F].
+- eigvalsh's eigenvalues are within c2 u ||G|| of G's (the error bound of
+  LAPACK's Hermitian eigensolvers), c2 modest.
+
+So eigvalsh's lambda lies within (c1 + c2 + 3 _BISECTIONS + 7) u ||G||_F +
+2**-499 of [l, l + 2h], and the widening's own rounding is a few u |l|.
+_TAU (1 + ||T||_F) = 2**23 u (1 + ||T||_F) is far above both, c1 and c2
+being at most a few hundred at n = 6.  Bisected 64 times and not
+widened, the F_EPR bounds missed eigvalsh's merit by at most 13 u (1 +
+||G||_F) (300 blocks of 512 rows, sigma from 1e-8 to 1e150).  A row whose T, interval
+or merit is not finite gets no enclosure and goes to eigvalsh.
+
+The enclosures are made as each block is drawn, and the rows in doubt go
+to eigvalsh while the block is in hand: those whose enclosure holds 0,
+and those that could be the least or the largest merit, which are the
+rows whose lower end is at most the least upper end in the block and the
+least merit resolved so far (and the same for the largest).  Every other
+row's enclosure [lo, hi] then has min v < lo <= hi < max v.  Once min v and max v give the edges,
+the rows whose enclosure reaches an edge are evaluated from their block,
+drawn again from the Philox state saved before it, up to its last such
+row.  One np.histogram of the exact merits where resolved and the lower
+ends elsewhere then counts every bin as merit_samples' values would.  At
+n = 20,000 and sigma in [0.01, 0.08] (the canonical pairs, seeds 0-9),
+4-10 rows reach eigvalsh in the stream and 0-10 from 0-8 blocks drawn
+again (epr at sigma = 0.01 draws the most: its Gershgorin interval is
+the widest).  At sigma = 0 every row ties for the least merit, and at
+sigma = 1e-6 the widening is a tenth of a bin, so nearly every row goes
+to eigvalsh after its enclosure: 77 and 141 ms against merit_samples'
+30 and 90 ms (w, n = 20,000, one pinned CPU), where sigma = 0.05 takes 84
+against 123 ms.
+
 The draws come from one counter-based Philox generator, _CHUNK_ROWS
 rows at a time in stream order (_draw_blocks).  numpy fills each block
 one normal after another, so the blocks stacked are the one-shot draw,
 and no result depends on how samples are batched.  Samples are perturbed
 and diagonalised in the same blocks.  merit_samples keeps only the n
-merit values, and violation_probability only its count of violators.
+merit values, merit_distribution two bounds per sample, and
+violation_probability only its count of violators.
 The search holds the pilot's block, then a few boolean masks over all n
 samples and the draws and indices of the samples kept at hi: 3-9% of n
 for epr and w and 28-32% for ghz (seeds 0, 11 and 42, n = 1e5), the
@@ -224,6 +299,20 @@ _MARGIN_STEPS = 8
 # I - gamma has at most this many negative eigenvalues.
 _INERTIA_FORMS = {"f_epr": 0, "f_slater": 1}
 
+# Descending eigenvalues (0 = lambda1) that each merit reads, the ones
+# merit_distribution encloses.  An entry left out would only send every row
+# to eigvalsh: the ends it is not given are NaN.
+_EIGENVALUES_READ = {"f_epr": [0], "f_slater": [1], "f_w": [0, 1, 2]}
+
+# Sturm bisections of each enclosed eigenvalue.  Each halves the enclosure;
+# at 24 about one sample in 20,000 straddles a bin edge at sigma = 0.05 and
+# needs its block drawn again, and a step more costs as much as that draw.
+_BISECTIONS = 24
+
+# Floor of the squared off-diagonal of a tridiagonal: no Sturm count divides
+# 0 by 0, and T moves by at most 2**-499.
+_E2_FLOOR = 2.0**-1000
+
 # Largest sigma accepted.  numpy's ziggurat returns standard normals below
 # 14 in magnitude (a tail draw is r + x, r = 3.654, x <= 53 ln 2 / r), so
 # sigma * |draw| < 1.4e151, and its square summed over a sample's 36
@@ -231,12 +320,13 @@ _INERTIA_FORMS = {"f_epr": 0, "f_slater": 1}
 _MAX_SIGMA = 1e150
 
 # Largest n_samples accepted.  Draws are made and used _CHUNK_ROWS rows at
-# a time, so what grows with n_samples is: 8 B per sample for the merit
-# values of merit_samples (the CLI's --sigma); in a sigma* search, its
-# 1 B masks and the samples it keeps after its pass at hi, 296 B each
-# (draws and index) for 3-9% of n (epr, w) or 28-32% (ghz); and 288 B per
-# sample where a search holds every draw (a walk up, or a pair without
-# monotonicity): 2.9 GB at this bound.
+# a time, so what grows with n_samples is: 16 B per sample for the merit
+# enclosures of merit_distribution (the CLI's --sigma), and 0.4 B for the
+# generator states it saves; 8 B for the values of merit_samples; in a
+# sigma* search, its 1 B masks and the samples it keeps after its pass at
+# hi, 296 B each (draws and index) for 3-9% of n (epr, w) or 28-32% (ghz);
+# and 288 B per sample where a search holds every draw (a walk up, or a
+# pair without monotonicity): 2.9 GB at this bound.
 _MAX_SAMPLES = 10**7
 
 # Certificate of a decided LDL^H row, 2**23 times the unit roundoff; the
@@ -283,31 +373,41 @@ def _merit(merit: str):
     return polytope._MERITS[merit]
 
 
-def _draw_blocks(base_state: str, n_samples: int, seed: int) -> Iterator[np.ndarray]:
+def _draw_blocks(
+    base_state: str, n_samples: int, seed: int, states: list | None = None
+) -> Iterator[np.ndarray]:
     """The draws of the first ``n_samples`` perturbations of the base state, in
     stream order and blocks of at most ``_CHUNK_ROWS`` rows.
 
     One Philox generator fills each block one normal after another, so the
     blocks stacked are its one-shot (n_samples, 36) draw bit for bit.  The
-    base state's folded draws are taken as |draw|.  The body runs only when
-    the first block is asked for: ``_base_and_blocks`` checks the arguments.
+    body runs only when the first block is asked for: ``_base_and_blocks``
+    checks the arguments.  A list ``states`` receives the generator's state
+    before each block, from which ``_draw_block`` draws that block again.
     """
-    folded = list(gates.entanglement_class(base_state).folded_draws)
     rng = np.random.Generator(np.random.Philox(key=seed))
     for start in range(0, n_samples, _CHUNK_ROWS):
-        block = rng.standard_normal((min(_CHUNK_ROWS, n_samples - start), 36))
-        block[:, folded] = np.abs(block[:, folded])
-        yield block
+        if states is not None:
+            states.append(rng.bit_generator.state)
+        yield _draw_block(base_state, rng, min(_CHUNK_ROWS, n_samples - start))
+
+
+def _draw_block(base_state: str, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """The next ``rows`` draws of ``rng``, the base state's folded draws taken as |draw|."""
+    block = rng.standard_normal((rows, 36))
+    folded = list(gates.entanglement_class(base_state).folded_draws)
+    block[:, folded] = np.abs(block[:, folded])
+    return block
 
 
 def _base_and_blocks(
-    base_state: str, n_samples: int, seed: int
+    base_state: str, n_samples: int, seed: int, states: list | None = None
 ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """gamma0 of the base state and the ``_draw_blocks`` of its ``n_samples``
     perturbations; every argument is checked before a block is drawn."""
     _check_samples(n_samples)
     gamma0 = theoretical_rdm(base_state)
-    return gamma0, _draw_blocks(base_state, n_samples, fock.checked_seed(seed))
+    return gamma0, _draw_blocks(base_state, n_samples, fock.checked_seed(seed), states)
 
 
 def _base_and_draws(
@@ -537,13 +637,18 @@ def violation_probability(
 
 
 def _checked_base_and_blocks(
-    base_state: str, merit: str, sigma: float, n_samples: int, seed: int
+    base_state: str,
+    merit: str,
+    sigma: float,
+    n_samples: int,
+    seed: int,
+    states: list | None = None,
 ):
-    """Checked merit function, gamma0 and draw blocks; warns the caller's caller if
-    merit is unpaired."""
+    """Checked merit function, gamma0 and draw blocks (their states put in
+    ``states``, if given); warns the caller's caller if merit is unpaired."""
     _check_sigma(sigma)
     merit_fn = _merit(merit)
-    gamma0, blocks = _base_and_blocks(base_state, n_samples, seed)
+    gamma0, blocks = _base_and_blocks(base_state, n_samples, seed, states)
     base = base_state.lower()
     if CANONICAL_PAIRING.get(base) != merit:
         warnings.warn(
@@ -723,8 +828,155 @@ def merit_histogram(
     bins: int = _BINS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(bin_centers, counts) for the merit distribution at one sigma."""
+    return merit_distribution(base_state, merit, sigma, n_samples, seed, bins)[1:]
+
+
+def merit_distribution(
+    base_state: str,
+    merit: str,
+    sigma: float,
+    n_samples: int = 10**5,
+    seed: int = 0,
+    bins: int = _BINS,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(violation probability, bin_centers, counts) of the merits at one sigma.
+
+    Bit for bit np.mean(v < 0) and the histogram of v = ``merit_samples``,
+    with eigvalsh run only on the rows whose sign or bin an enclosure leaves
+    in doubt (module docstring).  Holds two floats per sample.
+    """
     fock._checked_count(bins, "bins")
-    return _histogram(merit_samples(base_state, merit, sigma, n_samples, seed), bins)
+    states: list = []
+    merit_fn, gamma0, blocks = _checked_base_and_blocks(
+        base_state, merit, sigma, n_samples, seed, states
+    )
+    lower, upper = np.empty((2, n_samples))
+    low, high = np.inf, -np.inf  # the least and the largest merit resolved
+    for start, block in zip(range(0, n_samples, _CHUNK_ROWS), blocks):
+        lo, hi = lower[start : start + len(block)], upper[start : start + len(block)]
+        lo[:], hi[:] = _merit_enclosures(gamma0, merit, sigma, block)
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        # Some merit of this block or before is at most least_upper, and one is
+        # at least largest_lower: only a row reaching past them can be an extreme.
+        least_upper = min(low, np.min(hi, where=finite, initial=np.inf))
+        largest_lower = max(high, np.max(lo, where=finite, initial=-np.inf))
+        rows = np.flatnonzero(
+            ~finite | ((lo < 0.0) & (hi >= 0.0)) | (lo <= least_upper) | (hi >= largest_lower)
+        )
+        lo[rows] = hi[rows] = _merit_values(gamma0, merit_fn, sigma, block, rows)
+        low, high = min(low, lo.min()), max(high, hi.max())
+    # np.histogram's edges; every row left has low < lo <= hi < high.  The
+    # blocks of the rows whose enclosure reaches the next edge are drawn again.
+    edges = np.histogram_bin_edges([low, high], bins)
+    next_edge = np.append(edges, np.inf)
+    for start, state in zip(range(0, n_samples, _CHUNK_ROWS), states):
+        lo, hi = lower[start : start + _CHUNK_ROWS], upper[start : start + _CHUNK_ROWS]
+        rows = np.flatnonzero(hi >= next_edge[np.searchsorted(edges, lo, "right")])
+        if len(rows):
+            bit_generator = np.random.Philox()
+            bit_generator.state = state
+            block = _draw_block(base_state, np.random.Generator(bit_generator), rows[-1] + 1)
+            lo[rows] = _merit_values(gamma0, merit_fn, sigma, block, rows)
+    centers, counts = _histogram(lower, bins)
+    return float(np.mean(lower < 0.0)), centers, counts
+
+
+def _merit_enclosures(
+    gamma0: np.ndarray, merit: str, sigma: float, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bounds per perturbation in ``draws`` on the float merit
+    that ``_merit_values`` gives it; one is not finite where none was found.
+
+    Each eigenvalue the merit reads is bisected in the tridiagonal form of
+    its matrix, and the interval widened by _TAU (1 + ||T||_F) on each side;
+    the merit function is non-decreasing in each of them, and so is every
+    float sum it takes, so it maps the lower and upper ends to bounds.
+    """
+    reads = _EIGENVALUES_READ[merit]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a, e2 = _tridiagonal(_perturbed_batch(gamma0, sigma, draws).transpose(1, 2, 0))
+        np.maximum(e2, _E2_FLOOR, out=e2)
+        e = np.sqrt(e2)
+        radius = np.zeros_like(a)
+        radius[1:] += e
+        radius[:-1] += e
+        start = (a - radius).min(axis=0)  # Gershgorin's interval
+        width = (a + radius).max(axis=0) - start
+        margin = _TAU * (1.0 + np.sqrt(np.einsum("im,im->m", a, a) + 2.0 * e2.sum(axis=0)))
+        below = _N_MODES - 1 - np.array(reads)  # eigenvalues under each one read
+        low, half = _sturm_bisection(a, e2, below, start, width)
+        lam = np.full((2, len(draws), _N_MODES), np.nan)
+        lam[0][:, reads] = (low - margin).T
+        lam[1][:, reads] = (low + 2.0 * half + margin).T
+        bounds = polytope._MERITS[merit](lam)
+    return bounds[0], bounds[1]
+
+
+def _tridiagonal(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, e2): the diagonal (n, m) and the squared off-diagonal (n - 1, m) of a
+    real tridiagonal unitarily similar to each Hermitian matrix of the
+    (n, n, m) stack, which is overwritten.
+
+    Householder's reduction, column k for every matrix at once: with x the
+    column below the diagonal, v = x + (x_0 / |x_0|) |x| e_1 and tau = 2 /
+    |v|^2 = 1 / (|x| (|x| + |x_0|)), I - tau v v^H maps x to a multiple of e_1
+    of modulus |x|, and the block B below and right of the diagonal becomes
+    B - v w^H - w v^H, w = p - (tau / 2) (v^H p) v, p = tau B v.  The phases
+    of the off-diagonal do not change the eigenvalues, so only |x|^2 is kept.
+    """
+    n, _, m = matrices.shape
+    e2 = np.empty((n - 1, m))
+    work = np.empty((n - 1, n - 1, m), dtype=complex)
+    for k in range(n - 2):
+        x = matrices[k + 1 :, k]
+        np.einsum("im,im->m", x.real, x.real, out=e2[k])
+        e2[k] += np.einsum("im,im->m", x.imag, x.imag)
+        norm, size = np.sqrt(e2[k]), np.abs(x[0])
+        scale = norm * (norm + size)
+        tau = (scale > 0.0) / np.where(scale > 0.0, scale, 1.0)
+        x[0] += np.where(size > 0.0, x[0] / np.where(size > 0.0, size, 1.0), 1.0) * norm
+        v, block, w = x, matrices[k + 1 :, k + 1 :], work[: n - 1 - k, : n - 1 - k]
+        np.multiply(block, v, out=w)
+        p = w.sum(axis=1)
+        p *= tau
+        p -= (0.5 * tau * np.einsum("im,im->m", v.conj(), p).real) * v
+        np.multiply(v[:, None], p.conj(), out=w)
+        block -= w
+        np.multiply(p[:, None], v.conj(), out=w)
+        block -= w
+    last = matrices[n - 1, n - 2]
+    e2[n - 2] = last.real**2 + last.imag**2
+    return np.einsum("iim->im", matrices).real.copy(), e2
+
+
+def _sturm_bisection(
+    a: np.ndarray, e2: np.ndarray, below: np.ndarray, start: np.ndarray, width: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(low, half): the eigenvalue of each tridiagonal (a, e2) with ``below[i]``
+    eigenvalues under it lies in [low[i], low[i] + 2 half], up to the roundings
+    of the module docstring, after _BISECTIONS halvings of [start, start + width].
+
+    A Sturm count at x is the number of q_i = (a_i - x) - e2_(i-1) / q_(i-1)
+    whose sign bit is set; low only ever moves to an x whose count is at
+    most below[i].
+    """
+    n, m = a.shape
+    low = np.empty((len(below), m))
+    low[...] = start
+    half = width * 0.5
+    x, t, down = np.empty_like(low), np.empty_like(low), np.empty(low.shape, dtype=bool)
+    q = np.empty((n, *low.shape))
+    for _ in range(_BISECTIONS):
+        np.add(low, half, out=x)
+        np.subtract(a[:, None], x, out=q)
+        for i in range(1, n):
+            np.divide(e2[i - 1], q[i - 1], out=t)
+            q[i] -= t
+        counts = np.signbit(q).view(np.int8).sum(axis=0, dtype=np.int8)
+        np.less_equal(counts, below[:, None], out=down)
+        np.copyto(low, x, where=down)
+        half *= 0.5
+    return low, half
 
 
 def _histogram(values: np.ndarray, bins: int = _BINS) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,13 @@
 """Command-line interface: payloads, formats, exit codes, reproducibility."""
 
+import ast
 import csv
 import json
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,3 +464,47 @@ class TestImport:
             for argv in self.ARGVS
         )
         assert self._scipy_modules(f"import sys; from fermitope.cli import main; {runs}") == "[]"
+
+
+class TestParser:
+    """main builds its parser once per process; parsing leaves it as built."""
+
+    @staticmethod
+    def _argument_sets() -> list[list[str]]:
+        """Every list of string literals in this module that starts with a command."""
+        found = []
+        for node in ast.walk(ast.parse(Path(__file__).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.List) and node.elts and all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts
+            ):
+                argv = [e.value for e in node.elts]
+                if argv[0] in _COMMANDS:
+                    found.append(argv)
+        return found
+
+    @staticmethod
+    def _parsed(parser, argv, capsys):
+        try:
+            return repr(vars(parser.parse_args(argv)))  # repr: nan equals nan
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr()
+
+    def test_one_parser_parses_as_a_fresh_one(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        argvs = self._argument_sets()
+        assert len(argvs) > 60 and {argv[0] for argv in argvs} == set(_COMMANDS)
+        for argv in argvs:
+            fresh = self._parsed(cli._build_parser.__wrapped__(), argv, capsys)
+            assert self._parsed(cli._build_parser(), argv, capsys) == fresh, argv
+
+    @pytest.mark.parametrize("command", [None, *_COMMANDS])
+    def test_help_is_unchanged(self, command, capsys):
+        argv = ["--help"] if command is None else [command, "--help"]
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser.__wrapped__().parse_args(argv)
+        want = capsys.readouterr().out
+        assert exc.value.code == 0 and want.startswith("usage: fermitope")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0 and capsys.readouterr().out == want

@@ -860,6 +860,12 @@ class TestMemory:
         peak = _traced_peak(lambda: merit_samples("ghz", "f_w", 0.05, self.N, 0))
         assert peak <= 4 * 10**6 + 16 * self.N
 
+    def test_merit_distribution_holds_two_bounds_and_one_block(self):
+        """5.0 MB: 1.6 MB of bounds and one block's draws and temporaries."""
+        mc.merit_distribution("ghz", "f_w", 0.05, 3_000, 0)
+        peak = _traced_peak(lambda: mc.merit_distribution("ghz", "f_w", 0.05, self.N, 0))
+        assert peak <= 4 * 10**6 + 24 * self.N
+
     # 5.3 MB (w), 4.5 MB (epr) and 10.4 MB (ghz, whose F_W bounds leave a
     # quarter of the rows unproved at hi); all samples' draws held: 31-32 MB,
     # and ghz's kept draws concatenated from per-block pieces: 18.3 MB.
@@ -903,3 +909,100 @@ class TestHistogram:
         centers, counts = merit_histogram("ghz", "f_w", 0.05, 5_000, seed=1, bins=50)
         assert counts.sum() == 5_000
         assert len(centers) == 50
+
+
+def _distribution_oracle(base, merit, sigma, n, seed, bins=mc._BINS):
+    """np.mean(v < 0) and the histogram of every merit from eigvalsh."""
+    values = merit_samples(base, merit, sigma, n, seed)
+    return (float(np.mean(values < 0.0)), *mc._histogram(values, bins))
+
+
+def _same_distribution(got, want) -> bool:
+    return got[0] == want[0] and all(np.array_equal(g, w) for g, w in zip(got[1:], want[1:]))
+
+
+class TestMeritDistribution:
+    """merit_distribution encloses each merit and diagonalises only the rows an
+    enclosure leaves in doubt; its numbers must be those of every merit."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("base, merit", ALL_PAIRS)
+    def test_equals_the_histogram_of_every_merit(self, base, merit):
+        for sigma in (0.0, 1e-6, 0.05, 0.3, mc._MAX_SIGMA):
+            for n in (1, 2047, 2048, 2049, 20_000):
+                try:
+                    want = _distribution_oracle(base, merit, sigma, n, 7)
+                except ValueError:
+                    # One sample of size 1e151: v - 0.5 == v + 0.5, no bins.
+                    assert n == 1 and sigma == mc._MAX_SIGMA
+                    with pytest.raises(ValueError, match="Too many bins"):
+                        mc.merit_distribution(base, merit, sigma, n, 7)
+                    continue
+                got = mc.merit_distribution(base, merit, sigma, n, 7)
+                assert _same_distribution(got, want), (sigma, n)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("base, merit", [*CANONICAL, ("slater", "f_w")])
+    @pytest.mark.parametrize("bins", [1, 7, 200])
+    def test_wide_enclosures_redraw_blocks_and_change_nothing(self, base, merit, bins, monkeypatch):
+        """Six bisections leave enclosures wider than many bins: the rows over an
+        edge are evaluated from their blocks, drawn again from the saved state."""
+        drawn, draw_block = [], mc._draw_block
+        monkeypatch.setattr(mc, "_BISECTIONS", 6)
+        monkeypatch.setattr(
+            mc, "_draw_block", lambda *args: drawn.append(args[2]) or draw_block(*args)
+        )
+        n = 3 * mc._CHUNK_ROWS + 100
+        got = mc.merit_distribution(base, merit, 0.05, n, 3, bins)
+        # The stream's four blocks, then those drawn again; one bin has no edge inside.
+        assert drawn[:4] == [mc._CHUNK_ROWS] * 3 + [100]
+        assert len(drawn) > 4 if bins > 1 else len(drawn) == 4
+        assert _same_distribution(got, _distribution_oracle(base, merit, 0.05, n, 3, bins))
+        centers, counts = merit_histogram(base, merit, 0.05, n, 3, bins)
+        assert np.array_equal(centers, got[1]) and np.array_equal(counts, got[2])
+
+    def test_few_rows_reach_eigvalsh(self, monkeypatch):
+        resolved, merit_values = [], mc._merit_values
+        monkeypatch.setattr(
+            mc,
+            "_merit_values",
+            lambda *args: resolved.append(len(args[4])) or merit_values(*args),
+        )
+        for base, merit in CANONICAL:
+            resolved.clear()
+            mc.merit_distribution(base, merit, 0.05, 20_000, 0)
+            assert sum(resolved) <= 30, (base, sum(resolved))
+
+    @pytest.mark.parametrize("depth", [mc._BISECTIONS, 64])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        base=st.sampled_from(list(gates.CLASSES)),
+        merit=st.sampled_from(mc.MERIT_LABELS),
+        seed=st.integers(0, 2**32 - 1),
+        decade=st.integers(-9, 149),
+        mantissa=st.floats(1.0, 9.99),
+    )
+    def test_enclosures_hold_the_eigvalsh_merit(self, depth, base, merit, seed, decade, mantissa):
+        """At 64 bisections the interval shrinks to a few floats, so only the
+        widening by _TAU (1 + ||T||_F) keeps eigvalsh's merit inside it."""
+        sigma = min(mantissa * 10.0**decade, mc._MAX_SIGMA)
+        gamma0, draws = mc._base_and_draws(base, 256, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "_BISECTIONS", depth)
+            lower, upper = mc._merit_enclosures(gamma0, merit, sigma, draws)
+        want = mc._merit_values(gamma0, polytope._MERITS[merit], sigma, draws, slice(None))
+        finite = np.isfinite(lower) & np.isfinite(upper)
+        assert np.count_nonzero(finite) >= 250
+        assert np.all(lower[finite] <= want[finite]) and np.all(want[finite] <= upper[finite])
+
+    def test_tridiagonal_keeps_the_spectrum(self):
+        rng = np.random.default_rng(5)
+        for scale in (1e-8, 1.0, 1e150):
+            z = scale * (rng.standard_normal((40, 6, 6)) + 1j * rng.standard_normal((40, 6, 6)))
+            matrices = z + z.conj().transpose(0, 2, 1)
+            a, e2 = mc._tridiagonal(matrices.transpose(1, 2, 0).copy())
+            t = np.zeros((40, 6, 6))
+            t[:, range(6), range(6)] = a.T
+            t[:, range(1, 6), range(5)] = t[:, range(5), range(1, 6)] = np.sqrt(e2.T)
+            want = np.linalg.eigvalsh(matrices)
+            assert np.abs(np.linalg.eigvalsh(t) - want).max() <= 1e-14 * np.abs(want).max()
