@@ -360,6 +360,16 @@ def _pair_transitions(
 # gamma = Phi^T Phi^* with Phi = S * psi[C] (one gather and one matrix
 # product), and a density matrix gives
 # gamma_ij = sum_k S[k, i] S[k, j] rho[C[k, i], C[k, j]], diagonal included.
+#
+# A term of that sum is live only where sites i+1 and j+1 are both empty in
+# k, so each k has (d-N+1)^2 of the d^2: 1,400 of 3,584 terms at (8, 4) and
+# 38,808 of 114,048 at (12, 6).  _density_terms lists the live ones, k-major,
+# and the kernel gathers them once and adds them into gamma in that order.
+# Each gamma_ij thus receives its products in ascending k starting from +0.0,
+# the order in which np.einsum over all K d^2 terms adds them; the terms
+# left out are the products 0 * rho = +-0.0, and adding +-0.0 to a sum that
+# starts at +0.0 never changes it.  So both give the same bits, provided rho
+# is finite (0 * inf is nan), which MixedState enforces.
 
 @lru_cache(maxsize=None)
 def _creation_table(d: int, n_particles: int) -> tuple[np.ndarray, np.ndarray]:
@@ -384,17 +394,51 @@ def _creation_table(d: int, n_particles: int) -> tuple[np.ndarray, np.ndarray]:
     return index, signs
 
 
+@lru_cache(maxsize=None)
+def _density_terms(d: int, n_particles: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, sign) of the live terms S[k, i] S[k, j] rho[C[k, i], C[k, j]], k-major.
+
+    ``src`` is the flat index C[k, i] dim + C[k, j] into rho (np.intp),
+    ``dst`` the flat index i d + j into gamma (int16, as d^2 <= 576) and
+    ``sign`` the product S[k, i] S[k, j] (int8): 11 bytes per term.
+    """
+    index, signs = _creation_table(d, n_particles)
+    dim = math.comb(d, n_particles)
+    # The d-N+1 empty sites of each (N-1)-particle state k, ascending.
+    sites = np.nonzero(signs)[1].reshape(len(index), d - n_particles + 1)
+    rows = np.take_along_axis(index, sites, axis=1)
+    sign = np.take_along_axis(signs, sites, axis=1)
+    src = (rows[:, :, None] * dim + rows[:, None, :]).ravel()
+    dst = (sites[:, :, None] * d + sites[:, None, :]).astype(np.int16).ravel()
+    sign = (sign[:, :, None] * sign[:, None, :]).ravel()
+    for arr in (src, dst, sign):
+        arr.flags.writeable = False
+    return src, dst, sign
+
+
 def _rdm_kernel(
     d: int, n_particles: int, x: np.ndarray, density: bool = False
 ) -> np.ndarray:
     """<a_j^+ a_i> for amplitudes (..., dim) or density matrices (..., dim, dim).
 
     Nothing is normalized: amplitudes of norm r give r^2 times the 1-RDM.
+    A density matrix is read only at its live terms (see the comment above
+    _creation_table), which are added into gamma in ascending k by one
+    unbuffered ``np.add.at``.  The bits are those of the full einsum over
+    all terms for every finite input; a non-finite one is not supported.
     """
-    index, signs = _creation_table(d, n_particles)
     if density:
-        gathered = x[..., index[:, :, None], index[:, None, :]]
-        return np.einsum("kij,...kij->...ij", signs[:, :, None] * signs[:, None, :], gathered)
+        src, dst, sign = _density_terms(d, n_particles)
+        lead, dim = x.shape[:-2], x.shape[-1]
+        batch = math.prod(lead)
+        # (terms, batch) in C order: the ravels copy nothing, and each
+        # matrix still meets its terms in ascending k.
+        terms = x.reshape(batch, dim * dim).T[src]
+        terms *= sign[:, None]
+        gamma = np.zeros(batch * d * d, dtype=terms.dtype)
+        np.add.at(gamma, (dst[:, None] + np.arange(0, gamma.size, d * d)).ravel(), terms.ravel())
+        return gamma.reshape(lead + (d, d))
+    index, signs = _creation_table(d, n_particles)
     phi = np.take(x, index, axis=-1) * signs
     return np.swapaxes(phi, -1, -2) @ phi.conj()
 

@@ -843,7 +843,9 @@ def merit_distribution(
 
     Bit for bit np.mean(v < 0) and the histogram of v = ``merit_samples``,
     with eigvalsh run only on the rows whose sign or bin an enclosure leaves
-    in doubt (module docstring).  Holds two floats per sample.
+    in doubt (module docstring).  Holds two floats per sample.  A range of
+    merits too narrow for ``bins`` edges of finite width raises
+    InvalidDimensionError.
     """
     fock._checked_count(bins, "bins")
     states: list = []
@@ -867,7 +869,15 @@ def merit_distribution(
         low, high = min(low, lo.min()), max(high, hi.max())
     # np.histogram's edges; every row left has low < lo <= hi < high.  The
     # blocks of the rows whose enclosure reaches the next edge are drawn again.
-    edges = np.histogram_bin_edges([low, high], bins)
+    # numpy refuses a range whose edges its floats cannot tell apart: one
+    # merit v spans [v - 0.5, v + 0.5], too narrow once |v| > ~2**52 / bins.
+    try:
+        edges = np.histogram_bin_edges([low, high], bins)
+    except ValueError:
+        raise InvalidDimensionError(
+            f"sigma={sigma:g} with n_samples={n_samples} puts the merits in "
+            f"[{low:g}, {high:g}], too narrow a range for {bins} bins of finite width"
+        ) from None
     next_edge = np.append(edges, np.inf)
     for start, state in zip(range(0, n_samples, _CHUNK_ROWS), states):
         lo, hi = lower[start : start + _CHUNK_ROWS], upper[start : start + _CHUNK_ROWS]

@@ -104,15 +104,36 @@ def dense_one_rdm(state: fock.PureState) -> np.ndarray:
     return gamma
 
 
-def sector_hop_operators(d: int, n_particles: int) -> np.ndarray:
-    """E[i, j] = a_{j+1}^+ a_{i+1} on the sector, from dense full-space operators,
-    so that the 1-RDM of a sector density matrix rho is tr(rho E[i, j])."""
-    ops = np.empty((d, d) + (fock.sector_dim(d, n_particles),) * 2, dtype=complex)
+def einsum_density_rdm(d: int, n_particles: int, rho: np.ndarray) -> np.ndarray:
+    """gamma_ij = sum_k S[k, i] S[k, j] rho[C[k, i], C[k, j]] over all K d^2 terms.
+
+    Every entry is gathered and np.einsum multiplies most of them by a zero
+    sign.  Its bits, sign bits included, are the ones the live-term density
+    branch of ``fock._rdm_kernel`` must reproduce.
+    """
+    index, signs = fock._creation_table(d, n_particles)
+    gathered = rho[..., index[:, :, None], index[:, None, :]]
+    return np.einsum("kij,...kij->...ij", signs[:, :, None] * signs[:, None, :], gathered)
+
+
+def dense_density_one_rdm(d: int, n_particles: int, rho: np.ndarray) -> np.ndarray:
+    """gamma_ij = tr(rho a_{j+1}^+ a_{i+1}) for a stack (s, dim, dim) of sector
+    density matrices, N >= 1.
+
+    Each hop is the product of the dense creation and annihilation operators
+    restricted to the N-1 <-> N sector blocks.  One row i of hops is held at
+    a time, d dim^2 entries: all d^2 would take 101 MB at (10, 5).
+    """
+    raising = [restrict(dense_creation(d, site), d, n_particles - 1, n_particles)
+               for site in range(1, d + 1)]
+    flat = rho.reshape(len(rho), -1)
+    gamma = np.empty((len(rho), d, d), dtype=complex)
     for i in range(d):
-        for j in range(d):
-            hop = dense_creation(d, j + 1) @ dense_annihilation(d, i + 1)
-            ops[i, j] = restrict(hop, d, n_particles, n_particles)
-    return ops
+        lowering = raising[i].conj().T
+        # tr(rho E) = sum_ab rho_ab E_ba
+        hops_t = np.stack([(raising[j] @ lowering).T for j in range(d)])
+        gamma[:, i, :] = flat @ hops_t.reshape(d, -1).T
+    return gamma
 
 
 def dephasing_kernel(d: int, n_particles: int, rate: float, delta: float) -> np.ndarray:
@@ -157,10 +178,10 @@ def dense_trotter_states(protocol, params, dt, initial, free_time=0.0):
 def dense_trajectory(protocol, params, dt, initial, free_time=0.0, margin_epsilon=0.06):
     """The columns of a noisy trajectory on a six-mode sector, from
     `dense_trotter_states` and dense 1-RDMs: (columns, final rho)."""
-    ops = sector_hop_operators(initial.d, initial.n_particles)
+    times, rhos, psis = zip(*dense_trotter_states(protocol, params, dt, initial, free_time))
+    gammas = dense_density_one_rdm(initial.d, initial.n_particles, np.array(rhos))
     rows = {key: [] for key in ("times", "fidelity", "purity", "lambdas", "f1", "f2", "margin_ok")}
-    for t, rho, psi in dense_trotter_states(protocol, params, dt, initial, free_time):
-        gamma = np.einsum("ab,ijba->ij", rho, ops)
+    for t, rho, psi, gamma in zip(times, rhos, psis, gammas):
         lam = np.linalg.eigvalsh((gamma + gamma.conj().T) / 2.0)[::-1]
         merits = polytope.merit_values(lam)
         rows["times"].append(t)

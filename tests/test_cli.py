@@ -245,6 +245,20 @@ class TestMonteCarloCommand:
         assert drawn_rows == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("base, sigma", [("epr", "1e150"), ("w", "1e14")])
+    def test_one_sample_too_large_for_bins_exits_2(self, tmp_path, capsys, base, sigma, fmt):
+        """One merit v with 200 bins over [v - 0.5, v + 0.5] finer than its ulp."""
+        args = ["montecarlo", "--base", base, "--sigma", sigma, "--n-samples", "1",
+                "--format", fmt]
+        code, out = run(tmp_path, f"mc.{fmt}", args)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("fermitope: configuration error: ")
+        assert f"sigma={float(sigma):g} with n_samples=1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_rejected_sigma_prints_no_pairing_warning(self, tmp_path, capsys):
         args = ["montecarlo", "--base", "ghz", "--merit", "f_epr", "--sigma", "-1",
                 "--n-samples", "10"]

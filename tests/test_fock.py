@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -237,6 +238,67 @@ class TestOneRDM:
             assert np.max(np.abs(single - want[0])) <= 1e-12
             assert np.max(np.abs(batch - np.stack(want))) <= 1e-12
             assert np.max(np.abs(mixed - (0.7 * want[0] + 0.3 * want[1]))) <= 1e-12
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal values and equal sign bits, -0.0 against +0.0 included."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    if got.shape != want.shape or got.dtype != want.dtype:
+        return False
+    got, want = got.view(np.float64), want.view(np.float64)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestDensityKernel:
+    """The density branch reads only the live terms and adds them in
+    ascending k, so it must give the bits of the einsum over all terms."""
+
+    LEADS = [(), (1,), (13,), (2, 3)]
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_keeps_the_einsum_bits_on_every_sector(self, d):
+        rng = np.random.default_rng(d)
+        for n in range(d + 1):
+            dim = math.comb(d, n)
+            for lead in self.LEADS:
+                # Recorded noisy states are (dim + 1, dim) blocks read without
+                # their last row; a contiguous copy is the general input.
+                shape = lead + (dim + 1, dim)
+                block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                view = block[..., :-1, :]
+                # Exact zeros of both signs: the signed normals times 0 or 1.
+                diagonal = np.zeros(lead + (dim, dim), dtype=complex)
+                values = rng.standard_normal(lead + (dim,)) * rng.integers(0, 2, lead + (dim,))
+                diagonal[..., range(dim), range(dim)] = values
+                for rho in (np.ascontiguousarray(view), view, diagonal):
+                    want = oracles.einsum_density_rdm(d, n, rho)
+                    got = fock._rdm_kernel(d, n, rho, density=True)
+                    assert _same_bits(got, want), (n, lead)
+
+    @pytest.mark.parametrize("d, n, live", [(8, 4, 1_400), (10, 5, 7_560), (12, 6, 38_808)])
+    def test_terms_are_the_nonzero_signs_in_k_order(self, d, n, live):
+        index, signs = fock._creation_table(d, n)
+        k, i, j = np.nonzero(signs[:, :, None] * signs[:, None, :])
+        src, dst, sign = fock._density_terms(d, n)
+        assert len(src) == live == len(index) * (d - n + 1) ** 2
+        assert np.array_equal(src, index[k, i] * math.comb(d, n) + index[k, j])
+        assert np.array_equal(dst, i * d + j)
+        assert np.array_equal(sign, signs[k, i] * signs[k, j])
+
+    def test_transient_below_the_gathered_entries_at_twelve_modes(self):
+        """The einsum gathered all K d^2 entries: 1.8 MB for one (12, 6) state."""
+        d, n = 12, 6
+        rng = np.random.default_rng(12)
+        rho = rng.standard_normal((math.comb(d, n),) * 2).astype(complex)
+        fock._rdm_kernel(d, n, rho, density=True)  # the term table is cached
+        tracemalloc.start()
+        try:
+            fock._rdm_kernel(d, n, rho, density=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gathered_bytes = math.comb(d, n - 1) * d * d * 16
+        assert peak < gathered_bytes
 
 
 class TestNaturalOccupations:

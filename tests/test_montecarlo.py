@@ -1,6 +1,7 @@
 """Gaussian 1-RDM perturbations, violation probabilities, sigma thresholds."""
 
 import functools
+import re
 import tracemalloc
 import warnings
 
@@ -935,7 +936,7 @@ class TestMeritDistribution:
                 except ValueError:
                     # One sample of size 1e151: v - 0.5 == v + 0.5, no bins.
                     assert n == 1 and sigma == mc._MAX_SIGMA
-                    with pytest.raises(ValueError, match="Too many bins"):
+                    with pytest.raises(InvalidDimensionError, match="with n_samples=1 "):
                         mc.merit_distribution(base, merit, sigma, n, 7)
                     continue
                 got = mc.merit_distribution(base, merit, sigma, n, 7)
@@ -960,6 +961,24 @@ class TestMeritDistribution:
         assert _same_distribution(got, _distribution_oracle(base, merit, 0.05, n, 3, bins))
         centers, counts = merit_histogram(base, merit, 0.05, n, 3, bins)
         assert np.array_equal(centers, got[1]) and np.array_equal(counts, got[2])
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize(
+        "base, merit, sigma", [("epr", "f_slater", 1e150), ("w", "f_epr", 1e14)]
+    )
+    def test_one_sample_too_large_for_bins_is_refused(self, base, merit, sigma, monkeypatch):
+        """One merit v: numpy's 200 bins over [v - 0.5, v + 0.5] are finer than
+        v's ulp.  The refusal names sigma and n_samples and comes before any
+        block is drawn again."""
+        drawn, draw_block = [], mc._draw_block
+        monkeypatch.setattr(
+            mc, "_draw_block", lambda *args: drawn.append(args[2]) or draw_block(*args)
+        )
+        message = re.escape(f"sigma={sigma:g} with n_samples=1 ")
+        for run in (mc.merit_distribution, merit_histogram):
+            with pytest.raises(InvalidDimensionError, match=message):
+                run(base, merit, sigma, 1, 0)
+        assert drawn == [1, 1]  # each run's stream, and no block drawn again
 
     def test_few_rows_reach_eigvalsh(self, monkeypatch):
         resolved, merit_values = [], mc._merit_values

@@ -7,7 +7,7 @@ import numpy as np
 import oracles
 import pytest
 
-from fermitope import gates, noise
+from fermitope import fock, gates, noise
 from fermitope.errors import (
     InvalidDimensionError, InvalidGateError, SectorMismatchError, StepSizeError,
 )
@@ -357,6 +357,64 @@ class TestTrajectoryAgainstDenseOracle:
             assert np.max(np.abs(getattr(trajectory, column) - want[column])) <= 1e-12, column
         assert np.array_equal(trajectory.margin_ok, want["margin_ok"])
         assert np.max(np.abs(final.matrix - (rho + rho.conj().T) / 2.0)) <= 1e-12
+
+
+class TestRecordedRdmsAgainstDenseOracle:
+    """Every 1-RDM a random run records, against the dense 2^d oracle's 1-RDM
+    of the same recorded rho.  evolve_noisy_protocol starts only from pure
+    states, so a mixed start drives its block producer and observer."""
+
+    DURATIONS = {"rotation": 20e-12, "controlled_rotation": 60e-12, "phase": 20e-12}
+    PARAMS = NoiseParams(dephasing_rate=1e10, emission_rate=2e9)
+    STEP = 2e-12
+
+    def random_protocol(self, d: int, kinds, rng) -> Protocol:
+        ops = []
+        for kind in kinds:
+            n_sites = 3 if kind == "controlled_rotation" else 2
+            sites = tuple(int(s) + 1 for s in rng.choice(d, size=n_sites, replace=False))
+            angle = float(rng.uniform(-math.pi, math.pi))
+            ops.append(gates.GateOp(kind, sites, angle, self.DURATIONS[kind]))
+        return Protocol(f"random-{d}", tuple(ops))
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+    @pytest.mark.parametrize(
+        "d, n, kinds",
+        [(8, 4, ("rotation", "controlled_rotation", "phase")), (10, 5, ("phase", "rotation"))],
+    )
+    def test_every_recorded_rdm(self, monkeypatch, d, n, kinds, mixed):
+        rng = np.random.default_rng(10 * d + mixed)
+        protocol = self.random_protocol(d, rng.permutation(kinds), rng)
+        recorded, kernel = [], fock._rdm_kernel
+
+        def spy(d_, n_, x, density=False):
+            out = kernel(d_, n_, x, density)
+            if density:
+                recorded.append((x.copy(), out))
+            return out
+
+        monkeypatch.setattr(fock, "_rdm_kernel", spy)
+        psi = random_pure_state(d, n, seed=d)
+        steps = [math.ceil(g.duration / self.STEP) for g in protocol.gates]
+        if mixed:
+            other = random_pure_state(d, n, seed=d + 1).amplitudes
+            a = psi.amplitudes
+            rho = 0.7 * np.outer(a, a.conj()) + 0.3 * np.outer(other, other.conj())
+            start = np.vstack([rho, a])
+            rate = self.PARAMS.dephasing_rate + self.PARAMS.emission_rate
+            plan = [((g, rate, g.duration), s) for g, s in zip(protocol.gates, steps)]
+            size = max(1, noise._BLOCK_BYTES // start.nbytes)
+            for _, states in noise._trotter_blocks(plan, start, d, n, size):
+                noise._observe(states, d, n)
+        else:
+            evolve_noisy_protocol(protocol, self.PARAMS, self.STEP, initial=psi)
+        rhos = np.concatenate([x for x, _ in recorded])
+        gammas = np.concatenate([g for _, g in recorded])
+        assert len(rhos) == 1 + sum(steps)
+        want = oracles.dense_density_one_rdm(d, n, rhos)
+        assert np.max(np.abs(gammas - want)) <= 1e-13
+        assert np.max(np.abs(np.trace(gammas, axis1=1, axis2=2) - n)) <= 1e-12
+        assert np.max(np.abs(gammas - gammas.conj().transpose(0, 2, 1))) <= 1e-12
 
 
 def traced_peak(run):
