@@ -27,15 +27,15 @@ The search first bisects the grid on the first _CHUNK_ROWS samples, a
 pilot whose answer m' is final when there are no more samples.  All
 samples are then evaluated once, at hi = min(2**12, m' + max(8, m' // 4)),
 each block as it is drawn, and only those that the certificate does not
-prove violating at hi are kept.  If p(hi) < c the search walks down over
-[0, hi], evaluating only the samples that do not violate at hi, about
-1 - c of them and all of them kept.  If p(hi) >= c the pilot fell short:
-every sample is drawn again, the samples violating at hi are evaluated
-at 0.5 and the search walks up over [hi, 2**12].  In all, about 1.1-1.4
-full evaluations of the samples, against 3.2-5.3 for a bisection down
-from 0.5 (the canonical pairs, n = 1e5; ghz/F_W hands 2.1-2.2 n rows to
-its certificate, because the early stop below leaves rows to later
-steps).  Where the condition fails (slater with F_W) the search is that
+prove violating at hi are kept.  If p(hi) >= c and hi < 2**12, the
+pilot fell short: all samples are drawn and evaluated again, at 0.5, the
+same way.  The search then bisects [0, hi] or [hi, 2**12], evaluating
+only the samples violating at the lower end and not at the upper one,
+all kept there (about 1 - c of all samples below hi).  In all, about 1.1-1.4 full
+evaluations of the samples, against 3.2-5.3 for a bisection down from
+0.5 (the canonical pairs, n = 1e5; ghz/F_W hands 2.1-2.2 n rows to its
+certificate, because the early stop below leaves rows to later steps).
+Where the condition fails (slater with F_W) the search is that
 bisection, over every sample and with brackets that tell nothing.
 
 F_EPR and F_Slater ask a question of inertia.  With A = I - gamma,
@@ -242,9 +242,9 @@ violation_probability only its count of violators.
 The search holds the pilot's block, then a few boolean masks over all n
 samples and the draws and indices of the samples kept at hi: 3-9% of n
 for epr and w and 28-32% for ghz (seeds 0, 11 and 42, n = 1e5), the
-draws in pages of _CHUNK_ROWS rows (_KeptDraws).  Only a
-walk up and a pair without monotonicity hold every draw, 288 B per
-sample, which _MAX_SAMPLES bounds at 2.9 GB.
+draws in pages of _CHUNK_ROWS rows (_KeptDraws), like the pilot's.  A
+pass at 0.5 and a pair without monotonicity keep nearly every sample,
+296 B each, which _MAX_SAMPLES bounds at 3.0 GB.
 """
 
 import itertools
@@ -324,9 +324,9 @@ _MAX_SIGMA = 1e150
 # enclosures of merit_distribution (the CLI's --sigma), and 0.4 B for the
 # generator states it saves; 8 B for the values of merit_samples; in a
 # sigma* search, its 1 B masks and the samples it keeps after its pass at
-# hi, 296 B each (draws and index) for 3-9% of n (epr, w) or 28-32% (ghz);
-# and 288 B per sample where a search holds every draw (a walk up, or a
-# pair without monotonicity): 2.9 GB at this bound.
+# hi, 296 B each (draws and index) for 3-9% of n (epr, w) or 28-32% (ghz),
+# and for nearly every sample where a search keeps them all (a pass at
+# 0.5, or a pair without monotonicity): 3.0 GB at this bound.
 _MAX_SAMPLES = 10**7
 
 # Certificate of a decided LDL^H row, 2**23 times the unit roundoff; the
@@ -347,7 +347,7 @@ class PerturbationSpec:
         gates.entanglement_class(self.base_state)
         _check_sigma(self.sigma)
         _check_samples(self.n_samples)
-        fock.checked_seed(self.seed)
+        _check_seed(self.seed)
 
 
 def _check_sigma(sigma: float) -> None:
@@ -359,6 +359,11 @@ def _check_samples(n_samples: int) -> None:
     fock._checked_count(n_samples, "n_samples")
     if n_samples > _MAX_SAMPLES:
         raise InvalidDimensionError(f"n_samples must be <= {_MAX_SAMPLES:,}")
+
+
+def _check_seed(seed: int) -> None:
+    if fock.checked_seed(seed) >= 2**128:  # Philox's key has 128 bits
+        raise InvalidDimensionError(f"seed must be < 2**128, got {seed}")
 
 
 def theoretical_rdm(base_state: str) -> np.ndarray:
@@ -406,20 +411,9 @@ def _base_and_blocks(
     """gamma0 of the base state and the ``_draw_blocks`` of its ``n_samples``
     perturbations; every argument is checked before a block is drawn."""
     _check_samples(n_samples)
+    _check_seed(seed)
     gamma0 = theoretical_rdm(base_state)
-    return gamma0, _draw_blocks(base_state, n_samples, fock.checked_seed(seed), states)
-
-
-def _base_and_draws(
-    base_state: str, n_samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """gamma0 and the (n_samples, 36) draws, every block stacked, for a caller
-    that revisits every row."""
-    gamma0, blocks = _base_and_blocks(base_state, n_samples, seed)
-    draws = np.empty((n_samples, 36))
-    for start, block in zip(range(0, n_samples, _CHUNK_ROWS), blocks):
-        draws[start : start + len(block)] = block
-    return gamma0, draws
+    return gamma0, _draw_blocks(base_state, n_samples, seed, states)
 
 
 def _perturbed_batch(gamma0: np.ndarray, sigma: float, draws: np.ndarray) -> np.ndarray:
@@ -670,9 +664,9 @@ def max_tolerated_sigma(
 
     The float that 12 halvings of [0, 0.5] with common random numbers
     give: a step of the grid 0.5 / 2**12, or 0 if no step passes.  The
-    module docstring describes the pilot, the one evaluation of all
-    ``n_samples`` and the walk down or up that find it, and which draws
-    each of them holds.
+    module docstring describes the pilot, the passes over all ``n_samples``
+    at hi (and at 0.5 if hi passes), the bisection between them that finds
+    it, and which draws each of them holds.
     """
     if not 0.5 < confidence < 1.0:
         raise InvalidDimensionError("confidence must lie in (0.5, 1)")
@@ -685,41 +679,35 @@ def max_tolerated_sigma(
         """Violations at step m of the first len(v_hi) samples, exact as far as
         whether ``needed`` of them violate.  v_lo and v_hi are their statuses at
         a lower and a higher step, or all True and all False, which tell nothing.
-        Sample r is draws[r], or draws[i] with kept[i] = r once only the kept
-        samples are held."""
+        Sample kept[i] is draws[i], and every sample evaluated is kept."""
         if not monotone:
             v_lo, v_hi = np.ones_like(v_lo), np.zeros_like(v_hi)
         out = v_hi.copy()
         rows = np.flatnonzero(v_lo & ~v_hi)
-        at = rows if kept is None else np.searchsorted(kept, rows)
+        at = np.searchsorted(kept, rows)
         out[rows] = _violations(gamma0, merit, m * _STEP, draws, at, needed - out.sum())
         return out
 
-    everyone = np.ones(n_samples, dtype=bool)
-    kept = None
     # Without monotonicity only the bisection over every sample is exact:
-    # then the pilot takes every sample and is the whole search.
-    if monotone:
-        k, draws = min(n_samples, _CHUNK_ROWS), next(blocks)
-    else:
-        k, draws = n_samples, _base_and_draws(base_state, n_samples, seed)[1]
-    pilot, needed = everyone[:k], _violators_needed(k, confidence)
-    v_top = status(_TOP, needed, pilot, ~pilot)
-    m_hat = _largest_passing_step(status, needed, 0, _TOP, pilot, v_top)
-    if k == n_samples:
-        return m_hat * _STEP
-    needed = _violators_needed(n_samples, confidence)
-    hi = min(_TOP, m_hat + max(_MARGIN_STEPS, m_hat // 4))
-    v_hi, kept, draws = _streamed_step(
-        gamma0, merit, hi * _STEP, itertools.chain([draws], blocks), n_samples, needed
-    )
-    if hi < _TOP and np.count_nonzero(v_hi) >= needed:
-        # The pilot fell short; only samples violating at hi can violate above it.
-        kept, draws = None, _base_and_draws(base_state, n_samples, seed)[1]
-        v_top = status(_TOP, needed, v_hi, ~everyone)
-        return _largest_passing_step(status, needed, hi, _TOP, v_hi, v_top) * _STEP
-    # Below hi only the samples not violating at hi are evaluated, and all are kept.
-    return _largest_passing_step(status, needed, 0, hi, everyone, v_hi) * _STEP
+    # then the pilot takes every block and is the whole search.
+    draws = _KeptDraws(itertools.islice(blocks, 1 if monotone else None))
+    kept, everyone = np.arange(draws.rows), np.ones(n_samples, dtype=bool)
+    v_lo, needed = everyone[: len(kept)], _violators_needed(len(kept), confidence)
+    lo, hi, v_hi = 0, _TOP, status(_TOP, needed, v_lo, ~v_lo)
+    if len(kept) < n_samples:
+        m_hat = _largest_passing_step(status, needed, lo, hi, v_lo, v_hi)
+        needed, v_lo = _violators_needed(n_samples, confidence), everyone
+        hi = min(_TOP, m_hat + max(_MARGIN_STEPS, m_hat // 4))
+        # The pilot's one page is its whole first block.
+        v_hi, kept, draws = _streamed_step(
+            gamma0, merit, hi * _STEP, itertools.chain(draws.pages, blocks), n_samples, needed
+        )
+        if hi < _TOP and np.count_nonzero(v_hi) >= needed:
+            # The pilot fell short: only samples violating at hi can violate above it.
+            lo, v_lo, hi = hi, v_hi, _TOP
+            blocks = _draw_blocks(base_state, n_samples, seed)
+            v_hi, kept, draws = _streamed_step(gamma0, merit, hi * _STEP, blocks, n_samples, needed)
+    return _largest_passing_step(status, needed, lo, hi, v_lo, v_hi) * _STEP
 
 
 def _streamed_step(
@@ -764,9 +752,11 @@ class _KeptDraws:
     search to the next.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, blocks: Iterable[np.ndarray] = ()) -> None:
         self.pages: list[np.ndarray] = []
         self.rows = 0
+        for block in blocks:
+            self.append(block)
 
     def append(self, draws: np.ndarray) -> None:
         done = 0

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fock
-from .errors import InvalidGateError
+from .errors import InvalidDimensionError, InvalidGateError
 from .fock import MixedState, PureState, occupation_expectation
 from .gates import Protocol, _apply_to_amplitudes, phase_gate, rotation
 
@@ -70,6 +70,8 @@ def _shot_sample(
 ) -> tuple[int, float, float]:
     """(ones, estimate, sigma) of ``shots`` readouts of an occupation of mean p."""
     fock._checked_count(shots, "shots")
+    if shots > 2**63 - 1:  # numpy's binomial takes a C long
+        raise InvalidDimensionError("shots must be <= 2**63 - 1")
     ones = int(rng.binomial(shots, min(max(p, 0.0), 1.0)))
     estimate = ones / shots
     return ones, estimate, math.sqrt(estimate * (1.0 - estimate) / shots)

@@ -119,6 +119,17 @@ class TestPolytopeAndFunctional:
         code, _ = run(tmp_path, "bad.json", args)
         assert code == EXIT_CONFIG
 
+    def test_shots_beyond_a_c_long_is_config_error(self, tmp_path, capsys):
+        """numpy's binomial takes shots as a C long; 2**63 - 1 still runs."""
+        code, out = run(tmp_path, "rdm.json", ["rdm", "--target", "w", "--shots", str(10**20)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "fermitope: configuration error: shots must be <= 2**63 - 1\n"
+        )
+        assert not out.exists()
+        code, out = run(tmp_path, "rdm.json", ["rdm", "--target", "w", "--shots", str(2**63 - 1)])
+        assert code == EXIT_OK and out.exists()
+
     def test_library_message_is_printed_as_config_error(self, tmp_path, capsys):
         code, _ = run(tmp_path, "bad.json", ["rdm", "--target", "w", "--shots", "0"])
         assert code == EXIT_CONFIG
@@ -242,6 +253,18 @@ class TestMonteCarloCommand:
         code, out = run(tmp_path, "mc.json", args)
         assert code == EXIT_CONFIG
         assert "n_samples must be <= 10,000,000" in capsys.readouterr().err
+        assert drawn_rows == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", [[], ["--sigma", "0.05"]], ids=["search", "sigma"])
+    def test_seed_beyond_the_philox_key_exits_2_before_any_draw(
+        self, tmp_path, drawn_rows, capsys, sigma
+    ):
+        args = ["montecarlo", "--base", "w", "--seed", str(2**128), *sigma]
+        code, out = run(tmp_path, "mc.json", args)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"fermitope: configuration error: seed must be < 2**128, got {2**128}\n"
         assert drawn_rows == []
         assert not out.exists()
 

@@ -48,6 +48,23 @@ MONOTONE_PAIRS = [
 ALL_PAIRS = [(base, merit) for base in polytope.CLASS_LABELS for merit in mc.MERIT_LABELS]
 
 
+def _base_and_draws(base, n_samples, seed):
+    """gamma0 and the (n_samples, 36) draws of ``_draw_blocks``, every block stacked."""
+    return theoretical_rdm(base), np.concatenate(list(mc._draw_blocks(base, n_samples, seed)))
+
+
+def _streamed_sigmas(monkeypatch) -> list[float]:
+    """The sigma of each pass of ``_streamed_step`` over all samples, in order."""
+    sigmas, streamed_step = [], mc._streamed_step
+
+    def spy(gamma0, merit, sigma, *args):
+        sigmas.append(sigma)
+        return streamed_step(gamma0, merit, sigma, *args)
+
+    monkeypatch.setattr(mc, "_streamed_step", spy)
+    return sigmas
+
+
 @functools.lru_cache(maxsize=None)
 def _sigma_star(base, merit, n_samples, seed):
     with warnings.catch_warnings():
@@ -74,7 +91,7 @@ class TestPerturbedSampling:
     @pytest.mark.parametrize("base", ["epr", "ghz"])
     def test_one_sample_equals_its_row_of_the_full_batch(self, base, drawn_rows):
         spec = PerturbationSpec(base, sigma=0.2, n_samples=40, seed=8)
-        gamma0, draws = mc._base_and_draws(base, spec.n_samples, spec.seed)
+        gamma0, draws = _base_and_draws(base, spec.n_samples, spec.seed)
         batch = mc._perturbed_batch(gamma0, spec.sigma, draws)
         for k in (0, 1, 17, spec.n_samples - 1):
             assert np.array_equal(sample_perturbed_rdm(spec, k), batch[k])
@@ -257,6 +274,28 @@ class TestPerturbedSampling:
         assert drawn_rows == []
         assert PerturbationSpec("w", 0.05, mc._MAX_SAMPLES, 0).n_samples == 10**7
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(
+                lambda s: sample_perturbed_rdm(PerturbationSpec("w", 0.05, 3, s), 2), id="spec"
+            ),
+            pytest.param(lambda s: merit_samples("w", "f_epr", 0.05, 3, s), id="samples"),
+            pytest.param(lambda s: merit_histogram("w", "f_epr", 0.05, 3, s), id="hist"),
+            pytest.param(lambda s: violation_probability("w", "f_epr", 0.05, 3, s), id="prob"),
+            pytest.param(lambda s: max_tolerated_sigma("w", "f_epr", 0.9, 3, s), id="threshold"),
+            pytest.param(lambda s: max_tolerated_sigma("slater", "f_w", 0.9, 3, s), id="slater"),
+        ],
+    )
+    def test_seed_beyond_the_philox_key_is_refused_before_any_draw(self, call, drawn_rows):
+        """Philox keys have 128 bits; numpy's own refusal would be an untyped ValueError."""
+        for seed in (2**128, 2**200):
+            with pytest.raises(InvalidDimensionError, match=r"seed must be < 2\*\*128"):
+                call(seed)
+        assert drawn_rows == []
+        call(2**128 - 1)
+        assert drawn_rows == [3]
+
     def test_sigma_is_bounded_so_every_entry_stays_finite(self):
         above = np.nextafter(mc._MAX_SIGMA, np.inf)
         for sigma in (above, 1e308):
@@ -336,7 +375,7 @@ class TestViolationProbability:
         The LDL^H alone would count no negative pivot and call every sample
         an F_EPR violation; lambda1 = 1 is none.
         """
-        gamma0, draws = mc._base_and_draws("epr", 1000, 0)
+        gamma0, draws = _base_and_draws("epr", 1000, 0)
         _, decided = mc._ldl_inertia(np.diag(gamma0).real, 0.0, draws)
         assert not np.any(decided)
         assert violation_probability("epr", "f_slater", 0.0, 1000, seed=0) == 1.0
@@ -410,7 +449,7 @@ class TestMaxToleratedSigma:
     @pytest.mark.parametrize("base, merit", CANONICAL)
     def test_bad_pilot_still_gives_exhaustive_answer(self, base, merit, seed, m_hat, monkeypatch):
         n = 5_000
-        searches = []
+        searches, passes = [], _streamed_sigmas(monkeypatch)
         search = mc._largest_passing_step
 
         def forced_pilot(status, needed, lo, hi, v_lo, v_hi):
@@ -423,10 +462,23 @@ class TestMaxToleratedSigma:
         got = max_tolerated_sigma(base, merit, n_samples=n, seed=seed)
         # The pilot's count is for its 2048 samples, the walk's for all n.
         assert searches[0][0] == mc._violators_needed(mc._CHUNK_ROWS, 0.999) == 2046
-        # m_hat = 0 leaves sigma* above the first full evaluation (a walk up);
+        # m_hat = 0 leaves sigma* above the first full evaluation, at hi = 8,
+        # so all samples are evaluated again at 0.5 and the walk runs between;
         # m_hat = 4095 puts that evaluation at 0.5 (a walk down from the top).
         walk = (8, mc._TOP) if m_hat == 0 else (0, mc._TOP)
         assert searches[1:] == [(mc._violators_needed(n, 0.999), *walk)]
+        assert passes == ([8 * mc._STEP, 0.5] if m_hat == 0 else [0.5])
+        assert got == _exhaustive(base, merit, n, seed)
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    @pytest.mark.parametrize("base, merit", CANONICAL)
+    def test_one_pass_over_all_samples_when_the_pilot_holds(self, base, merit, seed, monkeypatch):
+        """The pilot's answer m' on its 2048 samples puts sigma* below hi."""
+        n = 5_000
+        passes = _streamed_sigmas(monkeypatch)
+        got = max_tolerated_sigma(base, merit, n_samples=n, seed=seed)
+        m_hat = round(_exhaustive(base, merit, mc._CHUNK_ROWS, seed) / mc._STEP)
+        assert passes == [min(mc._TOP, m_hat + max(mc._MARGIN_STEPS, m_hat // 4)) * mc._STEP]
         assert got == _exhaustive(base, merit, n, seed)
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -560,7 +612,7 @@ class TestInertiaStatus:
             routed.append(rows)
             return merit_values(gamma0, merit_fn, sigma, draws, rows)
 
-        gamma0, draws = mc._base_and_draws(base, n, seed)
+        gamma0, draws = _base_and_draws(base, n, seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mc, "_ldl_inertia", spy_ldl)
             patch.setattr(mc, "_merit_values", spy_eigvalsh)
@@ -592,7 +644,7 @@ class TestInertiaStatus:
         sigma = fixed
         if sigma is None:
             sigma = max(0.0, _sigma_star(base, merit, 2_048, 0) + steps * mc._STEP)
-        _, draws = mc._base_and_draws(base, 2_000, seed)
+        _, draws = _base_and_draws(base, 2_000, seed)
         assert _inertia_disagreements(base, sigma, draws, draws) == 0
 
     @pytest.mark.parametrize("base", ["epr", "w"])
@@ -603,7 +655,7 @@ class TestInertiaStatus:
         rows, cols = np.triu_indices(6, k=1)
         swapped = 21 + np.flatnonzero(position[rows] > position[cols])
         assert len(swapped) > 0
-        _, draws = mc._base_and_draws(base, 2_000, 0)
+        _, draws = _base_and_draws(base, 2_000, 0)
         mutant = draws.copy()
         mutant[:, swapped] *= -1.0
         for sigma in (_sigma_star(base, mc.CANONICAL_PAIRING[base], 2_048, 0), 0.5):
@@ -693,7 +745,7 @@ class TestTopThreeBounds:
         sqrt(S) one near sqrt(u), far above the certificate's margin.
         """
         sigma = 1e-10
-        gamma0, draws = mc._base_and_draws(base, 300, 5)
+        gamma0, draws = _base_and_draws(base, 300, 5)
         g = np.diag(gamma0).real
         lower, upper, _ = mc._top_three_bounds(g, sigma, draws)
         diag = g + sigma * draws[:, :6]
@@ -726,7 +778,7 @@ class TestTopThreeBounds:
             routed.append(rows)
             return merit_values(gamma0, merit_fn, sigma, draws, rows)
 
-        gamma0, draws = mc._base_and_draws(base, n, seed)
+        gamma0, draws = _base_and_draws(base, n, seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mc, "_certificate", spy_certificate)
             patch.setattr(mc, "_merit_values", spy_eigvalsh)
@@ -820,7 +872,7 @@ class TestEarlyStop:
         at a time, not whole chunks."""
         n, seed = 20_000, 0
         sigma = _sigma_star("ghz", "f_w", n, seed)
-        gamma0, draws = mc._base_and_draws("ghz", n, seed)
+        gamma0, draws = _base_and_draws("ghz", n, seed)
         violates, decided = mc._certificate(gamma0, "f_w", sigma, draws)
         assert np.count_nonzero(~decided) > 2 * mc._MIN_PIECE
         needed = np.count_nonzero(violates) + 1
@@ -1005,7 +1057,7 @@ class TestMeritDistribution:
         """At 64 bisections the interval shrinks to a few floats, so only the
         widening by _TAU (1 + ||T||_F) keeps eigvalsh's merit inside it."""
         sigma = min(mantissa * 10.0**decade, mc._MAX_SIGMA)
-        gamma0, draws = mc._base_and_draws(base, 256, seed)
+        gamma0, draws = _base_and_draws(base, 256, seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mc, "_BISECTIONS", depth)
             lower, upper = mc._merit_enclosures(gamma0, merit, sigma, draws)

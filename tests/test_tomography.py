@@ -239,6 +239,23 @@ class TestReconstruction:
         with pytest.raises(InvalidDimensionError, match="seed must be an integer"):
             reconstruct_one_rdm(target_state("w"), shots, seed=2.5)
 
+    def test_shots_beyond_a_c_long_rejected(self):
+        """numpy's binomial takes shots as a C long: 2**63 would overflow it."""
+        for shots in (2**63, 10**20):
+            with pytest.raises(InvalidDimensionError, match=r"shots must be <= 2\*\*63 - 1"):
+                reconstruct_one_rdm(target_state("w"), shots, seed=0)
+            with pytest.raises(InvalidDimensionError, match=r"shots must be <= 2\*\*63 - 1"):
+                simulate_occupation_counts(target_state("w"), 1, shots, seed=0)
+        shots = 2**63 - 1
+        assert reconstruct_one_rdm(target_state("w"), shots, seed=0).shots_per_setting == shots
+        assert simulate_occupation_counts(target_state("w"), 1, shots, seed=0).shots == shots
+
+    def test_seed_beyond_128_bits_accepted(self):
+        """Only the Monte Carlo's Philox key is bounded; SeedSequence takes any size."""
+        estimate = reconstruct_one_rdm(target_state("w"), 100, seed=2**200)
+        assert np.all(np.isfinite(estimate.matrix))
+        assert random_pure_state(6, 3, 2**128).norm == pytest.approx(1.0, abs=1e-12)
+
     def test_numpy_integer_shots_and_seed_accepted(self):
         a = reconstruct_one_rdm(target_state("w"), np.int64(50), seed=np.uint8(3))
         b = reconstruct_one_rdm(target_state("w"), 50, seed=3)
