@@ -491,6 +491,13 @@ def _checked_integer(value, name: str) -> int:
     return value
 
 
+def _checked_real(value, name: str) -> float:
+    """``value`` itself if an int, a float or a numpy real; else (bools too) InvalidDimensionError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidDimensionError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _checked_count(value, name: str) -> None:
     """InvalidDimensionError unless ``value`` is an integer >= 1."""
     if _checked_integer(value, name) < 1:

@@ -213,31 +213,38 @@ widened, the F_EPR bounds missed eigvalsh's merit by at most 13 u (1 +
 ||G||_F) (300 blocks of 512 rows, sigma from 1e-8 to 1e150).  A row whose T, interval
 or merit is not finite gets no enclosure and goes to eigvalsh.
 
-The enclosures are made as each block is drawn, and the rows in doubt go
-to eigvalsh while the block is in hand: those whose enclosure holds 0,
-and those that could be the least or the largest merit, which are the
-rows whose lower end is at most the least upper end in the block and the
-least merit resolved so far (and the same for the largest).  Every other
-row's enclosure [lo, hi] then has min v < lo <= hi < max v.  Once min v and max v give the edges,
-the rows whose enclosure reaches an edge are evaluated from their block,
-drawn again from the Philox state saved before it, up to its last such
-row.  One np.histogram of the exact merits where resolved and the lower
-ends elsewhere then counts every bin as merit_samples' values would.  At
-n = 20,000 and sigma in [0.01, 0.08] (the canonical pairs, seeds 0-9),
-4-10 rows reach eigvalsh in the stream and 0-10 from 0-8 blocks drawn
-again (epr at sigma = 0.01 draws the most: its Gershgorin interval is
-the widest).  At sigma = 0 every row ties for the least merit, and at
-sigma = 1e-6 the widening is a tenth of a bin, so nearly every row goes
-to eigvalsh after its enclosure: 77 and 141 ms against merit_samples'
-30 and 90 ms (w, n = 20,000, one pinned CPU), where sigma = 0.05 takes 84
-against 123 ms.
+The enclosures are made as each block is drawn.  The rows in doubt are
+those whose enclosure holds 0, and those that could be the least or the
+largest merit: the rows whose lower end is at most the least upper end
+so far, of the enclosures and of the merits resolved (and the same for
+the largest).  These bounds only tighten, so the draws of the rows in
+doubt as their block is drawn are set aside, judged again by the final
+bounds after the stream, and the rows still in doubt go to eigvalsh in
+one call.  At most _CHUNK_ROWS rows are set aside: those that fill a
+chunk are judged and resolved at once, and their merits tighten the
+bounds.  Every other row's enclosure [lo, hi] then has min v < lo <= hi
+< max v, and the least and the largest merit are resolved.  Once min v
+and max v give the edges, the rows whose enclosure reaches an edge are
+taken from their blocks, each drawn again from the Philox state saved
+before it, up to its last such row, and evaluated in one more call.  One
+np.histogram of the exact merits where resolved and the lower ends
+elsewhere then counts every bin as merit_samples' values would.  At n =
+20,000 and sigma in [0.01, 0.08] (the canonical pairs, seeds 0-9), 2-3
+rows reach eigvalsh in the stream and 0-10 from 0-8 blocks drawn again
+(epr at sigma = 0.01 draws the most: its Gershgorin interval is the
+widest), in 1-2 calls.  At sigma = 0 every row ties for the least merit,
+and at sigma = 1e-6 the widening is a tenth of a bin, so nearly every
+row goes to eigvalsh after its enclosure: 80-108 and 152-162 ms against
+merit_samples' 30-43 and 98-103 ms (w, n = 20,000, one pinned CPU),
+where sigma = 0.05 takes 61-64 against 102-150 ms.
 
 The draws come from one counter-based Philox generator, _CHUNK_ROWS
 rows at a time in stream order (_draw_blocks).  numpy fills each block
 one normal after another, so the blocks stacked are the one-shot draw,
 and no result depends on how samples are batched.  Samples are perturbed
 and diagonalised in the same blocks.  merit_samples keeps only the n
-merit values, merit_distribution two bounds per sample, and
+merit values, merit_distribution two bounds per sample, one block's
+workspace and the draws of at most _CHUNK_ROWS rows set aside, and
 violation_probability only its count of violators.
 The search holds the pilot's block, then a few boolean masks over all n
 samples and the draws and indices of the samples kept at hi: 3-9% of n
@@ -267,16 +274,23 @@ _N_MODES = 6
 
 # The draw of each entry of Delta: the diagonal draws, then the real parts of
 # the 15 pairs above the diagonal, row by row, then their imaginary parts below.
+_UPPER = np.triu_indices(_N_MODES, k=1)
 _DRAW_COLUMN = np.diag(np.arange(_N_MODES))
-_DRAW_COLUMN[np.triu_indices(_N_MODES, k=1)] = np.arange(_N_MODES, _N_MODES + 15)
-_DRAW_COLUMN.T[np.triu_indices(_N_MODES, k=1)] = np.arange(_N_MODES + 15, 36)
+_DRAW_COLUMN[_UPPER] = np.arange(_N_MODES, _N_MODES + 15)
+_DRAW_COLUMN.T[_UPPER] = np.arange(_N_MODES + 15, 36)
 
 # Samples drawn, perturbed and diagonalised at once.  A block's draws and
-# temporaries (about 2.4 MB) stay small enough that the allocator reuses the
-# same pages from block to block.  At 8192 rows and n_samples = 2e4, glibc
+# temporaries take about 2.4 MB.  At 8192 rows and n_samples = 2e4, glibc
 # returned them to the system after each chunk and faulted them in again:
 # 12x the minor page faults of 2048 rows.  Per-chunk call overhead is below 1%.
 _CHUNK_ROWS = 2048
+
+# Floats per row of the workspace that merit_distribution reuses for every
+# block's enclosures: its perturbed matrix (36 complex entries) and its
+# Householder reduction's work (25).  Made anew for each block, these 2 MB
+# went back to the system and were faulted in again, 290 minor page faults
+# per block and a fifth of the enclosures' time.
+_WORKSPACE_FLOATS = 2 * (_N_MODES**2 + (_N_MODES - 1) ** 2)
 
 # Fewest undecided rows a search step sends to eigvalsh at once.  At 16, a
 # ghz/F_W search (n = 1e5) sends 4,754 rows, not 4,759, in 2.4x the calls.
@@ -351,7 +365,7 @@ class PerturbationSpec:
 
 
 def _check_sigma(sigma: float) -> None:
-    if not 0.0 <= sigma <= _MAX_SIGMA:
+    if not 0.0 <= fock._checked_real(sigma, "sigma") <= _MAX_SIGMA:
         raise InvalidDimensionError(f"sigma must lie in [0, {_MAX_SIGMA:g}]")
 
 
@@ -416,33 +430,53 @@ def _base_and_blocks(
     return gamma0, _draw_blocks(base_state, n_samples, seed, states)
 
 
-def _perturbed_batch(gamma0: np.ndarray, sigma: float, draws: np.ndarray) -> np.ndarray:
+def _perturbed_batch(
+    gamma0: np.ndarray, sigma: float, draws: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """(n, 6, 6) Hermitian matrices gamma0 + sigma * Delta, Delta from the draws.
 
     Stored with the sample axis last: ``.transpose(1, 2, 0)`` of the
-    result is a C-contiguous (6, 6, n) array.  Row r and column r are
-    perturbed in place, one r at a time, so the temporaries take at most
-    5 n values, not 15 n: with the result and a block of draws they stay
-    below twice the result's size, and the allocator reuses their pages
-    from block to block instead of returning them to the system.
+    result is a C-contiguous (6, 6, n) array.  gamma0 is diagonal (g), so
+    the real and imaginary parts are written straight into the result's
+    floats: g_r + sigma d_r on the diagonal with imaginary part +0, and
+    0 + sigma re, 0 + sigma im above it and 0 + sigma re, 0 - sigma im
+    below.  These are the floats of the complex sums gamma0 + sigma (re +-
+    i im): adding gamma0's +0 turns a product of -0 (sigma = 0, or an
+    underflow) into +0.  The one temporary holds 15 n values.  ``out``, if
+    given, is a contiguous float array whose first 72 n values hold the result.
     """
+    n = len(draws)
     draws = draws.T
-    out = np.empty((_N_MODES, _N_MODES, draws.shape[1]), dtype=np.complex128)
-    out[...] = gamma0[:, :, None]
-    for r in range(_N_MODES):
-        right = slice(r + 1, None)
-        re, im = draws[_DRAW_COLUMN[r, right]], draws[_DRAW_COLUMN[right, r]]
-        out[r, right] += sigma * (re + 1j * im)
-        out[right, r] += sigma * (re - 1j * im)
-        out[r, r] += sigma * draws[_DRAW_COLUMN[r, r]]
-    return out.transpose(2, 0, 1)
+    size = 2 * _N_MODES**2 * n
+    out = (np.empty(size) if out is None else out[:size]).reshape(_N_MODES, _N_MODES, n, 2)
+    rows, cols = _UPPER
+    part = np.multiply(draws[_N_MODES : _N_MODES + 15], sigma)
+    part += 0.0
+    out[rows, cols, :, 0] = out[cols, rows, :, 0] = part
+    np.multiply(draws[_N_MODES + 15 :], sigma, out=part)
+    part += 0.0
+    out[rows, cols, :, 1] = part
+    out[cols, rows, :, 1] = np.subtract(0.0, part, out=part)
+    diag = np.multiply(draws[:_N_MODES], sigma, out=part[:_N_MODES])
+    diag += np.diag(gamma0).real[:, None]
+    sites = range(_N_MODES)
+    out[sites, sites, :, 0] = diag
+    out[sites, sites, :, 1] = 0.0
+    return out.view(np.complex128)[..., 0].transpose(2, 0, 1)
 
 
 def _merit_values(
-    gamma0: np.ndarray, merit_fn, sigma: float, draws: np.ndarray, rows: np.ndarray
+    gamma0: np.ndarray,
+    merit_fn,
+    sigma: float,
+    draws: np.ndarray,
+    rows: np.ndarray,
+    workspace: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Merits of the samples ``draws[rows]``, at most ``_CHUNK_ROWS`` of them."""
-    return merit_fn(np.linalg.eigvalsh(_perturbed_batch(gamma0, sigma, draws[rows]))[:, ::-1])
+    """Merits of the samples ``draws[rows]``, at most ``_CHUNK_ROWS`` of them; their
+    matrices are held in ``workspace``, if given (``_perturbed_batch``'s out)."""
+    matrices = _perturbed_batch(gamma0, sigma, draws[rows], workspace)
+    return merit_fn(np.linalg.eigvalsh(matrices)[:, ::-1])
 
 
 def _violations(
@@ -668,7 +702,7 @@ def max_tolerated_sigma(
     at hi (and at 0.5 if hi passes), the bisection between them that finds
     it, and which draws each of them holds.
     """
-    if not 0.5 < confidence < 1.0:
+    if not 0.5 < fock._checked_real(confidence, "confidence") < 1.0:
         raise InvalidDimensionError("confidence must lie in (0.5, 1)")
     merit_fn = _merit(merit)
     gamma0, blocks = _base_and_blocks(base_state, n_samples, seed)
@@ -833,9 +867,11 @@ def merit_distribution(
 
     Bit for bit np.mean(v < 0) and the histogram of v = ``merit_samples``,
     with eigvalsh run only on the rows whose sign or bin an enclosure leaves
-    in doubt (module docstring).  Holds two floats per sample.  A range of
-    merits too narrow for ``bins`` edges of finite width raises
-    InvalidDimensionError.
+    in doubt (module docstring): once for the stream's rows (and once more
+    for each chunk of them set aside), and once for the rows over a bin
+    edge.  Holds two floats per sample, one block's workspace and at most a
+    chunk of draws set aside.  A range of merits too narrow for ``bins`` edges of finite width
+    raises InvalidDimensionError.
     """
     fock._checked_count(bins, "bins")
     states: list = []
@@ -843,24 +879,42 @@ def merit_distribution(
         base_state, merit, sigma, n_samples, seed, states
     )
     lower, upper = np.empty((2, n_samples))
-    low, high = np.inf, -np.inf  # the least and the largest merit resolved
-    for start, block in zip(range(0, n_samples, _CHUNK_ROWS), blocks):
-        lo, hi = lower[start : start + len(block)], upper[start : start + len(block)]
-        lo[:], hi[:] = _merit_enclosures(gamma0, merit, sigma, block)
+    workspace = np.empty(_WORKSPACE_FLOATS * min(n_samples, _CHUNK_ROWS))
+    # Some merit is at most least_upper and one at least largest_lower, each
+    # an end of an enclosure or a merit resolved: only a row reaching past
+    # them can be an extreme.  Both only tighten, so a row out of doubt stays so.
+    least_upper, largest_lower = np.inf, -np.inf
+
+    def in_doubt(at) -> np.ndarray:
+        lo, hi = lower[at], upper[at]
         finite = np.isfinite(lo) & np.isfinite(hi)
-        # Some merit of this block or before is at most least_upper, and one is
-        # at least largest_lower: only a row reaching past them can be an extreme.
-        least_upper = min(low, np.min(hi, where=finite, initial=np.inf))
-        largest_lower = max(high, np.max(lo, where=finite, initial=-np.inf))
-        rows = np.flatnonzero(
-            ~finite | ((lo < 0.0) & (hi >= 0.0)) | (lo <= least_upper) | (hi >= largest_lower)
-        )
-        lo[rows] = hi[rows] = _merit_values(gamma0, merit_fn, sigma, block, rows)
-        low, high = min(low, lo.min()), max(high, hi.max())
-    # np.histogram's edges; every row left has low < lo <= hi < high.  The
-    # blocks of the rows whose enclosure reaches the next edge are drawn again.
-    # numpy refuses a range whose edges its floats cannot tell apart: one
-    # merit v spans [v - 0.5, v + 0.5], too narrow once |v| > ~2**52 / bins.
+        return ~finite | ((lo < 0.0) & (hi >= 0.0)) | (lo <= least_upper) | (hi >= largest_lower)
+
+    def resolve_in_doubt(at: np.ndarray, draws: np.ndarray) -> None:
+        nonlocal least_upper, largest_lower
+        rows = np.flatnonzero(in_doubt(at))  # judged again by the bounds so far
+        if len(rows):
+            values = _merit_values(gamma0, merit_fn, sigma, draws, rows, workspace)
+            lower[at[rows]] = upper[at[rows]] = values
+            least_upper = min(least_upper, values.min())
+            largest_lower = max(largest_lower, values.max())
+
+    held = _HeldRows(resolve_in_doubt)
+    for start, block in zip(range(0, n_samples, _CHUNK_ROWS), blocks):
+        at = slice(start, start + len(block))
+        lower[at], upper[at] = _merit_enclosures(gamma0, merit, sigma, block, workspace)
+        finite = np.isfinite(lower[at]) & np.isfinite(upper[at])
+        least_upper = min(least_upper, np.min(upper[at], where=finite, initial=np.inf))
+        largest_lower = max(largest_lower, np.max(lower[at], where=finite, initial=-np.inf))
+        rows = np.flatnonzero(in_doubt(at))
+        held.add(start + rows, block[rows])
+    held.flush()
+    # np.histogram's edges: the least and the largest merit were resolved, and
+    # every row left has low < lo <= hi < high.  The blocks of the rows whose
+    # enclosure reaches the next edge are drawn again.  numpy refuses a range
+    # whose edges its floats cannot tell apart: one merit v spans [v - 0.5,
+    # v + 0.5], too narrow once |v| > ~2**52 / bins.
+    low, high = lower.min(), upper.max()
     try:
         edges = np.histogram_bin_edges([low, high], bins)
     except ValueError:
@@ -869,6 +923,11 @@ def merit_distribution(
             f"[{low:g}, {high:g}], too narrow a range for {bins} bins of finite width"
         ) from None
     next_edge = np.append(edges, np.inf)
+
+    def resolve_over_edge(at: np.ndarray, draws: np.ndarray) -> None:
+        lower[at] = _merit_values(gamma0, merit_fn, sigma, draws, np.arange(len(at)), workspace)
+
+    held = _HeldRows(resolve_over_edge)
     for start, state in zip(range(0, n_samples, _CHUNK_ROWS), states):
         lo, hi = lower[start : start + _CHUNK_ROWS], upper[start : start + _CHUNK_ROWS]
         rows = np.flatnonzero(hi >= next_edge[np.searchsorted(edges, lo, "right")])
@@ -876,13 +935,52 @@ def merit_distribution(
             bit_generator = np.random.Philox()
             bit_generator.state = state
             block = _draw_block(base_state, np.random.Generator(bit_generator), rows[-1] + 1)
-            lo[rows] = _merit_values(gamma0, merit_fn, sigma, block, rows)
+            held.add(start + rows, block[rows])
+    held.flush()
+    del workspace, upper  # not held through np.histogram's temporaries
     centers, counts = _histogram(lower, bins)
     return float(np.mean(lower < 0.0)), centers, counts
 
 
+class _HeldRows:
+    """Rows set aside for eigvalsh, by position and draws, at most _CHUNK_ROWS
+    of them.  They are handed to ``resolve(positions, draws)`` when they fill
+    a chunk, before rows added would overflow it, and on ``flush``; none is
+    held while ``resolve`` runs."""
+
+    def __init__(self, resolve) -> None:
+        self.resolve, self.pieces, self.rows = resolve, [], 0
+
+    def add(self, positions: np.ndarray, draws: np.ndarray) -> None:
+        """Hold the draws of the rows at ``positions``, at most _CHUNK_ROWS."""
+        if len(positions) == 0:
+            return
+        if self.rows + len(positions) > _CHUNK_ROWS:
+            self.flush()
+        self.pieces.append((positions, draws))
+        self.rows += len(positions)
+        if self.rows == _CHUNK_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.pieces:
+            self.resolve(*self._take())
+
+    def _take(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows held, as one (positions, draws), no longer held."""
+        positions, draws = zip(*self.pieces)
+        self.pieces, self.rows = [], 0
+        if len(positions) == 1:
+            return positions[0], draws[0]
+        return np.concatenate(positions), np.concatenate(draws)
+
+
 def _merit_enclosures(
-    gamma0: np.ndarray, merit: str, sigma: float, draws: np.ndarray
+    gamma0: np.ndarray,
+    merit: str,
+    sigma: float,
+    draws: np.ndarray,
+    workspace: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) bounds per perturbation in ``draws`` on the float merit
     that ``_merit_values`` gives it; one is not finite where none was found.
@@ -890,11 +988,15 @@ def _merit_enclosures(
     Each eigenvalue the merit reads is bisected in the tridiagonal form of
     its matrix, and the interval widened by _TAU (1 + ||T||_F) on each side;
     the merit function is non-decreasing in each of them, and so is every
-    float sum it takes, so it maps the lower and upper ends to bounds.
+    float sum it takes, so it maps the lower and upper ends to bounds.  The
+    matrices and the reduction's work are held in ``workspace``, a
+    contiguous float array of at least _WORKSPACE_FLOATS values per row.
     """
     reads = _EIGENVALUES_READ[merit]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a, e2 = _tridiagonal(_perturbed_batch(gamma0, sigma, draws).transpose(1, 2, 0))
+        matrices = _perturbed_batch(gamma0, sigma, draws, workspace)
+        work = workspace[2 * _N_MODES**2 * len(draws) :]
+        a, e2 = _tridiagonal(matrices.transpose(1, 2, 0), work)
         np.maximum(e2, _E2_FLOOR, out=e2)
         e = np.sqrt(e2)
         radius = np.zeros_like(a)
@@ -912,10 +1014,11 @@ def _merit_enclosures(
     return bounds[0], bounds[1]
 
 
-def _tridiagonal(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tridiagonal(matrices: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(a, e2): the diagonal (n, m) and the squared off-diagonal (n - 1, m) of a
     real tridiagonal unitarily similar to each Hermitian matrix of the
-    (n, n, m) stack, which is overwritten.
+    (n, n, m) stack, which is overwritten; the first 2 (n - 1)^2 m values of
+    the contiguous float array ``work`` are its scratch.
 
     Householder's reduction, column k for every matrix at once: with x the
     column below the diagonal, v = x + (x_0 / |x_0|) |x| e_1 and tau = 2 /
@@ -926,7 +1029,7 @@ def _tridiagonal(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n, _, m = matrices.shape
     e2 = np.empty((n - 1, m))
-    work = np.empty((n - 1, n - 1, m), dtype=complex)
+    work = work[: 2 * (n - 1) ** 2 * m].view(complex).reshape(n - 1, n - 1, m)
     for k in range(n - 2):
         x = matrices[k + 1 :, k]
         np.einsum("im,im->m", x.real, x.real, out=e2[k])

@@ -5,6 +5,7 @@ on the full 2^d Fock space, grids, quadrature) without reusing the
 package's bit-twiddling code paths.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -455,6 +456,41 @@ def full_batch_eigenvalues(base_state: str, sigma: float, draws) -> np.ndarray:
     return np.linalg.eigvalsh(out)[:, ::-1]
 
 
+@functools.lru_cache(maxsize=16)
+def eigenvalue_table(base_state: str, sigma: float, n_samples: int, seed: int) -> np.ndarray:
+    """``full_batch_eigenvalues`` of the first ``n_samples`` standard draws,
+    computed once per (base, sigma, n_samples, seed) and read-only.
+
+    Its first k rows are the table of k samples bit for bit: Philox fills
+    the draws in stream order, and each matrix's ``eigvalsh`` does not
+    depend on the batch it sits in.  The merits of one base share it.
+    """
+    table = full_batch_eigenvalues(base_state, sigma, standard_draws(n_samples, seed))
+    table.flags.writeable = False
+    return table
+
+
+def row_by_row_perturbed_batch(gamma0: np.ndarray, sigma: float, draws) -> np.ndarray:
+    """(n, 6, 6) gamma0 + sigma * Delta as complex updates of row r and column r,
+    one r at a time: the construction that ``montecarlo._perturbed_batch``
+    must reproduce bit for bit, signed zeros included."""
+    d = 6
+    rows, cols = np.triu_indices(d, k=1)
+    column = np.diag(np.arange(d))
+    column[rows, cols] = np.arange(d, d + 15)
+    column[cols, rows] = np.arange(d + 15, 36)
+    draws = draws.T
+    out = np.empty((d, d, draws.shape[1]), dtype=np.complex128)
+    out[...] = gamma0[:, :, None]
+    for r in range(d):
+        right = slice(r + 1, None)
+        re, im = draws[column[r, right]], draws[column[right, r]]
+        out[r, right] += sigma * (re + 1j * im)
+        out[right, r] += sigma * (re - 1j * im)
+        out[r, r] += sigma * draws[column[r, r]]
+    return out.transpose(2, 0, 1)
+
+
 def exhaustive_max_tolerated_sigma(
     base_state: str,
     merit: str,
@@ -465,10 +501,9 @@ def exhaustive_max_tolerated_sigma(
     iterations: int = 12,
 ) -> float:
     """sigma* by bisection that evaluates every sample at every step."""
-    draws = standard_draws(n_samples, seed)
-
     def prob(sigma: float) -> float:
-        return float(np.mean(full_batch_merits(base_state, merit, sigma, draws) < 0.0))
+        merits = polytope._MERITS[merit](eigenvalue_table(base_state, sigma, n_samples, seed))
+        return float(np.mean(merits < 0.0))
 
     lo, hi = 0.0, sigma_max
     if prob(hi) >= confidence:

@@ -109,6 +109,23 @@ class TestPerturbedSampling:
         want[:, folded] = np.abs(want[:, folded])
         assert np.array_equal(np.concatenate(blocks), want)
 
+    @pytest.mark.parametrize("sigma", [0.0, 5e-324, 1e-300, 0.05, mc._MAX_SIGMA])
+    @pytest.mark.parametrize("base", list(gates.CLASSES))
+    def test_batch_has_the_bits_of_the_row_by_row_updates(self, base, sigma):
+        """Every float, signed zeros included: sigma = 0 and the underflows of
+        5e-324 make products of -0, which gamma0's +0 turns into +0; so do
+        draws of +-0 and subnormal draws, set in the first rows here."""
+        gamma0, draws = _base_and_draws(base, mc._CHUNK_ROWS, 11)
+        draws[0] = 0.0
+        draws[1] = -0.0
+        draws[2, ::2], draws[2, 1::2] = 5e-324, -1e-310
+        got = mc._perturbed_batch(gamma0, sigma, draws)
+        want = oracles.row_by_row_perturbed_batch(gamma0, sigma, draws)
+        assert got.shape == want.shape and got.transpose(1, 2, 0).flags.c_contiguous
+        assert np.array_equal(
+            np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64)
+        )
+
     def test_draw_columns_cover_the_draws_once(self):
         """Diagonal first, then each pair's real part above the diagonal and its
         imaginary part at the transposed entry."""
@@ -246,6 +263,40 @@ class TestPerturbedSampling:
         """Philox would truncate seed 1.5 to 1; numpy raises TypeError on the other non-integers."""
         with pytest.raises(InvalidDimensionError, match=message):
             call()
+
+    @pytest.mark.parametrize(
+        "value", [True, False, np.True_, "0.05", None, 1j, np.complex128(0.05)], ids=repr
+    )
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            pytest.param(lambda v: PerturbationSpec("w", v, 10, 0), "sigma", id="spec"),
+            pytest.param(lambda v: merit_samples("w", "f_epr", v, 10, 0), "sigma", id="samples"),
+            pytest.param(
+                lambda v: violation_probability("w", "f_epr", v, 100, 0), "sigma", id="prob"
+            ),
+            pytest.param(lambda v: merit_histogram("w", "f_epr", v, 100, 0), "sigma", id="hist"),
+            pytest.param(
+                lambda v: max_tolerated_sigma("w", "f_epr", v, 100, 0),
+                "confidence",
+                id="threshold",
+            ),
+        ],
+    )
+    def test_sigma_and_confidence_must_be_real_numbers(self, call, name, value, drawn_rows):
+        """True would be taken as 1.0 (a probability of 0.0 at sigma = 1), and
+        strings, None and complex values raised a bare TypeError."""
+        with pytest.raises(InvalidDimensionError, match=f"{name} must be a real number, got "):
+            call(value)
+        assert drawn_rows == []
+
+    def test_numpy_reals_and_integers_accepted_as_sigma_and_confidence(self):
+        want = violation_probability("w", "f_epr", 0.05, 500, 0)
+        assert violation_probability("w", "f_epr", np.float64(0.05), 500, 0) == want
+        assert violation_probability("epr", "f_slater", 0, 500, 0) == 1.0
+        assert violation_probability("epr", "f_slater", np.int8(0), 500, 0) == 1.0
+        want = max_tolerated_sigma("w", "f_epr", 0.99, 500, 0)
+        assert max_tolerated_sigma("w", "f_epr", np.float64(0.99), 500, 0) == want
 
     def test_numpy_integers_accepted(self):
         spec = PerturbationSpec("w", 0.05, np.int64(10), np.int32(3))
@@ -390,9 +441,8 @@ class TestViolationProbability:
         sigma = {"zero": 0.0, "tiny": 1e-6, "large": 0.3}.get(which)
         if sigma is None:
             sigma = _sigma_star(base, merit, n, seed)
-        draws = oracles.standard_draws(n, seed)
-        want = float(np.mean(oracles.full_batch_merits(base, merit, sigma, draws) < 0.0))
-        assert violation_probability(base, merit, sigma, n, seed) == want
+        merits = polytope._MERITS[merit](oracles.eigenvalue_table(base, sigma, n, seed))
+        assert violation_probability(base, merit, sigma, n, seed) == float(np.mean(merits < 0.0))
 
 
 class TestMaxToleratedSigma:
@@ -823,8 +873,8 @@ class TestEarlyStop:
         """The step at sigma* passes with k / n == confidence exactly, and the next fails."""
         n, seed = 5_000, 3
         sigma = _exhaustive(base, merit, n, seed)
-        draws = oracles.standard_draws(n, seed)
-        k = int(np.count_nonzero(oracles.full_batch_merits(base, merit, sigma, draws) < 0))
+        merits = polytope._MERITS[merit](oracles.eigenvalue_table(base, sigma, n, seed))
+        k = int(np.count_nonzero(merits < 0))
         assert k < n
         confidence = k / n
         got = max_tolerated_sigma(base, merit, confidence, n_samples=n, seed=seed)
@@ -914,10 +964,13 @@ class TestMemory:
         assert peak <= 4 * 10**6 + 16 * self.N
 
     def test_merit_distribution_holds_two_bounds_and_one_block(self):
-        """5.0 MB: 1.6 MB of bounds and one block's draws and temporaries."""
-        mc.merit_distribution("ghz", "f_w", 0.05, 3_000, 0)
-        peak = _traced_peak(lambda: mc.merit_distribution("ghz", "f_w", 0.05, self.N, 0))
-        assert peak <= 4 * 10**6 + 24 * self.N
+        """5.2 MB: 1.6 MB of bounds and one block's draws, workspace and
+        temporaries.  At sigma = 0 (5.9 MB) every row is in doubt, and the
+        rows set aside for eigvalsh fill a chunk in every block."""
+        for sigma in (0.05, 0.0):
+            mc.merit_distribution("ghz", "f_w", sigma, 3_000, 0)
+            peak = _traced_peak(lambda: mc.merit_distribution("ghz", "f_w", sigma, self.N, 0))
+            assert peak <= 4 * 10**6 + 24 * self.N, sigma
 
     # 5.3 MB (w), 4.5 MB (epr) and 10.4 MB (ghz, whose F_W bounds leave a
     # quarter of the rows unproved at hi); all samples' draws held: 31-32 MB,
@@ -964,9 +1017,10 @@ class TestHistogram:
         assert len(centers) == 50
 
 
-def _distribution_oracle(base, merit, sigma, n, seed, bins=mc._BINS):
-    """np.mean(v < 0) and the histogram of every merit from eigvalsh."""
-    values = merit_samples(base, merit, sigma, n, seed)
+def _distribution_oracle(base, merit, sigma, n, seed, bins=mc._BINS, rows=None):
+    """np.mean(v < 0) and the histogram of every merit from eigvalsh: v from the
+    first n rows of the eigenvalue table of ``rows`` (default n) samples."""
+    values = polytope._MERITS[merit](oracles.eigenvalue_table(base, sigma, rows or n, seed)[:n])
     return (float(np.mean(values < 0.0)), *mc._histogram(values, bins))
 
 
@@ -984,7 +1038,7 @@ class TestMeritDistribution:
         for sigma in (0.0, 1e-6, 0.05, 0.3, mc._MAX_SIGMA):
             for n in (1, 2047, 2048, 2049, 20_000):
                 try:
-                    want = _distribution_oracle(base, merit, sigma, n, 7)
+                    want = _distribution_oracle(base, merit, sigma, n, 7, rows=20_000)
                 except ValueError:
                     # One sample of size 1e151: v - 0.5 == v + 0.5, no bins.
                     assert n == 1 and sigma == mc._MAX_SIGMA
@@ -1044,6 +1098,43 @@ class TestMeritDistribution:
             mc.merit_distribution(base, merit, 0.05, 20_000, 0)
             assert sum(resolved) <= 30, (base, sum(resolved))
 
+    def test_one_eigvalsh_call_for_the_stream_and_one_for_the_blocks_drawn_again(
+        self, monkeypatch
+    ):
+        """The rows set aside in the stream are judged again by the final bounds
+        and resolved at once: here the least and the largest merit, and at most
+        one row more (4-8 rows without the second judgement).  The rows over an
+        edge, from every block drawn again, take one more call.  epr at sigma =
+        0.01 draws the most blocks again."""
+        events, eigvalsh, draw_block = [], np.linalg.eigvalsh, mc._draw_block
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: events.append(len(a)) or eigvalsh(a)
+        )
+        monkeypatch.setattr(
+            mc, "_draw_block", lambda *args: events.append("draw") or draw_block(*args)
+        )
+        n = 20_000
+        stream = -(-n // mc._CHUNK_ROWS)
+        redrawn = []
+        for sigma in (0.01, 0.05):
+            for base, merit in CANONICAL:
+                events.clear()
+                mc.merit_distribution(base, merit, sigma, n, 0)
+                draws = [i for i, event in enumerate(events) if event == "draw"]
+                end = draws[stream] if len(draws) > stream else len(events)
+                calls = [rows for rows in events[:end] if rows != "draw"]
+                assert len(calls) == 1 and calls[0] <= 3, (base, sigma, calls)
+                calls = [rows for rows in events[end:] if rows != "draw"]
+                assert len(calls) == (len(draws) > stream), (base, sigma, calls)
+                redrawn.append(len(draws) - stream)
+        assert max(redrawn) >= 2
+        # At sigma = 0 every row is in doubt: each full chunk set aside is
+        # resolved as it fills, so no call holds more than a chunk.
+        events.clear()
+        mc.merit_distribution("w", "f_epr", 0.0, n, 0)
+        calls = [rows for rows in events if rows != "draw"]
+        assert sum(calls) == n and max(calls) == mc._CHUNK_ROWS and len(calls) == stream
+
     @pytest.mark.parametrize("depth", [mc._BISECTIONS, 64])
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1060,7 +1151,8 @@ class TestMeritDistribution:
         gamma0, draws = _base_and_draws(base, 256, seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mc, "_BISECTIONS", depth)
-            lower, upper = mc._merit_enclosures(gamma0, merit, sigma, draws)
+            workspace = np.empty(mc._WORKSPACE_FLOATS * len(draws))
+            lower, upper = mc._merit_enclosures(gamma0, merit, sigma, draws, workspace)
         want = mc._merit_values(gamma0, polytope._MERITS[merit], sigma, draws, slice(None))
         finite = np.isfinite(lower) & np.isfinite(upper)
         assert np.count_nonzero(finite) >= 250
@@ -1071,7 +1163,7 @@ class TestMeritDistribution:
         for scale in (1e-8, 1.0, 1e150):
             z = scale * (rng.standard_normal((40, 6, 6)) + 1j * rng.standard_normal((40, 6, 6)))
             matrices = z + z.conj().transpose(0, 2, 1)
-            a, e2 = mc._tridiagonal(matrices.transpose(1, 2, 0).copy())
+            a, e2 = mc._tridiagonal(matrices.transpose(1, 2, 0).copy(), np.empty(2 * 25 * 40))
             t = np.zeros((40, 6, 6))
             t[:, range(6), range(6)] = a.T
             t[:, range(1, 6), range(5)] = t[:, range(5), range(1, 6)] = np.sqrt(e2.T)
