@@ -60,6 +60,9 @@ class GateOp:
         try:
             for site in self.sites:
                 fock._checked_integer(site, "gate site")
+            fock._checked_real(self.angle, "gate angle")
+            if self.duration is not None:
+                fock._checked_real(self.duration, "gate duration")
         except InvalidDimensionError as err:
             raise InvalidGateError(str(err)) from None
         if len(set(self.sites)) != len(self.sites):

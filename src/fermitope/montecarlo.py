@@ -15,13 +15,14 @@ so by Ky Fan (lambda1 and lambda1+lambda2+lambda3 are convex) and
 Courant-Fischer (lambda2(A + B) <= lambda2(A) + lambda1(B)), a sample
 that does not violate at some sigma > 0 violates at no larger sigma,
 provided merit(lambda(gamma0)) <= 0 and lambda1(gamma0) <= 1.  That holds
-for every merit on epr, w and ghz.  Then p(m h) is non-increasing in
-m >= 1, the bisection returns max{m h : p(m h) >= c} (0 if no step
-passes), and so does any other search of the grid: m h is exact, and
-each matrix's eigenvalues do not depend on the chunk it sits in.  A
-sample violating at the upper end of a bracket violates at every step
-inside it, one not violating at the lower end (m >= 1) at none, so a
-step evaluates only the samples whose status differs between the ends.
+for every pair but slater with F_W (merit 1), which max_tolerated_sigma
+refuses, reading lambda(gamma0) from the class table.  Then p(m h) is
+non-increasing in m >= 1, the bisection returns max{m h : p(m h) >= c}
+(0 if no step passes), and so does any other search of the grid: m h is
+exact, and each matrix's eigenvalues do not depend on the chunk it sits
+in.  A sample violating at the upper end of a bracket violates at every
+step inside it, one not violating at the lower end (m >= 1) at none, so
+a step evaluates only the samples whose status differs between the ends.
 
 The search first bisects the grid on the first _CHUNK_ROWS samples, a
 pilot whose answer m' is final when there are no more samples.  All
@@ -35,8 +36,6 @@ all kept there (about 1 - c of all samples below hi).  In all, about 1.1-1.4 ful
 evaluations of the samples, against 3.2-5.3 for a bisection down from
 0.5 (the canonical pairs, n = 1e5; ghz/F_W hands 2.1-2.2 n rows to its
 certificate, because the early stop below leaves rows to later steps).
-Where the condition fails (slater with F_W) the search is that
-bisection, over every sample and with brackets that tell nothing.
 
 F_EPR and F_Slater ask a question of inertia.  With A = I - gamma,
 lambda1 < 1 iff A has no eigenvalue <= 0, and lambda2 < 1 iff A has at
@@ -152,11 +151,10 @@ becomes the upper end v_hi of a bracket, where only its True statuses
 are used, and those are proved; a passing step only the lower end v_lo,
 where only its False statuses are used, and those are proved too.  A row
 whose status was guessed lies in v_lo & ~v_hi and is evaluated again at
-the next step; without monotonicity no status is read later.  So the
-search visits the same steps with the same outcomes, and sigma* does not
-change.  In a ghz/F_W search at n = 1e5, 0.046-0.048 n rows reach
-eigvalsh (1.39 n without the bounds).  violation_probability resolves
-every row.
+the next step.  So the search visits the same steps with the same
+outcomes, and sigma* does not change.  In a ghz/F_W search at n = 1e5,
+0.046-0.048 n rows reach eigvalsh (1.39 n without the bounds).
+violation_probability resolves every row.
 
 merit_distribution (the CLI's --sigma) gives np.mean(v < 0) and
 np.histogram(v, bins) of v = merit_samples(...) bit for bit, without
@@ -250,8 +248,8 @@ The search holds the pilot's block, then a few boolean masks over all n
 samples and the draws and indices of the samples kept at hi: 3-9% of n
 for epr and w and 28-32% for ghz (seeds 0, 11 and 42, n = 1e5), the
 draws in pages of _CHUNK_ROWS rows (_KeptDraws), like the pilot's.  A
-pass at 0.5 and a pair without monotonicity keep nearly every sample,
-296 B each, which _MAX_SAMPLES bounds at 3.0 GB.
+pass at 0.5 keeps nearly every sample, 296 B each, which _MAX_SAMPLES
+bounds at 3.0 GB.
 """
 
 import itertools
@@ -264,7 +262,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, gates, polytope
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, UnsupportedCaseError
 
 # Merit paired with the state expected to violate it, and those merits.
 CANONICAL_PAIRING = {label: c.merit for label, c in gates.CLASSES.items() if c.merit}
@@ -339,8 +337,7 @@ _MAX_SIGMA = 1e150
 # generator states it saves; 8 B for the values of merit_samples; in a
 # sigma* search, its 1 B masks and the samples it keeps after its pass at
 # hi, 296 B each (draws and index) for 3-9% of n (epr, w) or 28-32% (ghz),
-# and for nearly every sample where a search keeps them all (a pass at
-# 0.5, or a pair without monotonicity): 3.0 GB at this bound.
+# and for nearly every sample after a pass at 0.5: 3.0 GB at this bound.
 _MAX_SAMPLES = 10**7
 
 # Certificate of a decided LDL^H row, 2**23 times the unit roundoff; the
@@ -700,31 +697,31 @@ def max_tolerated_sigma(
     give: a step of the grid 0.5 / 2**12, or 0 if no step passes.  The
     module docstring describes the pilot, the passes over all ``n_samples``
     at hi (and at 0.5 if hi passes), the bisection between them that finds
-    it, and which draws each of them holds.
+    it, and which draws each of them holds.  It is exact only where no
+    violation returns as sigma grows, so a pair with merit > 0 or lambda1 > 1
+    at sigma = 0 (slater with F_W) raises UnsupportedCaseError before any draw.
     """
     if not 0.5 < fock._checked_real(confidence, "confidence") < 1.0:
         raise InvalidDimensionError("confidence must lie in (0.5, 1)")
     merit_fn = _merit(merit)
     gamma0, blocks = _base_and_blocks(base_state, n_samples, seed)
-    lam0 = np.linalg.eigvalsh(gamma0)[::-1]
-    monotone = merit_fn(lam0) <= 0.0 and lam0[0] <= 1.0
+    lam0 = np.array(gates.entanglement_class(base_state).occupations)
+    if merit_fn(lam0) > 0.0 or lam0[0] > 1.0:
+        raise UnsupportedCaseError(f"no sigma* search for {base_state!r} with {merit!r}")
 
     def status(m: int, needed: int, v_lo: np.ndarray, v_hi: np.ndarray) -> np.ndarray:
         """Violations at step m of the first len(v_hi) samples, exact as far as
-        whether ``needed`` of them violate.  v_lo and v_hi are their statuses at
-        a lower and a higher step, or all True and all False, which tell nothing.
-        Sample kept[i] is draws[i], and every sample evaluated is kept."""
-        if not monotone:
-            v_lo, v_hi = np.ones_like(v_lo), np.zeros_like(v_hi)
+        whether ``needed`` of them violate, from their statuses v_lo and v_hi
+        at a lower and a higher step.  Sample kept[i] is draws[i], and every
+        sample evaluated is kept."""
         out = v_hi.copy()
         rows = np.flatnonzero(v_lo & ~v_hi)
         at = np.searchsorted(kept, rows)
         out[rows] = _violations(gamma0, merit, m * _STEP, draws, at, needed - out.sum())
         return out
 
-    # Without monotonicity only the bisection over every sample is exact:
-    # then the pilot takes every block and is the whole search.
-    draws = _KeptDraws(itertools.islice(blocks, 1 if monotone else None))
+    draws = _KeptDraws()
+    draws.append(next(blocks))
     kept, everyone = np.arange(draws.rows), np.ones(n_samples, dtype=bool)
     v_lo, needed = everyone[: len(kept)], _violators_needed(len(kept), confidence)
     lo, hi, v_hi = 0, _TOP, status(_TOP, needed, v_lo, ~v_lo)
@@ -786,11 +783,9 @@ class _KeptDraws:
     search to the next.
     """
 
-    def __init__(self, blocks: Iterable[np.ndarray] = ()) -> None:
+    def __init__(self) -> None:
         self.pages: list[np.ndarray] = []
         self.rows = 0
-        for block in blocks:
-            self.append(block)
 
     def append(self, draws: np.ndarray) -> None:
         done = 0

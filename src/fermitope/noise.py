@@ -41,7 +41,9 @@ class NoiseParams:
     emission_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.dephasing_rate < math.inf and 0.0 <= self.emission_rate < math.inf):
+        dephasing = fock._checked_real(self.dephasing_rate, "dephasing_rate")
+        emission = fock._checked_real(self.emission_rate, "emission_rate")
+        if not (0.0 <= dephasing < math.inf and 0.0 <= emission < math.inf):
             raise StepSizeError("noise rates must be finite and non-negative")
 
 
@@ -115,11 +117,11 @@ def evolve_noisy_protocol(
         raise InvalidGateError("every gate needs a duration for noisy evolution")
     for gate in protocol.gates:
         gates._check_sites(gate, d)
-    if not 0.0 < dt < math.inf:
+    if not 0.0 < fock._checked_real(dt, "dt") < math.inf:
         raise StepSizeError("dt must be positive and finite")
-    if not 0.0 <= free_time < math.inf:
+    if not 0.0 <= fock._checked_real(free_time, "free_time") < math.inf:
         raise StepSizeError("free_time must be finite and non-negative")
-    if not 0.0 <= margin_epsilon <= 1.0:
+    if not 0.0 <= fock._checked_real(margin_epsilon, "margin_epsilon") <= 1.0:
         raise InvalidDimensionError("margin_epsilon must lie in [0, 1]")
     if durations and dt > min(durations) / 10.0:
         raise StepSizeError("dt must not exceed one tenth of the shortest gate")

@@ -53,9 +53,8 @@ class LinearInequality:
     def __post_init__(self) -> None:
         if self.sense not in ("<=", ">=", "=="):
             raise InvalidDimensionError(f"unknown sense {self.sense!r}")
-        if not all(math.isfinite(c) for c in self.coefficients) or not math.isfinite(
-            self.bound
-        ):
+        entries = (*self.coefficients, self.bound)
+        if not all(math.isfinite(fock._checked_real(x, "inequality entry")) for x in entries):
             raise InvalidDimensionError("inequality entries must be finite")
 
     def value(self, lam: np.ndarray) -> float:
@@ -274,7 +273,7 @@ def check_weakened(occupations, epsilon: float) -> WeakenedReport:
     No pairing equalities are assumed; for a mixed state the two
     inequalities are independent.
     """
-    if not 0.0 <= epsilon <= 1.0:
+    if not 0.0 <= fock._checked_real(epsilon, "epsilon") <= 1.0:
         raise InvalidDimensionError("epsilon must lie in [0, 1]")
     s1, s2, member = _weakened_slacks(_as_lambda(occupations), epsilon)
     return WeakenedReport(
@@ -383,7 +382,7 @@ def hill_climb_extremal(
     and its step assumes every earlier proposal of its round was
     rejected, which holds for every proposal up to the accepted one.
     """
-    if not 0.0 < epsilon < 1.0:
+    if not 0.0 < fock._checked_real(epsilon, "epsilon") < 1.0:
         raise InvalidDimensionError("epsilon must lie in (0, 1)")
     fock._checked_count(iterations, "iterations")
     if objective not in ("f1", "f2"):

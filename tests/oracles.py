@@ -432,28 +432,34 @@ def full_batch_merits(base_state: str, merit: str, sigma: float, draws) -> np.nd
 
 
 def full_batch_eigenvalues(base_state: str, sigma: float, draws) -> np.ndarray:
-    """(n, 6) descending eigenvalues of all perturbed samples, one ``eigvalsh`` of the batch.
-
-    The perturbation of ``fermitope.montecarlo`` written out directly:
-    gamma0 + sigma * Delta with real diagonal draws (|draw| on epr's empty
-    mode), and real and imaginary upper-triangle draws mirrored.
-    """
-    d = 6
-    gamma0 = fock.one_rdm(gates.target_state(base_state))
-    n = draws.shape[0]
-    diag = draws[:, :d].copy()
-    if base_state.lower() == "epr":
-        diag[:, 5] = np.abs(diag[:, 5])
-    re = draws[:, d : d + 15]
-    im = draws[:, d + 15 :]
-
-    out = np.broadcast_to(gamma0, (n, d, d)).astype(np.complex128)
-    rows, cols = np.triu_indices(d, k=1)
-    out[:, rows, cols] += sigma * (re + 1j * im)
-    out[:, cols, rows] += sigma * (re - 1j * im)
-    idx = np.arange(d)
-    out[:, idx, idx] += sigma * diag
+    """(n, 6) descending eigenvalues of all perturbed samples gamma0 + sigma *
+    Delta (``perturbations``), one ``eigvalsh`` of the batch."""
+    out = sigma * perturbations(base_state, draws)
+    out += fock.one_rdm(gates.target_state(base_state))
     return np.linalg.eigvalsh(out)[:, ::-1]
+
+
+def perturbations(base_state: str, draws) -> np.ndarray:
+    """(n, 6, 6) Hermitian Delta of each sample, the perturbation of
+    ``fermitope.montecarlo`` written out directly: real diagonal draws
+    (|draw| on epr's empty mode), and real and imaginary upper-triangle
+    draws mirrored.  Built as (6, 6, n), where each entry's n values are
+    contiguous, and returned C-contiguous."""
+    d = 6
+    draws = draws.T
+    diag = draws[:d].copy()
+    if base_state.lower() == "epr":
+        diag[5] = np.abs(diag[5])
+    re = draws[d : d + 15]
+    im = draws[d + 15 :]
+
+    out = np.zeros((d, d, draws.shape[1]), dtype=np.complex128)
+    rows, cols = np.triu_indices(d, k=1)
+    out[rows, cols] = re + 1j * im
+    out[cols, rows] = re - 1j * im
+    idx = np.arange(d)
+    out[idx, idx] = diag
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -515,6 +521,82 @@ def exhaustive_max_tolerated_sigma(
         else:
             hi = mid
     return lo
+
+
+def critical_sigmas(base_state: str, merit: str, draws) -> np.ndarray:
+    """(n,) critical sigma_k of each sample: at sigma > 0 it violates iff sigma < sigma_k.
+
+    One eigen-solve per sample, with gamma0 = diag(g):
+    - F_W where g = 1/2 (ghz): lambda1 + lambda2 + lambda3 = 3/2 + sigma
+      S3(Delta), S3 the sum of Delta's three largest eigenvalues, so
+      sigma_k = 1 / (2 S3).
+    - F_EPR (F_Slater) is negative iff A = D - sigma Delta, D = I - gamma0,
+      has no (at most one) eigenvalue <= 0.  Where D > 0 (w), A's negative
+      eigenvalues are as many as the mu of D^-1/2 Delta D^-1/2 with sigma mu
+      > 1.  Where D is 0 at one site p (epr), Haynsworth's inertia
+      additivity splits A into its pivot -sigma Delta_pp, negative iff
+      Delta_pp > 0, and the Schur complement D' - sigma S, S = Delta' - b
+      b^H / Delta_pp with b Delta's column p off p, read the same way.
+      So sigma_k = 1 / mu_j, mu_j the j-th largest mu, with j = 1 (F_EPR)
+      or 2 (F_Slater) less one if Delta_pp > 0.
+
+    sigma_k is inf where that mu is <= 0, and 0 where j = 0.
+    """
+    delta = perturbations(base_state, draws)
+    g = np.diag(fock.one_rdm(gates.target_state(base_state))).real
+    if merit == "f_w":
+        if not np.all(g == 0.5):
+            raise UnsupportedCaseError(f"no critical sigma for {base_state!r} with f_w")
+        return _reciprocal(2.0 * np.linalg.eigvalsh(delta)[:, 3:].sum(axis=1))
+    d = 1.0 - g
+    empty, rest = np.flatnonzero(d == 0.0), np.flatnonzero(d != 0.0)
+    if len(empty) > 1:
+        raise UnsupportedCaseError(f"no critical sigma for {base_state!r} with {merit}")
+    s = delta[:, rest[:, None], rest]
+    j = np.full(len(delta), {"f_epr": 1, "f_slater": 2}[merit])
+    if len(empty):
+        pivot = delta[:, empty[0], empty[0]].real
+        b = delta[:, rest, empty[0]]
+        s = s - b[:, :, None] * b.conj()[:, None, :] / pivot[:, None, None]
+        j -= pivot > 0.0
+    scale = 1.0 / np.sqrt(d[rest])
+    mu = np.linalg.eigvalsh(scale[:, None] * s * scale)[:, ::-1]
+    mu_j = np.take_along_axis(mu, np.maximum(j - 1, 0)[:, None], axis=1)[:, 0]
+    return np.where(j == 0, 0.0, _reciprocal(mu_j))
+
+
+def _reciprocal(x: np.ndarray) -> np.ndarray:
+    """1 / x where x > 0, inf elsewhere."""
+    return np.divide(1.0, x, out=np.full_like(x, np.inf), where=x > 0.0)
+
+
+def critical_max_tolerated_sigma(
+    base_state: str,
+    merit: str,
+    confidence: float = 0.999,
+    n_samples: int = 10**5,
+    seed: int = 0,
+) -> float:
+    """sigma* from ``critical_sigmas``: the largest step m h of the grid h =
+    0.5 / 2**12, m <= 2**12, with np.mean(sigma_k > m h) >= confidence, or 0.
+
+    That is the grid step below the K-th largest sigma_k, K the fewest
+    violators that pass np.mean's test, and the step that 12 halvings of
+    [0, 0.5] give when p is non-increasing on the grid.  A K-th largest
+    sigma_k within a relative 1e-9 of a grid step, where the rounding of
+    eigvalsh could put it on either side, raises AssertionError.
+    """
+    sigmas = np.sort(critical_sigmas(base_state, merit, standard_draws(n_samples, seed)))
+    steps = np.arange(2**12 + 1) * (0.5 / 2**12)
+
+    def largest_passing_step(scale: float) -> int:
+        violators = n_samples - np.searchsorted(sigmas * scale, steps, side="right")
+        passing = np.flatnonzero(violators / n_samples >= confidence)
+        return int(passing[-1]) if len(passing) else 0
+
+    m = largest_passing_step(1.0)
+    assert largest_passing_step(1.0 - 1e-9) == m == largest_passing_step(1.0 + 1e-9)
+    return float(steps[m])
 
 
 def trapezoid_phase(omega0, omega1, detuning, duration, points: int = 1_000_000):

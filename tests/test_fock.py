@@ -11,10 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fermitope import fock
+from fermitope import fock, gates, noise, polytope
 from fermitope.errors import (
     DegenerateInputError,
     InvalidDimensionError,
+    InvalidGateError,
     InvalidRDMError,
     SectorMismatchError,
     ZeroStateError,
@@ -554,3 +555,98 @@ class TestStateTypes:
         state = basis_vector(6, "101010")
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
+
+
+_ONE_GATE = gates.Protocol("one", (gates.rotation(1, 2, 1.0, 20e-12),))
+
+
+class TestRealParameters:
+    """Float parameters outside montecarlo go through fock._checked_real too."""
+
+    @pytest.mark.parametrize("value", ["0.1", None, True, 1j], ids=repr)
+    @pytest.mark.parametrize(
+        "call, name, error",
+        [
+            pytest.param(
+                lambda v: polytope.hill_climb_extremal(v, iterations=1),
+                "epsilon",
+                InvalidDimensionError,
+                id="hill-climb-epsilon",
+            ),
+            pytest.param(
+                lambda v: polytope.check_weakened((1.0, 0.5, 0.5, 0.5, 0.5, 0.0), v),
+                "epsilon",
+                InvalidDimensionError,
+                id="weakened-epsilon",
+            ),
+            pytest.param(
+                lambda v: noise.NoiseParams(dephasing_rate=v),
+                "dephasing_rate",
+                InvalidDimensionError,
+                id="dephasing-rate",
+            ),
+            pytest.param(
+                lambda v: noise.NoiseParams(emission_rate=v),
+                "emission_rate",
+                InvalidDimensionError,
+                id="emission-rate",
+            ),
+            pytest.param(
+                lambda v: noise.evolve_noisy_protocol(_ONE_GATE, noise.NoiseParams(), v),
+                "dt",
+                InvalidDimensionError,
+                id="dt",
+            ),
+            pytest.param(
+                lambda v: noise.evolve_noisy_protocol(
+                    _ONE_GATE, noise.NoiseParams(), 2e-12, free_time=v
+                ),
+                "free_time",
+                InvalidDimensionError,
+                id="free-time",
+            ),
+            pytest.param(
+                lambda v: noise.evolve_noisy_protocol(
+                    _ONE_GATE, noise.NoiseParams(), 2e-12, margin_epsilon=v
+                ),
+                "margin_epsilon",
+                InvalidDimensionError,
+                id="margin-epsilon",
+            ),
+            pytest.param(
+                lambda v: noise.loschmidt_echo(_ONE_GATE, noise.NoiseParams(), v),
+                "dt",
+                InvalidDimensionError,
+                id="echo-dt",
+            ),
+            pytest.param(
+                lambda v: gates.rotation(1, 2, v), "gate angle", InvalidGateError, id="angle"
+            ),
+            pytest.param(
+                lambda v: gates.rotation(1, 2, 1.0, v),
+                "gate duration",
+                InvalidGateError,
+                id="duration",
+            ),
+            pytest.param(
+                lambda v: polytope.LinearInequality((1, 0, 0, 0, 0, 0), v, "<="),
+                "inequality entry",
+                InvalidDimensionError,
+                id="inequality-bound",
+            ),
+            pytest.param(
+                lambda v: polytope.LinearInequality((v, 0, 0, 0, 0, 0), 1.0, "<="),
+                "inequality entry",
+                InvalidDimensionError,
+                id="inequality-coefficient",
+            ),
+        ],
+    )
+    def test_float_parameters_must_be_real_numbers(self, call, name, error, value):
+        """Before, strings, None and complex values raised a bare TypeError, and
+        True was taken as 1.0 (check_weakened reported at epsilon = 1)."""
+        if name == "gate duration" and value is None:
+            assert call(value).duration is None  # a gate without a duration
+            return
+        with pytest.raises(error, match=f"{name} must be a real number, got "):
+            call(value)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from fermitope import montecarlo as mc
 from fermitope import gates, polytope
-from fermitope.errors import InvalidDimensionError
+from fermitope.errors import InvalidDimensionError, UnsupportedCaseError
 from fermitope.montecarlo import (
     PerturbationSpec,
     max_tolerated_sigma,
@@ -36,6 +36,16 @@ def _status_is_monotone(base, merit):
 @functools.lru_cache(maxsize=None)
 def _exhaustive(base, merit, n_samples, seed):
     return oracles.exhaustive_max_tolerated_sigma(base, merit, n_samples=n_samples, seed=seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(base, merit, n_samples, seed):
+    """sigma* at confidence 0.999 from one eigen-solve per sample for the
+    canonical pairs (cross-checked in test_confidence_at_an_attained_fraction),
+    from the exhaustive bisection's 13 passes for the others."""
+    if (base, merit) in CANONICAL:
+        return oracles.critical_max_tolerated_sigma(base, merit, n_samples=n_samples, seed=seed)
+    return _exhaustive(base, merit, n_samples, seed)
 
 
 MONOTONE_PAIRS = [
@@ -67,6 +77,9 @@ def _streamed_sigmas(monkeypatch) -> list[float]:
 
 @functools.lru_cache(maxsize=None)
 def _sigma_star(base, merit, n_samples, seed):
+    """sigma* of the search, or of the exhaustive bisection for the pair it refuses."""
+    if (base, merit) not in MONOTONE_PAIRS:
+        return _exhaustive(base, merit, n_samples, seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return max_tolerated_sigma(base, merit, n_samples=n_samples, seed=seed)
@@ -335,7 +348,6 @@ class TestPerturbedSampling:
             pytest.param(lambda s: merit_histogram("w", "f_epr", 0.05, 3, s), id="hist"),
             pytest.param(lambda s: violation_probability("w", "f_epr", 0.05, 3, s), id="prob"),
             pytest.param(lambda s: max_tolerated_sigma("w", "f_epr", 0.9, 3, s), id="threshold"),
-            pytest.param(lambda s: max_tolerated_sigma("slater", "f_w", 0.9, 3, s), id="slater"),
         ],
     )
     def test_seed_beyond_the_philox_key_is_refused_before_any_draw(self, call, drawn_rows):
@@ -467,32 +479,45 @@ class TestMaxToleratedSigma:
         "seed, n_samples",
         [(0, 1), (7, 2_048), (42, 2_049), (0, 2_000), (7, 5_000), (42, 10_000)],
     )
-    @pytest.mark.parametrize(
-        "base, merit", CANONICAL + (("w", "f_slater"), ("slater", "f_w"))
-    )
+    @pytest.mark.parametrize("base, merit", CANONICAL + (("w", "f_slater"),))
     def test_matches_exhaustive_bisection(self, base, merit, seed, n_samples):
+        """Against the critical-sigma oracle for the canonical pairs, the
+        exhaustive bisection for w/F_Slater."""
         got = max_tolerated_sigma(base, merit, n_samples=n_samples, seed=seed)
-        ref = oracles.exhaustive_max_tolerated_sigma(base, merit, n_samples=n_samples, seed=seed)
-        assert got == ref
+        assert got == _oracle(base, merit, n_samples, seed)
 
     @pytest.mark.parametrize("base, merit", CANONICAL)
     def test_full_size_search_is_the_last_passing_step(self, base, merit):
         """At (seed 0, 1e5), where 13 full batches per oracle run cost too much.
 
         With p non-increasing on the grid, the exhaustive bisection returns
-        the one step that passes while the next fails, so both are checked
-        on the full batch.
+        the one step that passes while the next fails.  Each sample violates
+        at sigma > 0 iff sigma is below its critical sigma_k, so both steps
+        are checked on all samples from one eigen-solve each.
         """
         n, confidence = 100_000, 0.999
         got = max_tolerated_sigma(base, merit, confidence, n_samples=n, seed=0)
-        draws = oracles.standard_draws(n, 0)
+        critical = oracles.critical_sigmas(base, merit, oracles.standard_draws(n, 0))
 
         def passes(sigma):
-            return np.mean(oracles.full_batch_merits(base, merit, sigma, draws) < 0) >= confidence
+            return np.mean(critical > sigma) >= confidence
 
         assert 0.0 < got < 0.5
         assert passes(got)
         assert not passes(got + mc._STEP)
+
+    @pytest.mark.parametrize("base, merit", [*CANONICAL, ("w", "f_slater"), ("epr", "f_epr")])
+    def test_critical_sigmas_give_each_sample_its_status(self, base, merit):
+        """The oracle's sigma_k: each sample violates at sigma > 0 iff sigma < sigma_k,
+        at sigma* and the steps around it, and at scales from 1e-6 to 0.5."""
+        n, seed = 3_000, 5
+        draws = oracles.standard_draws(n, seed)
+        critical = oracles.critical_sigmas(base, merit, draws)
+        star = oracles.critical_max_tolerated_sigma(base, merit, 0.99, n, seed)
+        for sigma in (1e-6, 0.01, 0.05, 0.1, 0.5, star - mc._STEP, star, star + mc._STEP):
+            if sigma > 0.0:
+                want = oracles.full_batch_merits(base, merit, sigma, draws) < 0.0
+                assert np.array_equal(critical > sigma, want)
 
     @pytest.mark.parametrize("m_hat", [0, mc._TOP - 1])
     @pytest.mark.parametrize("seed", [0, 42])
@@ -518,7 +543,7 @@ class TestMaxToleratedSigma:
         walk = (8, mc._TOP) if m_hat == 0 else (0, mc._TOP)
         assert searches[1:] == [(mc._violators_needed(n, 0.999), *walk)]
         assert passes == ([8 * mc._STEP, 0.5] if m_hat == 0 else [0.5])
-        assert got == _exhaustive(base, merit, n, seed)
+        assert got == _oracle(base, merit, n, seed)
 
     @pytest.mark.parametrize("seed", [0, 42])
     @pytest.mark.parametrize("base, merit", CANONICAL)
@@ -527,42 +552,9 @@ class TestMaxToleratedSigma:
         n = 5_000
         passes = _streamed_sigmas(monkeypatch)
         got = max_tolerated_sigma(base, merit, n_samples=n, seed=seed)
-        m_hat = round(_exhaustive(base, merit, mc._CHUNK_ROWS, seed) / mc._STEP)
+        m_hat = round(_oracle(base, merit, mc._CHUNK_ROWS, seed) / mc._STEP)
         assert passes == [min(mc._TOP, m_hat + max(mc._MARGIN_STEPS, m_hat // 4)) * mc._STEP]
-        assert got == _exhaustive(base, merit, n, seed)
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_non_monotone_pair_stops_resolving_once_each_step_is_settled(self, seed, monkeypatch):
-        """slater/F_W goes through the one status path with brackets that tell
-        nothing: every step certifies all n samples, and resolves only the
-        undecided ones that could change whether it passes."""
-        n = 5_000
-        given, undecided, resolved = [], [], []
-        violations, certificate, merit_values = mc._violations, mc._certificate, mc._merit_values
-
-        def spy_violations(gamma0, merit, sigma, draws, rows, needed=None):
-            given.append((len(rows), needed))
-            return violations(gamma0, merit, sigma, draws, rows, needed)
-
-        def spy_certificate(gamma0, merit, sigma, draws):
-            violates, decided = certificate(gamma0, merit, sigma, draws)
-            undecided.append(np.count_nonzero(~decided))
-            return violates, decided
-
-        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
-            resolved.append(len(rows))
-            return merit_values(gamma0, merit_fn, sigma, draws, rows)
-
-        monkeypatch.setattr(mc, "_violations", spy_violations)
-        monkeypatch.setattr(mc, "_certificate", spy_certificate)
-        monkeypatch.setattr(mc, "_merit_values", spy_eigvalsh)
-        got = max_tolerated_sigma("slater", "f_w", n_samples=n, seed=seed)
-        assert given == [(n, mc._violators_needed(n, 0.999))] * 13
-        # Resolving every undecided row, as a bisection over every sample
-        # does, sends 0.03-0.04 n of them to eigvalsh at these seeds.
-        assert sum(undecided) > 0.02 * n
-        assert sum(resolved) < sum(undecided)
-        assert got == _exhaustive("slater", "f_w", n, seed)
+        assert got == _oracle(base, merit, n, seed)
 
     def test_rows_evaluated_per_search(self, monkeypatch):
         """Rows are counted where they are certified: the pass at hi certifies
@@ -614,12 +606,27 @@ class TestMaxToleratedSigma:
         monkeypatch.setattr(mc, "_merit_values", spy_eigvalsh)
         got = max_tolerated_sigma(base, merit, n_samples=n, seed=seed)
         assert [rows for sigma, rows in routed if sigma == 0.5] == []
-        assert got == _exhaustive(base, merit, n, seed)
+        assert got == _oracle(base, merit, n, seed)
 
-    def test_pruning_condition_holds_off_slater(self):
-        expected = {(b, m) for b in ("epr", "w", "ghz") for m in mc.MERIT_LABELS}
-        assert expected <= set(MONOTONE_PAIRS)
-        assert ("slater", "f_w") not in MONOTONE_PAIRS
+    @pytest.mark.parametrize("base, merit", ALL_PAIRS)
+    def test_refuses_only_slater_with_f_w_and_before_any_draw(self, base, merit, drawn_rows):
+        """merit(lambda(gamma0)) > 0 only for slater/F_W (+1); w/F_W, epr/F_W and
+        epr/F_EPR sit at exactly 0 and are searched.  The arguments are checked
+        before the refusal, each with its own error."""
+        lam0 = np.array(gates.CLASSES[base].occupations)
+        if (base, merit) in (("w", "f_w"), ("epr", "f_w"), ("epr", "f_epr")):
+            assert polytope._MERITS[merit](lam0) == 0.0
+        if (base, merit) in MONOTONE_PAIRS:
+            assert 0.0 <= max_tolerated_sigma(base, merit, n_samples=100, seed=0) <= 0.5
+            assert drawn_rows == [100]
+            return
+        assert (base, merit) == ("slater", "f_w")
+        with pytest.raises(UnsupportedCaseError, match=r"'slater' with 'f_w'"):
+            max_tolerated_sigma(base, merit, n_samples=100, seed=0)
+        for kwargs in ({"confidence": 0.3}, {"seed": 2**128}, {"seed": -1}, {"n_samples": 0}):
+            with pytest.raises(InvalidDimensionError):
+                max_tolerated_sigma(base, merit, **kwargs)
+        assert drawn_rows == []
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=25, deadline=None)
@@ -870,9 +877,12 @@ class TestEarlyStop:
 
     @pytest.mark.parametrize("base, merit", CANONICAL)
     def test_confidence_at_an_attained_fraction(self, base, merit):
-        """The step at sigma* passes with k / n == confidence exactly, and the next fails."""
+        """The step at sigma* passes with k / n == confidence exactly, and the next
+        fails.  Both confidences cross-check the critical-sigma oracle against the
+        exhaustive bisection."""
         n, seed = 5_000, 3
         sigma = _exhaustive(base, merit, n, seed)
+        assert sigma == _oracle(base, merit, n, seed)
         merits = polytope._MERITS[merit](oracles.eigenvalue_table(base, sigma, n, seed))
         k = int(np.count_nonzero(merits < 0))
         assert k < n
@@ -880,6 +890,7 @@ class TestEarlyStop:
         got = max_tolerated_sigma(base, merit, confidence, n_samples=n, seed=seed)
         ref = oracles.exhaustive_max_tolerated_sigma(base, merit, confidence, n, seed)
         assert got == ref == sigma
+        assert oracles.critical_max_tolerated_sigma(base, merit, confidence, n, seed) == ref
 
     @pytest.mark.parametrize("seed", [0, 42])
     def test_failing_step_leaves_rows_unresolved(self, seed, monkeypatch):
@@ -913,7 +924,7 @@ class TestEarlyStop:
             s for s in steps if s[0] is not None and s[1] < s[0] and s[3] < s[2]
         ]
         assert cut, steps
-        assert got == _exhaustive("ghz", "f_w", n, seed)
+        assert got == _oracle("ghz", "f_w", n, seed)
 
 
     @pytest.mark.parametrize("short", ["one violator", "every undecided row"])
