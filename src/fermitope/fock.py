@@ -417,11 +417,13 @@ def _density_terms(d: int, n_particles: int) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _rdm_kernel(
-    d: int, n_particles: int, x: np.ndarray, density: bool = False
+    d: int, n_particles: int, x: np.ndarray, density: bool = False, summed: bool = False
 ) -> np.ndarray:
     """<a_j^+ a_i> for amplitudes (..., dim) or density matrices (..., dim, dim).
 
     Nothing is normalized: amplitudes of norm r give r^2 times the 1-RDM.
+    With ``summed``, amplitudes (..., r, dim) are the rows of a purification,
+    and their 1-RDMs are summed by one product over their r K gathered rows.
     A density matrix is read only at its live terms (see the comment above
     _creation_table), which are added into gamma in ascending k by one
     unbuffered ``np.add.at``.  The bits are those of the full einsum over
@@ -440,6 +442,8 @@ def _rdm_kernel(
         return gamma.reshape(lead + (d, d))
     index, signs = _creation_table(d, n_particles)
     phi = np.take(x, index, axis=-1) * signs
+    if summed:
+        phi = phi.reshape(phi.shape[:-3] + (math.prod(phi.shape[-3:-1]), d))
     return np.swapaxes(phi, -1, -2) @ phi.conj()
 
 

@@ -290,7 +290,8 @@ def check_weakened(occupations, epsilon: float) -> WeakenedReport:
 
 # The hill climb's settings: purification rank, first step, annealing
 # (step *= 0.95 after every 100 consecutive rejections), the block norm
-# at or below which a proposal is skipped, and the proposals scored per round.
+# at or below which a proposal is skipped, and the proposals scored per
+# round, at most 100 so that a round's steps anneal at most once.
 # Fewer than 1% of proposals are accepted, so scoring 32 at once from the
 # current state wastes little: those after an accepted one are scored
 # again from the new state.
@@ -333,18 +334,15 @@ def _mixture_lambdas(psi0: np.ndarray, block: np.ndarray, epsilon: float) -> np.
     """Sorted 1-RDM eigenvalues of (1-eps)|psi0><psi0| + eps * BB^+/tr(BB^+).
 
     Takes (..., 20) states psi0 and (..., 20, rank) blocks B, and returns
-    (..., 6) occupations.
+    (..., 6) occupations.  The mixture's 1-RDM is the sum of the unnormalized
+    ones of its 1 + rank purification rows, one Gram product per mixture.
     """
     trace = np.einsum("...cr,...cr->...", block.conj(), block).real
-    # Purification rows: the mixture's 1-RDM is the sum of their unnormalized ones.
-    rows = np.concatenate(
-        [
-            math.sqrt(1.0 - epsilon) * psi0[..., None, :],
-            np.sqrt(epsilon / trace)[..., None, None] * np.swapaxes(block, -1, -2),
-        ],
-        axis=-2,
-    )
-    gamma = fock._rdm_kernel(6, 3, rows).sum(axis=-3)
+    rows = np.empty(psi0.shape[:-1] + (1 + block.shape[-1], psi0.shape[-1]), dtype=complex)
+    np.multiply(psi0, math.sqrt(1.0 - epsilon), out=rows[..., 0, :])
+    scale = np.sqrt(epsilon / trace)[..., None, None]
+    np.multiply(scale, np.swapaxes(block, -1, -2), out=rows[..., 1:, :])
+    gamma = fock._rdm_kernel(6, 3, rows, summed=True)
     return np.linalg.eigvalsh(gamma)[..., ::-1]
 
 
@@ -360,6 +358,13 @@ def _annealed(step: float, rejections: int, n: int) -> tuple[float, int]:
     for _ in range(rejections // _ANNEAL_AFTER):
         step *= _ANNEAL_FACTOR
     return step, rejections % _ANNEAL_AFTER
+
+
+def _round_steps(step: float, rejections: int, k: int) -> np.ndarray:
+    """``_annealed(step, rejections, j)[0]`` for j < k, given rejections < _ANNEAL_AFTER
+    and k <= _ANNEAL_AFTER: each step is annealed at most once."""
+    annealed = np.arange(rejections, rejections + k) >= _ANNEAL_AFTER
+    return np.where(annealed, step * _ANNEAL_FACTOR, step)
 
 
 def hill_climb_extremal(
@@ -404,19 +409,19 @@ def hill_climb_extremal(
     step, rejections = _INITIAL_STEP, 0
     accepted = evaluations = done = 0
     # Each proposal's normals in draw order: psi re, psi im, block re, block im.
-    splits = np.cumsum([dim, dim, dim * _RANK])
-    normals = np.empty((0, splits[-1] + dim * _RANK))
+    normals = np.empty((0, 2 * dim * (1 + _RANK)))
     while done < iterations:
         k = min(_PROPOSALS, iterations - done)
         if len(normals) < k:
             fresh = rng.standard_normal((k - len(normals), normals.shape[1]))
             normals = np.concatenate([normals, fresh])
-        psi_re, psi_im, blk_re, blk_im = np.split(normals[:k], splits, axis=1)
-        steps = np.array([_annealed(step, rejections, j)[0] for j in range(k)])
+        psi_re_im = normals[:k, : 2 * dim].reshape(k, 2, dim)
+        blk_re_im = normals[:k, 2 * dim :].reshape(k, 2, dim, _RANK)
+        steps = _round_steps(step, rejections, k)
 
-        cand_psi = psi0 + steps[:, None] * (psi_re + 1j * psi_im)
+        cand_psi = psi0 + steps[:, None] * (psi_re_im[:, 0] + 1j * psi_re_im[:, 1])
         cand_psi = cand_psi / _norms(cand_psi)[:, None]
-        d_blk = (blk_re + 1j * blk_im).reshape(k, dim, _RANK)
+        d_blk = blk_re_im[:, 0] + 1j * blk_re_im[:, 1]
         cand_blk, norms = _project_out(block + steps[:, None, None] * d_blk, cand_psi)
         # Score up to the first degenerate block; it is skipped, not rejected.
         live = norms > _DEGENERATE_NORM

@@ -240,6 +240,33 @@ class TestOneRDM:
             assert np.max(np.abs(batch - np.stack(want))) <= 1e-12
             assert np.max(np.abs(mixed - (0.7 * want[0] + 0.3 * want[1]))) <= 1e-12
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_summed_rows_match_dense_oracle(self, rank):
+        """Purification rows (k, 1 + rank, 20), stacked into one product each,
+        give the weighted sum of their rows' 1-RDMs."""
+        rng = np.random.default_rng(rank)
+        rows = rng.standard_normal((4, 1 + rank, 20)) + 1j * rng.standard_normal((4, 1 + rank, 20))
+        weights = rng.dirichlet(np.ones(1 + rank), size=4)
+        rows *= np.sqrt(weights / np.sum(np.abs(rows) ** 2, axis=-1))[..., None]
+        got = fock._rdm_kernel(6, 3, rows, summed=True)
+        want = [
+            sum(np.vdot(r, r).real * oracles.dense_one_rdm(PureState(6, 3, r)) for r in mixture)
+            for mixture in rows
+        ]
+        assert got.shape == (4, 6, 6)
+        assert np.max(np.abs(got - np.stack(want))) <= 1e-13
+
+    @pytest.mark.parametrize("d, n", [(6, 3), (10, 5), (14, 7)])
+    def test_pure_state_keeps_the_gather_bits(self, d, n):
+        """one_rdm of a pure state is S * psi[C] and its one product, to the bit."""
+        index, signs = fock._creation_table(d, n)
+        for seed in range(3):
+            psi = random_pure_state(d, n, seed=seed).amplitudes
+            phi = psi[index] * signs
+            want = (phi.T @ phi.conj()) / float(np.vdot(psi, psi).real)
+            got = one_rdm(PureState(d, n, psi))
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     """Equal values and equal sign bits, -0.0 against +0.0 included."""

@@ -256,6 +256,49 @@ class TestRoundsMatchSequentialClimb:
         assert result.final_step > unskipped.final_step
 
 
+@pytest.mark.parametrize("k", [1, 31, 32])
+@pytest.mark.parametrize("rejections", [0, 1, 68, 69, 99])
+def test_round_steps_match_the_annealing_loop(rejections, k):
+    """A round's steps are _annealed's, bit for bit: rejections < _ANNEAL_AFTER
+    when a round starts, so k <= _ANNEAL_AFTER proposals anneal at most once."""
+    assert polytope._PROPOSALS <= polytope._ANNEAL_AFTER
+    for step in (0.5, 0.5 * 0.95**613, np.float64(6.883993210159581e-08)):
+        got = polytope._round_steps(step, rejections, k)
+        want = np.array([polytope._annealed(step, rejections, j)[0] for j in range(k)])
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+def test_one_eigvalsh_call_and_one_gram_product_per_round(monkeypatch):
+    """Each round scores its proposals by one 1-RDM kernel call, which stacks
+    every proposal's 1 + rank rows into one Gram product, and one eigvalsh call
+    on the products; the initial score takes one of each."""
+    rounds, products, events = [], [], []
+    round_steps, kernel, eigvalsh = polytope._round_steps, fock._rdm_kernel, np.linalg.eigvalsh
+
+    def spy_kernel(d, n, x, **options):
+        products.append(kernel(d, n, x, **options))
+        events.append(("kernel", x.shape, options))
+        return products[-1]
+
+    def spy_eigvalsh(gamma):
+        events.append(("eigvalsh", gamma is products[-1]))
+        return eigvalsh(gamma)
+
+    monkeypatch.setattr(polytope, "_round_steps", lambda *a: rounds.append(a) or round_steps(*a))
+    monkeypatch.setattr(fock, "_rdm_kernel", spy_kernel)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
+    result = hill_climb_extremal(0.06, "f1", seed=3, iterations=2000)
+    assert len(rounds) >= 2000 // polytope._PROPOSALS
+    assert len(events) == 2 * (len(rounds) + 1)
+    rows = (1 + polytope._RANK, fock.sector_dim(6, 3))
+    for call, then in zip(events[::2], events[1::2]):
+        assert (call[0], call[1][-2:], call[2]) == ("kernel", rows, {"summed": True})
+        assert then == ("eigvalsh", True)
+    assert products[0].shape == (6, 6)
+    assert sum(len(gamma) for gamma in products[1:]) == result.evaluations
+    assert all(gamma.shape[1:] == (6, 6) for gamma in products[1:])
+
+
 def test_batched_mixture_lambdas_match_single_calls():
     rng = np.random.default_rng(13)
     eps = 0.07
