@@ -416,14 +416,12 @@ def _density_terms(d: int, n_particles: int) -> tuple[np.ndarray, np.ndarray, np
     return src, dst, sign
 
 
-def _rdm_kernel(
-    d: int, n_particles: int, x: np.ndarray, density: bool = False, summed: bool = False
-) -> np.ndarray:
-    """<a_j^+ a_i> for amplitudes (..., dim) or density matrices (..., dim, dim).
+def _rdm_kernel(d: int, n_particles: int, x: np.ndarray, density: bool = False) -> np.ndarray:
+    """<a_j^+ a_i> for purifications (..., r, dim) or density matrices (..., dim, dim).
 
     Nothing is normalized: amplitudes of norm r give r^2 times the 1-RDM.
-    With ``summed``, amplitudes (..., r, dim) are the rows of a purification,
-    and their 1-RDMs are summed by one product over their r K gathered rows.
+    The r rows of a purification (one for a pure state) give the sum of
+    their 1-RDMs, by one product over their r K gathered rows.
     A density matrix is read only at its live terms (see the comment above
     _creation_table), which are added into gamma in ascending k by one
     unbuffered ``np.add.at``.  The bits are those of the full einsum over
@@ -442,8 +440,7 @@ def _rdm_kernel(
         return gamma.reshape(lead + (d, d))
     index, signs = _creation_table(d, n_particles)
     phi = np.take(x, index, axis=-1) * signs
-    if summed:
-        phi = phi.reshape(phi.shape[:-3] + (math.prod(phi.shape[-3:-1]), d))
+    phi = phi.reshape(phi.shape[:-3] + (math.prod(phi.shape[-3:-1]), d))
     return np.swapaxes(phi, -1, -2) @ phi.conj()
 
 
@@ -454,7 +451,7 @@ def one_rdm(state: PureState | MixedState) -> np.ndarray:
     norm2 = float(np.vdot(state.amplitudes, state.amplitudes).real)
     if norm2 <= ATOL_STATE**2:
         raise DegenerateInputError("one_rdm of a zero-norm state")
-    return _rdm_kernel(state.d, state.n_particles, state.amplitudes) / norm2
+    return _rdm_kernel(state.d, state.n_particles, state.amplitudes[None]) / norm2
 
 
 def natural_occupations(rdm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

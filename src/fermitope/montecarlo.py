@@ -212,38 +212,40 @@ widened, the F_EPR bounds missed eigvalsh's merit by at most 13 u (1 +
 or merit is not finite gets no enclosure and goes to eigvalsh.
 
 The enclosures are made as each block is drawn.  The rows in doubt are
-those whose enclosure holds 0, and those that could be the least or the
-largest merit: the rows whose lower end is at most the least upper end
-so far, of the enclosures and of the merits resolved (and the same for
-the largest).  These bounds only tighten, so the draws of the rows in
-doubt as their block is drawn are set aside, judged again by the final
-bounds after the stream, and the rows still in doubt go to eigvalsh in
-one call.  At most _CHUNK_ROWS rows are set aside: those that fill a
-chunk are judged and resolved at once, and their merits tighten the
-bounds.  Every other row's enclosure [lo, hi] then has min v < lo <= hi
-< max v, and the least and the largest merit are resolved.  Once min v
-and max v give the edges, the rows whose enclosure reaches an edge are
-taken from their blocks, each drawn again from the Philox state saved
-before it, up to its last such row, and evaluated in one more call.  One
-np.histogram of the exact merits where resolved and the lower ends
-elsewhere then counts every bin as merit_samples' values would.  At n =
-20,000 and sigma in [0.01, 0.08] (the canonical pairs, seeds 0-9), 2-3
-rows reach eigvalsh in the stream and 0-10 from 0-8 blocks drawn again
-(epr at sigma = 0.01 draws the most: its Gershgorin interval is the
-widest), in 1-2 calls.  At sigma = 0 every row ties for the least merit,
-and at sigma = 1e-6 the widening is a tenth of a bin, so nearly every
-row goes to eigvalsh after its enclosure: 80-108 and 152-162 ms against
-merit_samples' 30-43 and 98-103 ms (w, n = 20,000, one pinned CPU),
-where sigma = 0.05 takes 61-64 against 102-150 ms.
+those whose enclosure holds 0 or is not finite, and those that could be
+the least or the largest merit: the rows whose lower end is at most the
+least upper end so far, of the enclosures and of the merits resolved (and
+the same for the largest).  These bounds only tighten, so the draws of
+the rows in doubt as their block is drawn are set aside in a list.
+Before a block's rows would take it past _CHUNK_ROWS rows, and once more
+after the stream, the rows in the list are judged again by the bounds so
+far, those still in doubt go to eigvalsh in one call, and their merits
+tighten the bounds.  Every other row's enclosure [lo, hi] then has min v
+< lo <= hi < max v, and the least and the largest merit are resolved.
+Once min v and max v give the edges, each block with rows whose
+enclosure reaches an edge is drawn again from the Philox state saved
+before it, up to its last such row, and those rows go to eigvalsh in one
+call of its own.  One np.histogram of the exact merits where resolved
+and the lower ends elsewhere then counts every bin as merit_samples'
+values would.  At n = 20,000 and sigma in [0.01, 0.08] (the canonical
+pairs, seeds 0-9), 2-3 rows reach eigvalsh in the stream and 0-10 from
+0-8 blocks drawn again (epr at sigma = 0.01 draws the most: its
+Gershgorin interval is the widest), in 1-9 calls, 2.1 on average.  At
+sigma = 0 every row ties for the least merit, and at sigma = 1e-6 the
+widening is a tenth of a bin, so nearly every row goes to eigvalsh after
+its enclosure: 80-108 and 152-162 ms against merit_samples' 30-43 and
+98-103 ms (w, n = 20,000, one pinned CPU), where sigma = 0.05 takes
+61-64 against 102-150 ms.
 
 The draws come from one counter-based Philox generator, _CHUNK_ROWS
 rows at a time in stream order (_draw_blocks).  numpy fills each block
 one normal after another, so the blocks stacked are the one-shot draw,
 and no result depends on how samples are batched.  Samples are perturbed
-and diagonalised in the same blocks.  merit_samples keeps only the n
-merit values, merit_distribution two bounds per sample, one block's
-workspace and the draws of at most _CHUNK_ROWS rows set aside, and
-violation_probability only its count of violators.
+and diagonalised in the same blocks, their matrices in one workspace
+per call of merit_samples, merit_distribution or _resolve.  merit_samples
+keeps only the n merit values, merit_distribution two bounds per sample,
+one block's workspace and the draws of at most _CHUNK_ROWS rows set
+aside, and violation_probability only its count of violators.
 The search holds the pilot's block, then a few boolean masks over all n
 samples and the draws and indices of the samples kept at hi: 3-9% of n
 for epr and w and 28-32% for ghz (seeds 0, 11 and 42, n = 1e5), the
@@ -283,12 +285,13 @@ _DRAW_COLUMN.T[_UPPER] = np.arange(_N_MODES + 15, 36)
 # 12x the minor page faults of 2048 rows.  Per-chunk call overhead is below 1%.
 _CHUNK_ROWS = 2048
 
-# Floats per row of the workspace that merit_distribution reuses for every
-# block's enclosures: its perturbed matrix (36 complex entries) and its
-# Householder reduction's work (25).  Made anew for each block, these 2 MB
-# went back to the system and were faulted in again, 290 minor page faults
-# per block and a fifth of the enclosures' time.
-_WORKSPACE_FLOATS = 2 * (_N_MODES**2 + (_N_MODES - 1) ** 2)
+# Floats per row of a perturbed matrix (36 complex entries), and per row of
+# the workspace that merit_distribution reuses for every block's enclosures:
+# that matrix and its Householder reduction's work (25).  Made anew for each
+# block, these 2 MB went back to the system and were faulted in again, 290
+# minor page faults per block and a fifth of the enclosures' time.
+_MATRIX_FLOATS = 2 * _N_MODES**2
+_WORKSPACE_FLOATS = _MATRIX_FLOATS + 2 * (_N_MODES - 1) ** 2
 
 # Fewest undecided rows a search step sends to eigvalsh at once.  At 16, a
 # ghz/F_W search (n = 1e5) sends 4,754 rows, not 4,759, in 2.4x the calls.
@@ -428,7 +431,7 @@ def _base_and_blocks(
 
 
 def _perturbed_batch(
-    gamma0: np.ndarray, sigma: float, draws: np.ndarray, out: np.ndarray | None = None
+    gamma0: np.ndarray, sigma: float, draws: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """(n, 6, 6) Hermitian matrices gamma0 + sigma * Delta, Delta from the draws.
 
@@ -439,13 +442,12 @@ def _perturbed_batch(
     0 + sigma re, 0 + sigma im above it and 0 + sigma re, 0 - sigma im
     below.  These are the floats of the complex sums gamma0 + sigma (re +-
     i im): adding gamma0's +0 turns a product of -0 (sigma = 0, or an
-    underflow) into +0.  The one temporary holds 15 n values.  ``out``, if
-    given, is a contiguous float array whose first 72 n values hold the result.
+    underflow) into +0.  The one temporary holds 15 n values.  The first
+    _MATRIX_FLOATS n values of ``out``, a contiguous float array, hold the result.
     """
     n = len(draws)
     draws = draws.T
-    size = 2 * _N_MODES**2 * n
-    out = (np.empty(size) if out is None else out[:size]).reshape(_N_MODES, _N_MODES, n, 2)
+    out = out[: _MATRIX_FLOATS * n].reshape(_N_MODES, _N_MODES, n, 2)
     rows, cols = _UPPER
     part = np.multiply(draws[_N_MODES : _N_MODES + 15], sigma)
     part += 0.0
@@ -468,10 +470,10 @@ def _merit_values(
     sigma: float,
     draws: np.ndarray,
     rows: np.ndarray,
-    workspace: np.ndarray | None = None,
+    workspace: np.ndarray,
 ) -> np.ndarray:
     """Merits of the samples ``draws[rows]``, at most ``_CHUNK_ROWS`` of them; their
-    matrices are held in ``workspace``, if given (``_perturbed_batch``'s out)."""
+    matrices are held in ``workspace`` (``_perturbed_batch``'s out)."""
     matrices = _perturbed_batch(gamma0, sigma, draws[rows], workspace)
     return merit_fn(np.linalg.eigvalsh(matrices)[:, ::-1])
 
@@ -512,15 +514,16 @@ def _resolve(
 ) -> np.ndarray:
     """Whether each sample ``draws[rows]``, left undecided by its certificate, violates.
 
-    The rows go through ``_merit_values`` at most a chunk at a time.  Given
-    ``needed``, the violators among ``rows`` that a search step still needs
-    to pass, each piece holds the fewest rows that could settle whether it
-    passes, and the resolution stops once the count can no longer change
-    that: the rows left are then marked violating if it passes and not
-    violating if it fails.
+    The rows go through ``_merit_values`` at most a chunk at a time, all in
+    one workspace.  Given ``needed``, the violators among ``rows`` that a
+    search step still needs to pass, each piece holds the fewest rows that
+    could settle whether it passes, and the resolution stops once the count
+    can no longer change that: the rows left are then marked violating if
+    it passes and not violating if it fails.
     """
     merit_fn = polytope._MERITS[merit]
     out = np.empty(len(rows), dtype=bool)
+    workspace = np.empty(_MATRIX_FLOATS * min(len(rows), _CHUNK_ROWS))
     found = done = 0
     while done < len(rows):
         size, left = _CHUNK_ROWS, len(rows) - done
@@ -531,7 +534,8 @@ def _resolve(
             fewest = min(needed - found, found + left - needed + 1)
             size = min(size, max(_MIN_PIECE, fewest))
         piece = out[done : done + size]
-        piece[:] = _merit_values(gamma0, merit_fn, sigma, draws, rows[done : done + size]) < 0.0
+        values = _merit_values(gamma0, merit_fn, sigma, draws, rows[done : done + size], workspace)
+        piece[:] = values < 0.0
         found += np.count_nonzero(piece)
         done += size
     return out
@@ -633,7 +637,7 @@ def sample_perturbed_rdm(spec: PerturbationSpec, sample_index: int = 0) -> np.nd
         raise InvalidDimensionError("sample_index outside 0..n_samples-1")
     gamma0, blocks = _base_and_blocks(spec.base_state, sample_index + 1, spec.seed)
     last = deque(blocks, maxlen=1)[0]
-    return _perturbed_batch(gamma0, spec.sigma, last[-1:])[0]
+    return _perturbed_batch(gamma0, spec.sigma, last[-1:], np.empty(_MATRIX_FLOATS))[0]
 
 
 def merit_samples(
@@ -642,9 +646,11 @@ def merit_samples(
     """Merit values of ``n_samples`` perturbed 1-RDMs, each block diagonalised as it is drawn."""
     merit_fn, gamma0, blocks = _checked_base_and_blocks(base_state, merit, sigma, n_samples, seed)
     out, start = np.empty(n_samples), 0
+    workspace = np.empty(_MATRIX_FLOATS * min(n_samples, _CHUNK_ROWS))
     for block in blocks:
         # slice(None): the whole block as a view, not a copy.
-        out[start : start + len(block)] = _merit_values(gamma0, merit_fn, sigma, block, slice(None))
+        values = _merit_values(gamma0, merit_fn, sigma, block, slice(None), workspace)
+        out[start : start + len(block)] = values
         start += len(block)
     return out
 
@@ -862,11 +868,12 @@ def merit_distribution(
 
     Bit for bit np.mean(v < 0) and the histogram of v = ``merit_samples``,
     with eigvalsh run only on the rows whose sign or bin an enclosure leaves
-    in doubt (module docstring): once for the stream's rows (and once more
-    for each chunk of them set aside), and once for the rows over a bin
-    edge.  Holds two floats per sample, one block's workspace and at most a
-    chunk of draws set aside.  A range of merits too narrow for ``bins`` edges of finite width
-    raises InvalidDimensionError.
+    in doubt (module docstring): once for the rows set aside in the stream
+    (once more for each chunk of them), and once for each block drawn
+    again for its rows over a bin edge.  Holds two floats per sample, one
+    block's workspace and at most a chunk of draws set aside.  A range of
+    merits too narrow for ``bins`` edges of finite width raises
+    InvalidDimensionError.
     """
     fock._checked_count(bins, "bins")
     states: list = []
@@ -885,16 +892,19 @@ def merit_distribution(
         finite = np.isfinite(lo) & np.isfinite(hi)
         return ~finite | ((lo < 0.0) & (hi >= 0.0)) | (lo <= least_upper) | (hi >= largest_lower)
 
-    def resolve_in_doubt(at: np.ndarray, draws: np.ndarray) -> None:
+    def resolve_set_aside() -> None:
+        """Resolve the rows set aside that the bounds so far leave in doubt."""
         nonlocal least_upper, largest_lower
-        rows = np.flatnonzero(in_doubt(at))  # judged again by the bounds so far
+        at, draws = (np.concatenate(parts) for parts in zip(*set_aside))
+        set_aside.clear()
+        rows = np.flatnonzero(in_doubt(at))
         if len(rows):
             values = _merit_values(gamma0, merit_fn, sigma, draws, rows, workspace)
             lower[at[rows]] = upper[at[rows]] = values
             least_upper = min(least_upper, values.min())
             largest_lower = max(largest_lower, values.max())
 
-    held = _HeldRows(resolve_in_doubt)
+    set_aside: list = []  # (positions, draws) of the rows in doubt as their block was drawn
     for start, block in zip(range(0, n_samples, _CHUNK_ROWS), blocks):
         at = slice(start, start + len(block))
         lower[at], upper[at] = _merit_enclosures(gamma0, merit, sigma, block, workspace)
@@ -902,13 +912,18 @@ def merit_distribution(
         least_upper = min(least_upper, np.min(upper[at], where=finite, initial=np.inf))
         largest_lower = max(largest_lower, np.max(lower[at], where=finite, initial=-np.inf))
         rows = np.flatnonzero(in_doubt(at))
-        held.add(start + rows, block[rows])
-    held.flush()
+        if len(rows) + sum(len(piece) for piece, _ in set_aside) > _CHUNK_ROWS:
+            resolve_set_aside()
+        if len(rows):
+            set_aside.append((start + rows, block[rows]))
+    if set_aside:
+        resolve_set_aside()
     # np.histogram's edges: the least and the largest merit were resolved, and
     # every row left has low < lo <= hi < high.  The blocks of the rows whose
-    # enclosure reaches the next edge are drawn again.  numpy refuses a range
-    # whose edges its floats cannot tell apart: one merit v spans [v - 0.5,
-    # v + 0.5], too narrow once |v| > ~2**52 / bins.
+    # enclosure reaches the next edge are drawn again, each up to its last
+    # such row, and those rows resolved.  numpy refuses a range whose edges
+    # its floats cannot tell apart: one merit v spans [v - 0.5, v + 0.5], too
+    # narrow once |v| > ~2**52 / bins.
     low, high = lower.min(), upper.max()
     try:
         edges = np.histogram_bin_edges([low, high], bins)
@@ -918,11 +933,6 @@ def merit_distribution(
             f"[{low:g}, {high:g}], too narrow a range for {bins} bins of finite width"
         ) from None
     next_edge = np.append(edges, np.inf)
-
-    def resolve_over_edge(at: np.ndarray, draws: np.ndarray) -> None:
-        lower[at] = _merit_values(gamma0, merit_fn, sigma, draws, np.arange(len(at)), workspace)
-
-    held = _HeldRows(resolve_over_edge)
     for start, state in zip(range(0, n_samples, _CHUNK_ROWS), states):
         lo, hi = lower[start : start + _CHUNK_ROWS], upper[start : start + _CHUNK_ROWS]
         rows = np.flatnonzero(hi >= next_edge[np.searchsorted(edges, lo, "right")])
@@ -930,44 +940,10 @@ def merit_distribution(
             bit_generator = np.random.Philox()
             bit_generator.state = state
             block = _draw_block(base_state, np.random.Generator(bit_generator), rows[-1] + 1)
-            held.add(start + rows, block[rows])
-    held.flush()
+            lo[rows] = _merit_values(gamma0, merit_fn, sigma, block, rows, workspace)
     del workspace, upper  # not held through np.histogram's temporaries
     centers, counts = _histogram(lower, bins)
     return float(np.mean(lower < 0.0)), centers, counts
-
-
-class _HeldRows:
-    """Rows set aside for eigvalsh, by position and draws, at most _CHUNK_ROWS
-    of them.  They are handed to ``resolve(positions, draws)`` when they fill
-    a chunk, before rows added would overflow it, and on ``flush``; none is
-    held while ``resolve`` runs."""
-
-    def __init__(self, resolve) -> None:
-        self.resolve, self.pieces, self.rows = resolve, [], 0
-
-    def add(self, positions: np.ndarray, draws: np.ndarray) -> None:
-        """Hold the draws of the rows at ``positions``, at most _CHUNK_ROWS."""
-        if len(positions) == 0:
-            return
-        if self.rows + len(positions) > _CHUNK_ROWS:
-            self.flush()
-        self.pieces.append((positions, draws))
-        self.rows += len(positions)
-        if self.rows == _CHUNK_ROWS:
-            self.flush()
-
-    def flush(self) -> None:
-        if self.pieces:
-            self.resolve(*self._take())
-
-    def _take(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows held, as one (positions, draws), no longer held."""
-        positions, draws = zip(*self.pieces)
-        self.pieces, self.rows = [], 0
-        if len(positions) == 1:
-            return positions[0], draws[0]
-        return np.concatenate(positions), np.concatenate(draws)
 
 
 def _merit_enclosures(
@@ -990,7 +966,7 @@ def _merit_enclosures(
     reads = _EIGENVALUES_READ[merit]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         matrices = _perturbed_batch(gamma0, sigma, draws, workspace)
-        work = workspace[2 * _N_MODES**2 * len(draws) :]
+        work = workspace[_MATRIX_FLOATS * len(draws) :]
         a, e2 = _tridiagonal(matrices.transpose(1, 2, 0), work)
         np.maximum(e2, _E2_FLOOR, out=e2)
         e = np.sqrt(e2)

@@ -342,7 +342,7 @@ def _mixture_lambdas(psi0: np.ndarray, block: np.ndarray, epsilon: float) -> np.
     np.multiply(psi0, math.sqrt(1.0 - epsilon), out=rows[..., 0, :])
     scale = np.sqrt(epsilon / trace)[..., None, None]
     np.multiply(scale, np.swapaxes(block, -1, -2), out=rows[..., 1:, :])
-    gamma = fock._rdm_kernel(6, 3, rows, summed=True)
+    gamma = fock._rdm_kernel(6, 3, rows)
     return np.linalg.eigvalsh(gamma)[..., ::-1]
 
 

@@ -620,7 +620,7 @@ def _sequential_mixture_lambdas(psi0, block, epsilon):
     rows = np.concatenate(
         [math.sqrt(1.0 - epsilon) * psi0[None], math.sqrt(epsilon / trace) * block.T]
     )
-    gamma = fock._rdm_kernel(6, 3, rows).sum(axis=0)
+    gamma = fock._rdm_kernel(6, 3, rows[:, None]).sum(axis=0)
     return np.linalg.eigvalsh(gamma)[::-1]
 
 

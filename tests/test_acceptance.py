@@ -45,7 +45,7 @@ def batched_occupation_spectra(d: int, n: int, n_states: int, seed0: int) -> np.
     states = np.stack(
         [random_pure_state(d, n, seed0 + k).amplitudes for k in range(n_states)]
     )
-    return np.linalg.eigvalsh(fock._rdm_kernel(d, n, states))[:, ::-1]
+    return np.linalg.eigvalsh(fock._rdm_kernel(d, n, states[:, None]))[:, ::-1]
 
 
 def test_criterion_1_reference_occupations_and_functional_values():

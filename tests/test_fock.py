@@ -233,8 +233,8 @@ class TestOneRDM:
             want = [oracles.dense_one_rdm(s) for s in states]
             amps = np.stack([s.amplitudes for s in states])
             rho = 0.7 * np.outer(amps[0], amps[0].conj()) + 0.3 * np.outer(amps[1], amps[1].conj())
-            single = fock._rdm_kernel(d, n, amps[0])
-            batch = fock._rdm_kernel(d, n, amps)
+            single = fock._rdm_kernel(d, n, amps[:1])
+            batch = fock._rdm_kernel(d, n, amps[:, None])
             mixed = fock._rdm_kernel(d, n, rho, density=True)
             assert np.max(np.abs(single - want[0])) <= 1e-12
             assert np.max(np.abs(batch - np.stack(want))) <= 1e-12
@@ -248,7 +248,7 @@ class TestOneRDM:
         rows = rng.standard_normal((4, 1 + rank, 20)) + 1j * rng.standard_normal((4, 1 + rank, 20))
         weights = rng.dirichlet(np.ones(1 + rank), size=4)
         rows *= np.sqrt(weights / np.sum(np.abs(rows) ** 2, axis=-1))[..., None]
-        got = fock._rdm_kernel(6, 3, rows, summed=True)
+        got = fock._rdm_kernel(6, 3, rows)
         want = [
             sum(np.vdot(r, r).real * oracles.dense_one_rdm(PureState(6, 3, r)) for r in mixture)
             for mixture in rows

@@ -63,6 +63,11 @@ def _base_and_draws(base, n_samples, seed):
     return theoretical_rdm(base), np.concatenate(list(mc._draw_blocks(base, n_samples, seed)))
 
 
+def _perturbed(gamma0, sigma, draws):
+    """``_perturbed_batch`` of every row of ``draws``, in a buffer of its own."""
+    return mc._perturbed_batch(gamma0, sigma, draws, np.empty(mc._MATRIX_FLOATS * len(draws)))
+
+
 def _streamed_sigmas(monkeypatch) -> list[float]:
     """The sigma of each pass of ``_streamed_step`` over all samples, in order."""
     sigmas, streamed_step = [], mc._streamed_step
@@ -105,7 +110,7 @@ class TestPerturbedSampling:
     def test_one_sample_equals_its_row_of_the_full_batch(self, base, drawn_rows):
         spec = PerturbationSpec(base, sigma=0.2, n_samples=40, seed=8)
         gamma0, draws = _base_and_draws(base, spec.n_samples, spec.seed)
-        batch = mc._perturbed_batch(gamma0, spec.sigma, draws)
+        batch = _perturbed(gamma0, spec.sigma, draws)
         for k in (0, 1, 17, spec.n_samples - 1):
             assert np.array_equal(sample_perturbed_rdm(spec, k), batch[k])
         # The full batch first, then each sample's own draw.
@@ -132,7 +137,7 @@ class TestPerturbedSampling:
         draws[0] = 0.0
         draws[1] = -0.0
         draws[2, ::2], draws[2, 1::2] = 5e-324, -1e-310
-        got = mc._perturbed_batch(gamma0, sigma, draws)
+        got = _perturbed(gamma0, sigma, draws)
         want = oracles.row_by_row_perturbed_batch(gamma0, sigma, draws)
         assert got.shape == want.shape and got.transpose(1, 2, 0).flags.c_contiguous
         assert np.array_equal(
@@ -156,7 +161,7 @@ class TestPerturbedSampling:
     def test_sample_mean_concentrates_on_base(self):
         sigma, n = 0.05, 100_000
         draws = oracles.standard_draws(n, 4)
-        batch = mc._perturbed_batch(theoretical_rdm("ghz"), sigma, draws)
+        batch = _perturbed(theoretical_rdm("ghz"), sigma, draws)
         mean = batch.mean(axis=0)
         tol = 3 * sigma / np.sqrt(n)
         assert np.max(np.abs(mean - theoretical_rdm("ghz"))) < tol
@@ -567,9 +572,9 @@ class TestMaxToleratedSigma:
             given_rows.append(len(draws))
             return certificate(gamma0, merit, sigma, draws)
 
-        def counting_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
+        def counting_eigvalsh(gamma0, merit_fn, sigma, draws, rows, workspace):
             eigvalsh_rows.append(len(rows))
-            return merit_values(gamma0, merit_fn, sigma, draws, rows)
+            return merit_values(gamma0, merit_fn, sigma, draws, rows, workspace)
 
         monkeypatch.setattr(mc, "_certificate", counting)
         monkeypatch.setattr(mc, "_merit_values", counting_eigvalsh)
@@ -599,9 +604,9 @@ class TestMaxToleratedSigma:
         routed = []
         merit_values = mc._merit_values
 
-        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
+        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows, workspace):
             routed.append((sigma, len(rows)))
-            return merit_values(gamma0, merit_fn, sigma, draws, rows)
+            return merit_values(gamma0, merit_fn, sigma, draws, rows, workspace)
 
         monkeypatch.setattr(mc, "_merit_values", spy_eigvalsh)
         got = max_tolerated_sigma(base, merit, n_samples=n, seed=seed)
@@ -665,9 +670,9 @@ class TestInertiaStatus:
             factored.append(ldl_inertia(g, sigma, draws))
             return factored[-1]
 
-        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
+        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows, workspace):
             routed.append(rows)
-            return merit_values(gamma0, merit_fn, sigma, draws, rows)
+            return merit_values(gamma0, merit_fn, sigma, draws, rows, workspace)
 
         gamma0, draws = _base_and_draws(base, n, seed)
         with pytest.MonkeyPatch.context() as patch:
@@ -756,7 +761,7 @@ class TestTopThreeBounds:
     @staticmethod
     def _bounds_and_sum(h):
         draws = _hermitian_draws(h)
-        assert np.array_equal(mc._perturbed_batch(np.zeros((6, 6)), 1.0, draws), h)
+        assert np.array_equal(_perturbed(np.zeros((6, 6)), 1.0, draws), h)
         lower, upper, margin = mc._top_three_bounds(np.zeros(6), 1.0, draws)
         top = np.linalg.eigvalsh(h)[:, ::-1][:, :3].sum(axis=1)
         return lower, upper, margin, top
@@ -831,9 +836,9 @@ class TestTopThreeBounds:
             certified.append(certificate(gamma0, merit, sigma, draws))
             return certified[-1]
 
-        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
+        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows, workspace):
             routed.append(rows)
-            return merit_values(gamma0, merit_fn, sigma, draws, rows)
+            return merit_values(gamma0, merit_fn, sigma, draws, rows, workspace)
 
         gamma0, draws = _base_and_draws(base, n, seed)
         with pytest.MonkeyPatch.context() as patch:
@@ -905,9 +910,9 @@ class TestEarlyStop:
             counts["undecided"] += np.count_nonzero(~decided)
             return violates, decided
 
-        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
+        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows, workspace):
             counts["resolved"] += len(rows)
-            return merit_values(gamma0, merit_fn, sigma, draws, rows)
+            return merit_values(gamma0, merit_fn, sigma, draws, rows, workspace)
 
         def spy_violations(gamma0, merit, sigma, draws, rows, needed=None):
             counts.update(undecided=0, resolved=0)
@@ -942,9 +947,9 @@ class TestEarlyStop:
         pieces = []
         merit_values = mc._merit_values
 
-        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows):
+        def spy_eigvalsh(gamma0, merit_fn, sigma, draws, rows, workspace):
             pieces.append(len(rows))
-            return merit_values(gamma0, merit_fn, sigma, draws, rows)
+            return merit_values(gamma0, merit_fn, sigma, draws, rows, workspace)
 
         monkeypatch.setattr(mc, "_merit_values", spy_eigvalsh)
         got = mc._violations(gamma0, "f_w", sigma, draws, np.arange(n), needed)
@@ -1109,14 +1114,12 @@ class TestMeritDistribution:
             mc.merit_distribution(base, merit, 0.05, 20_000, 0)
             assert sum(resolved) <= 30, (base, sum(resolved))
 
-    def test_one_eigvalsh_call_for_the_stream_and_one_for_the_blocks_drawn_again(
-        self, monkeypatch
-    ):
+    def test_one_eigvalsh_call_for_the_stream_and_one_per_block_drawn_again(self, monkeypatch):
         """The rows set aside in the stream are judged again by the final bounds
         and resolved at once: here the least and the largest merit, and at most
-        one row more (4-8 rows without the second judgement).  The rows over an
-        edge, from every block drawn again, take one more call.  epr at sigma =
-        0.01 draws the most blocks again."""
+        one row more (4-8 rows without the second judgement).  Each block drawn
+        again for the rows over an edge is resolved by one call of its own,
+        right after it is drawn.  epr at sigma = 0.01 draws the most blocks again."""
         events, eigvalsh, draw_block = [], np.linalg.eigvalsh, mc._draw_block
         monkeypatch.setattr(
             np.linalg, "eigvalsh", lambda a: events.append(len(a)) or eigvalsh(a)
@@ -1135,12 +1138,13 @@ class TestMeritDistribution:
                 end = draws[stream] if len(draws) > stream else len(events)
                 calls = [rows for rows in events[:end] if rows != "draw"]
                 assert len(calls) == 1 and calls[0] <= 3, (base, sigma, calls)
-                calls = [rows for rows in events[end:] if rows != "draw"]
-                assert len(calls) == (len(draws) > stream), (base, sigma, calls)
-                redrawn.append(len(draws) - stream)
+                again, k = events[end:], len(draws) - stream
+                assert again[::2] == ["draw"] * k and len(again) == 2 * k, (base, sigma, again)
+                assert all(0 < rows <= mc._CHUNK_ROWS for rows in again[1::2]), (base, sigma)
+                redrawn.append(k)
         assert max(redrawn) >= 2
-        # At sigma = 0 every row is in doubt: each full chunk set aside is
-        # resolved as it fills, so no call holds more than a chunk.
+        # At sigma = 0 every row is in doubt: the rows set aside are resolved
+        # before the next block's would overflow a chunk, so no call holds more.
         events.clear()
         mc.merit_distribution("w", "f_epr", 0.0, n, 0)
         calls = [rows for rows in events if rows != "draw"]
@@ -1164,7 +1168,8 @@ class TestMeritDistribution:
             patch.setattr(mc, "_BISECTIONS", depth)
             workspace = np.empty(mc._WORKSPACE_FLOATS * len(draws))
             lower, upper = mc._merit_enclosures(gamma0, merit, sigma, draws, workspace)
-        want = mc._merit_values(gamma0, polytope._MERITS[merit], sigma, draws, slice(None))
+        merit_fn = polytope._MERITS[merit]
+        want = mc._merit_values(gamma0, merit_fn, sigma, draws, slice(None), workspace)
         finite = np.isfinite(lower) & np.isfinite(upper)
         assert np.count_nonzero(finite) >= 250
         assert np.all(lower[finite] <= want[finite]) and np.all(want[finite] <= upper[finite])

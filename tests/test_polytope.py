@@ -292,7 +292,7 @@ def test_one_eigvalsh_call_and_one_gram_product_per_round(monkeypatch):
     assert len(events) == 2 * (len(rounds) + 1)
     rows = (1 + polytope._RANK, fock.sector_dim(6, 3))
     for call, then in zip(events[::2], events[1::2]):
-        assert (call[0], call[1][-2:], call[2]) == ("kernel", rows, {"summed": True})
+        assert (call[0], call[1][-2:], call[2]) == ("kernel", rows, {})
         assert then == ("eigvalsh", True)
     assert products[0].shape == (6, 6)
     assert sum(len(gamma) for gamma in products[1:]) == result.evaluations
