@@ -100,10 +100,16 @@ def _newton(a: np.ndarray, b: np.ndarray, eq: np.ndarray) -> np.ndarray:
     for _ in range(300):
         _, grad, x = _dual(a, b, mu)
         free = eq | (mu > 0) | (grad < -1e-14)
-        w, v = np.linalg.eigh(3.0 * (a[free] * (x * (1.0 - x))) @ a[free].T)
-        keep, proj = w > 1e-12 * w.max(initial=1.0), v.T @ grad[free]
-        newton, flat = np.zeros_like(mu), np.zeros_like(mu)
-        newton[free] = -v @ np.where(keep, proj / np.where(keep, w, 1.0), 0.0)
+        # A multiplier at 0 that the step would take below 0 leaves the free set, and the
+        # step is solved again without it: nearly parallel rows otherwise ask for +-1e5.
+        while True:
+            w, v = np.linalg.eigh(3.0 * (a[free] * (x * (1.0 - x))) @ a[free].T)
+            keep, proj = w > 1e-12 * w.max(initial=1.0), v.T @ grad[free]
+            newton, flat = np.zeros_like(mu), np.zeros_like(mu)
+            newton[free] = -v @ np.where(keep, proj / np.where(keep, w, 1.0), 0.0)
+            if not (drop := ~eq & (mu == 0.0) & (newton < 0.0)).any():
+                break
+            free &= ~drop
         newton /= max(1.0, np.abs(newton @ a).max(initial=0.0))  # x near 0 or 1: no curvature
         flat[free] = v @ np.where(keep, 0.0, proj)
         lift = ~eq & (flat > 1e-12)
