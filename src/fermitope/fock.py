@@ -300,12 +300,10 @@ def apply_ladder(
         return PureState(d, n, np.zeros_like(state.amplitudes))
     if kind == "creation":
         return PureState(d, n_out, _create(state.amplitudes, d, n, np.eye(d)[mode - 1]))
-    # <k| a_mode |psi> = S[k, mode] psi[C[k, mode]] over the (N-1)-states k.
+    # <k| a_mode |psi> = S[k, mode] psi[C[k, mode]]; adding +0.0 turns -0.0 into +0.0.
     index, signs = _creation_table(d, n)
-    live = np.flatnonzero(signs[:, mode - 1])
-    out = np.zeros(len(index), dtype=np.complex128)
-    out[live] += signs[live, mode - 1] * state.amplitudes[index[live, mode - 1]]
-    return PureState(d, n_out, out)
+    psi = state.amplitudes.take(index[:, mode - 1], mode="wrap")
+    return PureState(d, n_out, signs[:, mode - 1] * psi + 0.0)
 
 
 def _create(amps: np.ndarray, d: int, n_particles: int, v: np.ndarray) -> np.ndarray:
@@ -319,7 +317,7 @@ def _create(amps: np.ndarray, d: int, n_particles: int, v: np.ndarray) -> np.nda
     out = np.zeros(math.comb(d, n_particles + 1), dtype=np.complex128)
     for i in np.flatnonzero(v):
         live = np.flatnonzero(signs[:, i])
-        out[index[live, i]] += v[i] * (signs[live, i] * amps[live])
+        out[index[live, i] % len(out)] += v[i] * (signs[live, i] * amps[live])
     return out
 
 
@@ -338,9 +336,10 @@ def _pair_transitions(
     for site in (i, j):
         _site_bit(d, site)
     index, signs = _creation_table(d, n_particles)
+    dim = math.comb(d, n_particles)
     rows = np.flatnonzero(signs[:, i - 1] * signs[:, j - 1])
-    rows = rows[np.argsort(index[rows, i - 1])]
-    src, dst = index[rows, i - 1], index[rows, j - 1]
+    rows = rows[np.argsort(index[rows, i - 1] % dim)]
+    src, dst = index[rows, i - 1] % dim, index[rows, j - 1] % dim
     sign = (signs[rows, i - 1] * signs[rows, j - 1]).astype(np.float64)
     for arr in (src, dst, sign):
         arr.flags.writeable = False
@@ -354,92 +353,93 @@ def _pair_transitions(
 # One cached table per sector holds every fermionic sign in the package:
 # the creation table over the (N-1)-particle states k.  C[k, i] is the
 # N-sector index of a_{i+1}^+ |k> and S[k, i] its fermionic sign, 0 where
-# site i+1 is already occupied in k.  The ladder operators and the gates'
-# hops a_j^+ a_i above read it, and so does every 1-RDM, which comes from
-# _rdm_kernel.  Since <k| a_{i+1} |psi> = S[k, i] psi[C[k, i]], amplitudes give
-# gamma = Phi^T Phi^* with Phi = S * psi[C] (one gather and one matrix
-# product), and a density matrix gives
-# gamma_ij = sum_k S[k, i] S[k, j] rho[C[k, i], C[k, j]], diagonal included.
+# site i+1 is already occupied in k.  It keeps S, and C as the signed index
+# C' = C, C + dim or 2 dim (C = 0) where S = +1, -1 or 0; the ladder operators
+# and the gates' hops a_j^+ a_i above read C' mod dim.  <k| a_{i+1} |psi> =
+# S[k, i] psi[C[k, i]], so amplitudes give gamma = Phi^T Phi^* with
+# Phi = S * psi[C] = ext[C'], ext being psi times the +1, -1 and 0 that S casts
+# to: one gather with each product's bits, signed zeros included.  A density
+# matrix gives gamma_ij = sum_k S[k, i] S[k, j] rho[C[k, i], C[k, j]].
 #
-# A term of that sum is live only where sites i+1 and j+1 are both empty in
-# k, so each k has (d-N+1)^2 of the d^2: 1,400 of 3,584 terms at (8, 4) and
-# 38,808 of 114,048 at (12, 6).  _density_terms lists the live ones, k-major,
-# and the kernel gathers them once and adds them into gamma in that order.
-# Each gamma_ij thus receives its products in ascending k starting from +0.0,
-# the order in which np.einsum over all K d^2 terms adds them; the terms
-# left out are the products 0 * rho = +-0.0, and adding +-0.0 to a sum that
-# starts at +0.0 never changes it.  So both give the same bits, provided rho
-# is finite (0 * inf is nan), which MixedState enforces.
+# A term is live only where sites i+1 and j+1 are both empty in k:
+# C(d-1, N-1) terms per diagonal entry, C(d-2, N-1) per other one, 1,400 of
+# 3,584 at (8, 4).  The kernel gathers them as two blocks (terms, entries)
+# and sums down the columns from +0.0 by np.add.reduce, which adds in order
+# (not pairwise) over a non-inner axis: each gamma_ij gets its products in
+# ascending k, as np.einsum over all K d^2 terms adds them.  The terms left
+# out are 0 * rho = +-0.0, which leave a sum that starts at +0.0 unchanged, so
+# the bits agree for finite rho (0 * inf is nan), which MixedState enforces.
+_SIGNS = np.array([[1], [-1], [0]], dtype=np.complex128)
+
 
 @lru_cache(maxsize=None)
 def _creation_table(d: int, n_particles: int) -> tuple[np.ndarray, np.ndarray]:
-    """(C, S), both (binomial(d, N-1), d); empty for N = 0.
+    """(C', S), both (binomial(d, N-1), d); empty for N = 0.
 
-    C is np.intp, the dtype numpy gathers with, so no gather converts it;
-    S is int8.  Both are built one column at a time.
+    C' is np.intp, the dtype numpy gathers with, and writeable, since np.take
+    copies a read-only index on every call (336 kB at (14, 7)); S is int8 and
+    read-only: 9 bytes per entry.  Both are built one column at a time.
     """
     _check_sector(d, n_particles)
+    dim = math.comb(d, n_particles)
     masks = _sector_masks(d, n_particles - 1) if n_particles else np.zeros(0, np.int64)
-    index = np.zeros((len(masks), d), dtype=np.intp)
+    index = np.full((len(masks), d), 2 * dim, dtype=np.intp)
     signs = np.zeros((len(masks), d), dtype=np.int8)
     for col in range(d):
         bit = d - 1 - col
         rows = np.flatnonzero(((masks >> bit) & 1) == 0)
         k = masks[rows]
-        parity = (np.bitwise_count(k >> (bit + 1)) & 1).astype(np.int8)
+        parity = (np.bitwise_count(k >> (bit + 1)) & 1).astype(np.intp)
         signs[rows, col] = 1 - 2 * parity
-        index[rows, col] = _positions(d, n_particles, k | (1 << bit))
-    for arr in (index, signs):
-        arr.flags.writeable = False
+        index[rows, col] = _positions(d, n_particles, k | (1 << bit)) + dim * parity
+    signs.flags.writeable = False
     return index, signs
 
 
 @lru_cache(maxsize=None)
-def _density_terms(d: int, n_particles: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, sign) of the live terms S[k, i] S[k, j] rho[C[k, i], C[k, j]], k-major.
+def _density_terms(d: int, n_particles: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The live terms S[k, i] S[k, j] rho[C[k, i], C[k, j]]: (src, sign, entries) per group.
 
-    ``src`` is the flat index C[k, i] dim + C[k, j] into rho (np.intp),
-    ``dst`` the flat index i d + j into gamma (int16, as d^2 <= 576) and
-    ``sign`` the product S[k, i] S[k, j] (int8): 11 bytes per term.
+    The groups are the diagonal of gamma and the rest.  ``entries`` holds flat
+    indices i d + j into gamma; ``src`` (np.intp) and ``sign`` (int8), 9 bytes
+    per term, are C-ordered (terms per entry, entries), so the kernel's gather
+    keeps terms outside entries: column e holds entry e's flat indices
+    C[k, i] dim + C[k, j] into rho and signs S[k, i] S[k, j] in ascending k.
     """
-    index, signs = _creation_table(d, n_particles)
+    rows, signs = _creation_table(d, n_particles)
     dim = math.comb(d, n_particles)
-    # The d-N+1 empty sites of each (N-1)-particle state k, ascending.
-    sites = np.nonzero(signs)[1].reshape(len(index), d - n_particles + 1)
-    rows = np.take_along_axis(index, sites, axis=1)
-    sign = np.take_along_axis(signs, sites, axis=1)
-    src = (rows[:, :, None] * dim + rows[:, None, :]).ravel()
-    dst = (sites[:, :, None] * d + sites[:, None, :]).astype(np.int16).ravel()
-    sign = (sign[:, :, None] * sign[:, None, :]).ravel()
-    for arr in (src, dst, sign):
-        arr.flags.writeable = False
-    return src, dst, sign
+    rows, empty = rows % dim, signs.T != 0
+    groups = []
+    for i, j in (np.diag_indices(d), np.nonzero(~np.eye(d, dtype=bool))):
+        live = empty[i] & empty[j]  # (entries, K): nonzero lists each entry's k ascending
+        k = np.nonzero(live)[1].reshape(len(i), np.count_nonzero(live[:1])).T.copy()
+        groups.append((rows[k, i] * dim + rows[k, j], signs[k, i] * signs[k, j], i * d + j))
+        for arr in groups[-1]:
+            arr.flags.writeable = False
+    return tuple(groups)
 
 
 def _rdm_kernel(d: int, n_particles: int, x: np.ndarray, density: bool = False) -> np.ndarray:
     """<a_j^+ a_i> for purifications (..., r, dim) or density matrices (..., dim, dim).
 
     Nothing is normalized: amplitudes of norm r give r^2 times the 1-RDM.
-    The r rows of a purification (one for a pure state) give the sum of
-    their 1-RDMs, by one product over their r K gathered rows.
-    A density matrix is read only at its live terms (see the comment above
-    _creation_table), which are added into gamma in ascending k by one
-    unbuffered ``np.add.at``.  The bits are those of the full einsum over
-    all terms for every finite input; a non-finite one is not supported.
+    The r rows of a purification (one for a pure state) give the sum of their
+    1-RDMs, by one gather at the signed index and one product over their r K
+    gathered rows.  A density matrix is read only at its live terms, gathered
+    per group as (batch, terms, entries) and summed over the terms in ascending
+    k (see the comment above _creation_table): the bits of S * psi[C] and its
+    product, and of the full einsum, for every finite input.
     """
     if density:
-        src, dst, sign = _density_terms(d, n_particles)
-        lead, dim = x.shape[:-2], x.shape[-1]
-        batch = math.prod(lead)
-        # (terms, batch) in C order: the ravels copy nothing, and each
-        # matrix still meets its terms in ascending k.
-        terms = x.reshape(batch, dim * dim).T[src]
-        terms *= sign[:, None]
-        gamma = np.zeros(batch * d * d, dtype=terms.dtype)
-        np.add.at(gamma, (dst[:, None] + np.arange(0, gamma.size, d * d)).ravel(), terms.ravel())
-        return gamma.reshape(lead + (d, d))
-    index, signs = _creation_table(d, n_particles)
-    phi = np.take(x, index, axis=-1) * signs
+        flat = x.reshape(math.prod(x.shape[:-2]), x.shape[-1] ** 2)
+        gamma = np.empty((len(flat), d * d), dtype=x.dtype)
+        for src, sign, entries in _density_terms(d, n_particles):
+            terms = flat[:, src]
+            terms *= sign
+            gamma[:, entries] = np.add.reduce(terms, axis=1, initial=0.0)
+        return gamma.reshape(x.shape[:-2] + (d, d))
+    ext = (x[..., None, :] * _SIGNS).reshape(x.shape[:-1] + (3 * x.shape[-1],))
+    phi = np.take(ext, _creation_table(d, n_particles)[0], axis=-1)
     phi = phi.reshape(phi.shape[:-3] + (math.prod(phi.shape[-3:-1]), d))
     return np.swapaxes(phi, -1, -2) @ phi.conj()
 

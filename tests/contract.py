@@ -15,15 +15,23 @@ The cases:
 - max_tolerated_sigma for the 11 pairs it accepts x n in {1, 2049, 20000}
   x confidence in {0.9, 0.999} x seeds {0, 1} (132);
 - violation_probability of the 12 pairs at sigma in {0.02, 0.05, 0.1};
-- one_rdm of pure and mixed states from (6, 3) to (10, 5);
+- one_rdm of pure and mixed states from (6, 3) to (10, 5), of random pure
+  states at (12, 6) and (14, 7), and of the four targets, pure and as
+  MixedState.from_pure;
+- apply_ladder (every mode, both kinds) and wedge_embed from (6, 3) to
+  (10, 5);
+- random-protocol evolve_noisy_protocol runs at (6, 3), (8, 4) and (10, 5);
+- reconstruct_one_rdm(state, None) of the pure and mixed states up to (10, 5);
 - a 2,000-iteration hill climb per objective;
-- criterion 9's CLI invocations, and ``montecarlo`` for every base with and
-  without ``--sigma 0.05``, each in json and csv.
+- criterion 9's CLI invocations, ``montecarlo`` for every base with and
+  without ``--sigma 0.05``, and ``noisy``, ``echo`` and ``rdm --exact`` for
+  every target at the default ``--dephasing-rate`` and at 1e10, each in json
+  and csv.
 
 Nothing is written to disk, bytecode included.  No golden hashes are kept:
 the bits follow numpy's Philox and LAPACK, so only two trees run on one
 machine can be compared.  The file is not named test_*, so pytest does not
-collect it.  Both trees take a few minutes, run side by side.
+collect it.  Both trees, run side by side, take about 30 s on two cores.
 """
 
 import contextlib
@@ -47,6 +55,13 @@ CLI_CASES = [
     ["montecarlo", "--base", "epr", "--n-samples", "3000", "--seed", "4"],
     *(["montecarlo", "--base", base] for base in ("epr", "w", "ghz")),
     *(["montecarlo", "--base", base, "--sigma", "0.05"] for base in ("epr", "w", "ghz")),
+    *(
+        [command, "--target", base, *rate]
+        for command in ("noisy", "echo")
+        for base in BASES
+        for rate in ([], ["--dephasing-rate", "1e10"])
+    ),
+    *(["rdm", "--target", base, "--exact"] for base in BASES),
 ]
 
 
@@ -109,6 +124,68 @@ def _states():
         yield f"mixed ({d},{n}) maximal", fock.maximally_mixed(d, n)
 
 
+def _library_cases():
+    """(label, call) of the fock, noise and tomography cases beyond one_rdm up to (10, 5).
+
+    Each call reads the loop's current values, so it is run before the next is taken.
+    """
+    import numpy as np
+
+    from fermitope import fock, gates, noise, tomography
+
+    for d, n in ((12, 6), (14, 7)):
+        for seed in range(3):
+            state = fock.random_pure_state(d, n, seed)
+            yield f"one_rdm pure ({d},{n}) seed {seed}", lambda: fock.one_rdm(state)
+    for base in BASES:
+        pure = gates.target_state(base)
+        yield f"one_rdm target {base}", lambda: fock.one_rdm(pure)
+        mixed = fock.MixedState.from_pure(pure)
+        yield f"one_rdm target {base} mixed", lambda: fock.one_rdm(mixed)
+    for d in range(6, 11):
+        n, rng = d // 2, np.random.default_rng(d)
+        state = fock.random_pure_state(d, n, d)
+        for mode in range(1, d + 1):
+            for kind in ("creation", "annihilation"):
+                yield f"apply_ladder ({d},{n}) {mode} {kind}", lambda: _pure(
+                    fock.apply_ladder(state, mode, kind)
+                )
+        vectors = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+        below = fock.random_pure_state(d, n - 2, d)
+        yield f"wedge_embed ({d},{n})", lambda: _pure(fock.wedge_embed(below, vectors))
+    durations = {"rotation": 20e-12, "controlled_rotation": 60e-12, "phase": 20e-12}
+    params = noise.NoiseParams(dephasing_rate=1e10, emission_rate=2e9)
+    for d in (6, 8, 10):
+        for seed in range(2):
+            rng, ops = np.random.default_rng(10 * d + seed), []
+            for kind in rng.permutation(tuple(durations)):
+                sites = rng.choice(d, size=3 if kind == "controlled_rotation" else 2, replace=False)
+                angle = float(rng.uniform(-np.pi, np.pi))
+                sites = tuple(int(s) + 1 for s in sites)
+                ops.append(gates.GateOp(str(kind), sites, angle, durations[kind]))
+            protocol = gates.Protocol(f"random-{d}", tuple(ops))
+            initial = fock.random_pure_state(d, d // 2, seed)
+
+            def run():
+                t, final = noise.evolve_noisy_protocol(protocol, params, 2e-12, initial=initial)
+                fields = (t.times, t.fidelity, t.purity, t.lambdas, t.f1, t.f2, t.margin_ok)
+                return (*fields, t.margin_epsilon, final.matrix)
+
+            yield f"evolve_noisy_protocol ({d},{d // 2}) seed {seed}", run
+    for label, state in _states():
+
+        def reconstruct():
+            e = tomography.reconstruct_one_rdm(state, None)
+            return e.matrix, e.sigma, e.shots_per_setting, e.settings
+
+        yield f"reconstruct_one_rdm {label}", reconstruct
+
+
+def _pure(state):
+    """A PureState as its particle number and amplitudes."""
+    return state.n_particles, state.amplitudes
+
+
 def run_cases() -> dict[str, str]:
     """Every case's outcome on the fermitope that imports here."""
     from fermitope import fock, montecarlo, polytope
@@ -144,6 +221,8 @@ def run_cases() -> dict[str, str]:
                 )
     for label, state in _states():
         results[f"one_rdm {label}"] = _outcome(lambda: fock.one_rdm(state))
+    for label, call in _library_cases():
+        results[label] = _outcome(call)
     for objective in ("f1", "f2"):
 
         def climb():

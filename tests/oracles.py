@@ -113,6 +113,7 @@ def einsum_density_rdm(d: int, n_particles: int, rho: np.ndarray) -> np.ndarray:
     branch of ``fock._rdm_kernel`` must reproduce.
     """
     index, signs = fock._creation_table(d, n_particles)
+    index = index % math.comb(d, n_particles)  # C from the signed index C'
     gathered = rho[..., index[:, :, None], index[:, None, :]]
     return np.einsum("kij,...kij->...ij", signs[:, :, None] * signs[:, None, :], gathered)
 
@@ -402,7 +403,10 @@ def entropy_optimality_gap(spec, lam) -> float:
     The scaled-occupation entropy is concave, so its maximum over the
     polytope is at most its value at lam plus max_y grad . (y - lam), the
     Frank-Wolfe gap.  One linear program over (lam1, lam2, lam3), with the
-    pairings substituted, gives the max.  Needs every lam_i > 0.
+    pairings substituted, gives the max.  Needs every lam_i > 0.  HiGHS's
+    default tolerances of 1e-7 would let its vertex leave a sliver-thin
+    polytope by 6e-8, where the entropy's slope of about 17 turns that into a
+    gap of 1.7e-7, so they are 1e-9 here.
     """
     lam = np.asarray(lam, dtype=float)
     grad = -(np.log(lam / 3.0) + 1.0) / 3.0
@@ -415,6 +419,7 @@ def entropy_optimality_gap(spec, lam) -> float:
         A_eq=A_eq if len(A_eq) else None,
         b_eq=b_eq if len(A_eq) else None,
         bounds=(0.0, 1.0),
+        options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
     )
     assert lp.status == 0, lp.message
     return float(-lp.fun - grad @ lam[:3])

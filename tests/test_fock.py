@@ -258,14 +258,49 @@ class TestOneRDM:
 
     @pytest.mark.parametrize("d, n", [(6, 3), (10, 5), (14, 7)])
     def test_pure_state_keeps_the_gather_bits(self, d, n):
-        """one_rdm of a pure state is S * psi[C] and its one product, to the bit."""
+        """one_rdm of a pure state is S * psi[C] and its one product, to the bit:
+        on random states, on them with parts zeroed to +0.0 and -0.0, on the
+        four targets at (6, 3), and on a batch (2, 3, dim) of purification rows."""
         index, signs = fock._creation_table(d, n)
-        for seed in range(3):
-            psi = random_pure_state(d, n, seed=seed).amplitudes
+        index = index % math.comb(d, n)  # C from the signed index C'
+        rng = np.random.default_rng(d)
+        states = [random_pure_state(d, n, seed=seed).amplitudes for seed in range(3)]
+        states += [_with_signed_zeros(psi, rng) for psi in states]
+        if (d, n) == (6, 3):
+            states += [gates.target_state(label).amplitudes for label in gates.CLASSES]
+        for psi in states:
             phi = psi[index] * signs
             want = (phi.T @ phi.conj()) / float(np.vdot(psi, psi).real)
             got = one_rdm(PureState(d, n, psi))
             assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        rows = np.stack(states[:6]).reshape(2, 3, -1)
+        phi = (rows[..., index] * signs).reshape(2, -1, d)
+        want = np.swapaxes(phi, -1, -2) @ phi.conj()
+        got = fock._rdm_kernel(d, n, rows)
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_signed_zero_rows_keep_the_gather_bits(self, d):
+        """Rows whose parts are +-0.0 and +-1.0, where a gamma entry can be a sum of
+        zeros and so shows their signs: each product S * x[C] keeps its bits."""
+        rng = np.random.default_rng(d)
+        for n in range(d + 1):
+            index, signs = fock._creation_table(d, n)
+            rows = np.empty((64, 2, math.comb(d, n)), dtype=complex)
+            rows.real, rows.imag = rng.choice([0.0, -0.0, 1.0, -1.0], size=(2,) + rows.shape)
+            phi = (rows[..., index % math.comb(d, n)] * signs).reshape(64, -1, d)
+            want = np.swapaxes(phi, -1, -2) @ phi.conj()
+            got = fock._rdm_kernel(d, n, rows)
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes(), n
+
+
+def _with_signed_zeros(psi: np.ndarray, rng) -> np.ndarray:
+    """psi with about a third of its real and of its imaginary parts set to +0.0 or -0.0."""
+    out = psi.copy()
+    for part in (out.real, out.imag):
+        at = rng.random(part.shape) < 1 / 3
+        part[at] = rng.choice([0.0, -0.0], size=np.count_nonzero(at))
+    return out
 
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
@@ -303,15 +338,28 @@ class TestDensityKernel:
                     got = fock._rdm_kernel(d, n, rho, density=True)
                     assert _same_bits(got, want), (n, lead)
 
-    @pytest.mark.parametrize("d, n, live", [(8, 4, 1_400), (10, 5, 7_560), (12, 6, 38_808)])
+    @pytest.mark.parametrize(
+        "d, n, live", [(1, 0, 0), (1, 1, 1), (4, 4, 4), (8, 4, 1_400), (10, 5, 7_560), (12, 6, 38_808)]
+    )
     def test_terms_are_the_nonzero_signs_in_k_order(self, d, n, live):
+        """Every live term appears once, in the group of its entry, and each
+        entry's column holds its terms in ascending k."""
         index, signs = fock._creation_table(d, n)
+        dim = math.comb(d, n)
         k, i, j = np.nonzero(signs[:, :, None] * signs[:, None, :])
-        src, dst, sign = fock._density_terms(d, n)
-        assert len(src) == live == len(index) * (d - n + 1) ** 2
-        assert np.array_equal(src, index[k, i] * math.comb(d, n) + index[k, j])
-        assert np.array_equal(dst, i * d + j)
-        assert np.array_equal(sign, signs[k, i] * signs[k, j])
+        order = np.lexsort((k, i * d + j))  # entry-major, ascending k
+        k, i, j = k[order], i[order], j[order]
+        (src_diag, sign_diag, diag), (src_off, sign_off, off) = fock._density_terms(d, n)
+        assert np.array_equal(diag, np.arange(d) * (d + 1))
+        assert np.array_equal(np.sort(np.concatenate((diag, off))), np.arange(d * d))
+        assert src_diag.shape == (math.comb(d - 1, n - 1) if n else 0, d)
+        assert src_off.shape[1] == d * (d - 1)
+        assert src_diag.size + src_off.size == len(k) == live == len(index) * (d - n + 1) ** 2
+        for src, sign, entries in ((src_diag, sign_diag, diag), (src_off, sign_off, off)):
+            at = np.isin(i * d + j, entries)
+            assert np.array_equal(np.repeat(entries, len(src)), (i * d + j)[at])
+            assert np.array_equal(src.T.ravel(), (index[k, i] % dim * dim + index[k, j] % dim)[at])
+            assert np.array_equal(sign.T.ravel(), (signs[k, i] * signs[k, j])[at])
 
     def test_transient_below_the_gathered_entries_at_twelve_modes(self):
         """The einsum gathered all K d^2 entries: 1.8 MB for one (12, 6) state."""
