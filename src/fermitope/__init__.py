@@ -5,6 +5,8 @@ entropy functionals, noisy-preparation trajectories, 1-RDM tomography
 simulation and Monte Carlo error margins for three fermions on six sites.
 """
 
+import types as _types
+
 __version__ = "0.1.0"
 
 from .fock import (
@@ -70,57 +72,9 @@ from .montecarlo import (
     violation_probability,
 )
 
-__all__ = [
-    "BasisState",
-    "EntropyValue",
-    "GateOp",
-    "LinearInequality",
-    "MeritReport",
-    "MixedState",
-    "NoiseParams",
-    "PerturbationSpec",
-    "PolytopeSpec",
-    "Protocol",
-    "PulseSpec",
-    "PureState",
-    "RDMEstimate",
-    "ShotResult",
-    "Trajectory",
-    "apply_gate",
-    "apply_ladder",
-    "apply_protocol",
-    "basis_vector",
-    "build_protocol",
-    "check_m_fermion",
-    "check_pure_bd",
-    "check_weakened",
-    "class_polytope",
-    "controlled_rotation",
-    "dynamic_phase",
-    "evolve_noisy_protocol",
-    "fidelity",
-    "hill_climb_extremal",
-    "invert_protocol",
-    "loschmidt_echo",
-    "max_tolerated_sigma",
-    "merit_values",
-    "natural_occupations",
-    "one_rdm",
-    "phase_gate",
-    "purity",
-    "purity_lower_bound",
-    "quantum_functional",
-    "random_pure_state",
-    "readout_sequence_offdiag",
-    "reconstruct_one_rdm",
-    "rotation",
-    "sample_perturbed_rdm",
-    "sector_basis",
-    "sector_dim",
-    "shannon_entropy",
-    "simulate_occupation_counts",
-    "superposition",
-    "target_state",
-    "violation_probability",
-    "wedge_embed",
-]
+# Every name the imports above bind, less the submodules they load.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

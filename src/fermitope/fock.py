@@ -270,11 +270,6 @@ class MixedState:
         return float(np.linalg.eigvalsh(self.matrix)[-1])
 
 
-def maximally_mixed(d: int, n_particles: int) -> MixedState:
-    dim = sector_dim(d, n_particles)
-    return MixedState(d, n_particles, np.eye(dim) / dim)
-
-
 # ---------------------------------------------------------------------------
 # Ladder operators
 # ---------------------------------------------------------------------------

@@ -214,15 +214,6 @@ def apply_protocol(state: PureState, protocol: Protocol) -> PureState:
     return state
 
 
-def protocol_states(state: PureState, protocol: Protocol) -> list[PureState]:
-    """States after each gate of the protocol (the initial state excluded)."""
-    out = []
-    for gate in protocol.gates:
-        state = apply_gate(state, gate)
-        out.append(state)
-    return out
-
-
 def invert_protocol(protocol: Protocol) -> Protocol:
     """Reversed gate list with negated angles; exact inverse when noiseless."""
     return Protocol(

@@ -32,10 +32,7 @@ prove violating at hi are kept.  If p(hi) >= c and hi < 2**12, the
 pilot fell short: all samples are drawn and evaluated again, at 0.5, the
 same way.  The search then bisects [0, hi] or [hi, 2**12], evaluating
 only the samples violating at the lower end and not at the upper one,
-all kept there (about 1 - c of all samples below hi).  In all, about 1.1-1.4 full
-evaluations of the samples, against 3.2-5.3 for a bisection down from
-0.5 (the canonical pairs, n = 1e5; ghz/F_W hands 2.1-2.2 n rows to its
-certificate, because the early stop below leaves rows to later steps).
+all kept there (about 1 - c of all samples below hi).
 
 F_EPR and F_Slater ask a question of inertia.  With A = I - gamma,
 lambda1 < 1 iff A has no eigenvalue <= 0, and lambda2 < 1 iff A has at
@@ -87,10 +84,7 @@ further than c2 u ||gamma|| from 0 and has the sign of B's, and
 lambda_i - 1 (whose sign a float subtraction gets right) is positive for
 exactly as many i as there are negative pivots.  Rows stay undecided
 near a singular I - gamma (epr's zero pivot at sigma = 0, or lambda_i
-within about _TAU of 1) or when the multipliers grow: 1.1-2.5% of n in a
-canonical search at n = 1e5 (seeds 0 and 42), 1,026-1,055 of them in the
-pilot's steps at sigma = 0.5 and 0.25.  With the early stop below, 0-3
-rows reach eigvalsh.
+within about _TAU of 1) or when the multipliers grow.
 
 F_W = lambda1 + lambda2 + lambda3 - 2 needs no matrix.  Let t = tr gamma,
 x the descending eigenvalues of gamma - (t/6) I, which sum to 0, y =
@@ -133,8 +127,7 @@ covers every rounding between these bounds and eigvalsh's status:
   the merit's three float operations add a few u (|lambda| + 2).
 
 All of this stays far below _TAU (1 + ||gamma||_F) = 2**23 u (1 +
-||gamma||_F), so a decided row gets eigvalsh's status.  At sigma* (n =
-1e5) the upper bound alone decides 98.4-98.6% of the ghz rows.
+||gamma||_F), so a decided row gets eigvalsh's status.
 
 The rows a certificate leaves undecided go to eigvalsh in pieces of at
 most _CHUNK_ROWS rows.  A step over n samples passes with
@@ -152,9 +145,8 @@ are used, and those are proved; a passing step only the lower end v_lo,
 where only its False statuses are used, and those are proved too.  A row
 whose status was guessed lies in v_lo & ~v_hi and is evaluated again at
 the next step.  So the search visits the same steps with the same
-outcomes, and sigma* does not change.  In a ghz/F_W search at n = 1e5,
-0.046-0.048 n rows reach eigvalsh (1.39 n without the bounds).
-violation_probability resolves every row.
+outcomes, and sigma* does not change.  violation_probability resolves
+every row.
 
 merit_distribution (the CLI's --sigma) gives np.mean(v < 0) and
 np.histogram(v, bins) of v = merit_samples(...) bit for bit, without
@@ -206,10 +198,8 @@ eigvalsh's float lambda:
 So eigvalsh's lambda lies within (c1 + c2 + 3 _BISECTIONS + 7) u ||G||_F +
 2**-499 of [l, l + 2h], and the widening's own rounding is a few u |l|.
 _TAU (1 + ||T||_F) = 2**23 u (1 + ||T||_F) is far above both, c1 and c2
-being at most a few hundred at n = 6.  Bisected 64 times and not
-widened, the F_EPR bounds missed eigvalsh's merit by at most 13 u (1 +
-||G||_F) (300 blocks of 512 rows, sigma from 1e-8 to 1e150).  A row whose T, interval
-or merit is not finite gets no enclosure and goes to eigvalsh.
+being at most a few hundred at n = 6.  A row whose T, interval or merit
+is not finite gets no enclosure and goes to eigvalsh.
 
 The enclosures are made as each block is drawn.  The rows in doubt are
 those whose enclosure holds 0 or is not finite, and those that could be
@@ -227,15 +217,9 @@ enclosure reaches an edge is drawn again from the Philox state saved
 before it, up to its last such row, and those rows go to eigvalsh in one
 call of its own.  One np.histogram of the exact merits where resolved
 and the lower ends elsewhere then counts every bin as merit_samples'
-values would.  At n = 20,000 and sigma in [0.01, 0.08] (the canonical
-pairs, seeds 0-9), 2-3 rows reach eigvalsh in the stream and 0-10 from
-0-8 blocks drawn again (epr at sigma = 0.01 draws the most: its
-Gershgorin interval is the widest), in 1-9 calls, 2.1 on average.  At
-sigma = 0 every row ties for the least merit, and at sigma = 1e-6 the
-widening is a tenth of a bin, so nearly every row goes to eigvalsh after
-its enclosure: 80-108 and 152-162 ms against merit_samples' 30-43 and
-98-103 ms (w, n = 20,000, one pinned CPU), where sigma = 0.05 takes
-61-64 against 102-150 ms.
+values would.  At sigma = 0 every row ties for the least merit, and at
+sigma = 1e-6 the widening is a tenth of a bin, so nearly every row goes
+to eigvalsh after its enclosure.
 
 The draws come from one counter-based Philox generator, _CHUNK_ROWS
 rows at a time in stream order (_draw_blocks).  numpy fills each block
@@ -247,11 +231,10 @@ keeps only the n merit values, merit_distribution two bounds per sample,
 one block's workspace and the draws of at most _CHUNK_ROWS rows set
 aside, and violation_probability only its count of violators.
 The search holds the pilot's block, then a few boolean masks over all n
-samples and the draws and indices of the samples kept at hi: 3-9% of n
-for epr and w and 28-32% for ghz (seeds 0, 11 and 42, n = 1e5), the
-draws in pages of _CHUNK_ROWS rows (_KeptDraws), like the pilot's.  A
-pass at 0.5 keeps nearly every sample, 296 B each, which _MAX_SAMPLES
-bounds at 3.0 GB.
+samples and the draws and indices of the samples kept at hi, the draws
+in pages of _CHUNK_ROWS rows (_KeptDraws), like the pilot's.  A pass at
+0.5 keeps nearly every sample, 296 B each, which _MAX_SAMPLES bounds at
+3.0 GB.
 """
 
 import itertools
@@ -338,9 +321,8 @@ _MAX_SIGMA = 1e150
 # a time, so what grows with n_samples is: 16 B per sample for the merit
 # enclosures of merit_distribution (the CLI's --sigma), and 0.4 B for the
 # generator states it saves; 8 B for the values of merit_samples; in a
-# sigma* search, its 1 B masks and the samples it keeps after its pass at
-# hi, 296 B each (draws and index) for 3-9% of n (epr, w) or 28-32% (ghz),
-# and for nearly every sample after a pass at 0.5: 3.0 GB at this bound.
+# sigma* search, its 1 B masks and the samples it keeps, 296 B each (draws
+# and index): nearly every sample after a pass at 0.5, 3.0 GB at this bound.
 _MAX_SAMPLES = 10**7
 
 # Certificate of a decided LDL^H row, 2**23 times the unit roundoff; the

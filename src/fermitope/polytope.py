@@ -291,7 +291,7 @@ def check_weakened(occupations, epsilon: float) -> WeakenedReport:
 # The hill climb's settings: purification rank, first step, annealing
 # (step *= 0.95 after every 100 consecutive rejections), the block norm
 # at or below which a proposal is skipped, and the proposals scored per
-# round, at most 100 so that a round's steps anneal at most once.
+# round, fewer than 100 so that a round's steps anneal at most once.
 # Fewer than 1% of proposals are accepted, so scoring 32 at once from the
 # current state wastes little: those after an accepted one are scored
 # again from the new state.
@@ -352,17 +352,9 @@ def _project_out(block: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.nda
     return block, _norms(block.reshape(*block.shape[:-2], -1))
 
 
-def _annealed(step: float, rejections: int, n: int) -> tuple[float, int]:
-    """Step size and rejection count after ``n`` more consecutive rejections."""
-    rejections += n
-    for _ in range(rejections // _ANNEAL_AFTER):
-        step *= _ANNEAL_FACTOR
-    return step, rejections % _ANNEAL_AFTER
-
-
 def _round_steps(step: float, rejections: int, k: int) -> np.ndarray:
-    """``_annealed(step, rejections, j)[0]`` for j < k, given rejections < _ANNEAL_AFTER
-    and k <= _ANNEAL_AFTER: each step is annealed at most once."""
+    """The step after j more consecutive rejections, for j < k, given rejections <
+    _ANNEAL_AFTER and k <= _ANNEAL_AFTER: each step is annealed at most once."""
     annealed = np.arange(rejections, rejections + k) >= _ANNEAL_AFTER
     return np.where(annealed, step * _ANNEAL_FACTOR, step)
 
@@ -417,12 +409,13 @@ def hill_climb_extremal(
             normals = np.concatenate([normals, fresh])
         psi_re_im = normals[:k, : 2 * dim].reshape(k, 2, dim)
         blk_re_im = normals[:k, 2 * dim :].reshape(k, 2, dim, _RANK)
-        steps = _round_steps(step, rejections, k)
+        # steps[j]: the step after j rejections, proposal j's for j < k.
+        steps = _round_steps(step, rejections, k + 1)
 
-        cand_psi = psi0 + steps[:, None] * (psi_re_im[:, 0] + 1j * psi_re_im[:, 1])
+        cand_psi = psi0 + steps[:k, None] * (psi_re_im[:, 0] + 1j * psi_re_im[:, 1])
         cand_psi = cand_psi / _norms(cand_psi)[:, None]
         d_blk = blk_re_im[:, 0] + 1j * blk_re_im[:, 1]
-        cand_blk, norms = _project_out(block + steps[:, None, None] * d_blk, cand_psi)
+        cand_blk, norms = _project_out(block + steps[:k, None, None] * d_blk, cand_psi)
         # Score up to the first degenerate block; it is skipped, not rejected.
         live = norms > _DEGENERATE_NORM
         n = k if live.all() else int(np.argmin(live))
@@ -439,7 +432,7 @@ def hill_climb_extremal(
             accepted += 1
             used = j + 1
         else:
-            step, rejections = _annealed(step, rejections, n)
+            step, rejections = steps[n], (rejections + n) % _ANNEAL_AFTER
             used = min(n + 1, k)
         normals = normals[used:]
         done += used

@@ -26,12 +26,15 @@ The cases:
 - criterion 9's CLI invocations, ``montecarlo`` for every base with and
   without ``--sigma 0.05``, and ``noisy``, ``echo`` and ``rdm --exact`` for
   every target at the default ``--dephasing-rate`` and at 1e10, each in json
-  and csv.
+  and csv;
+- every list of string literals in test_cli.py that starts with a
+  subcommand (``TestParser._argument_sets``), run as written, and
+  ``--help`` at the top level and for each subcommand.
 
 Nothing is written to disk, bytecode included.  No golden hashes are kept:
 the bits follow numpy's Philox and LAPACK, so only two trees run on one
 machine can be compared.  The file is not named test_*, so pytest does not
-collect it.  Both trees, run side by side, take about 30 s on two cores.
+collect it.  Both trees, run side by side, take about 25 s on two cores.
 """
 
 import contextlib
@@ -121,7 +124,8 @@ def _states():
         weights = (0.5, 0.3, 0.2)
         rho = sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in zip(weights, pure))
         yield f"mixed ({d},{n}) rank 3", fock.MixedState(d, n, rho / np.trace(rho).real)
-        yield f"mixed ({d},{n}) maximal", fock.maximally_mixed(d, n)
+        dim = fock.sector_dim(d, n)
+        yield f"mixed ({d},{n}) maximal", fock.MixedState(d, n, np.eye(dim) / dim)
 
 
 def _library_cases():
@@ -189,6 +193,8 @@ def _pure(state):
 def run_cases() -> dict[str, str]:
     """Every case's outcome on the fermitope that imports here."""
     from fermitope import fock, montecarlo, polytope
+    from fermitope.cli import _COMMANDS
+    from test_cli import TestParser  # its literal argument sets, read from its source
 
     warnings.simplefilter("ignore")  # unpaired merits warn; the CLI prints its own
     results = {}
@@ -235,6 +241,11 @@ def run_cases() -> dict[str, str]:
             results[" ".join(["cli", *args, "--format", fmt])] = _cli_outcome(
                 [*args, "--format", fmt]
             )
+    help_cases = [["--help"], *([command, "--help"] for command in _COMMANDS)]
+    for args in [*TestParser._argument_sets(), *help_cases]:
+        case = " ".join(["cli", *args])
+        if case not in results:
+            results[case] = _cli_outcome(args)
     return results
 
 

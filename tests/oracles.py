@@ -138,6 +138,21 @@ def dense_density_one_rdm(d: int, n_particles: int, rho: np.ndarray) -> np.ndarr
     return gamma
 
 
+def maximally_mixed(d: int, n_particles: int) -> fock.MixedState:
+    dim = fock.sector_dim(d, n_particles)
+    return fock.MixedState(d, n_particles, np.eye(dim) / dim)
+
+
+def protocol_states(state: fock.PureState, protocol: gates.Protocol) -> list[fock.PureState]:
+    """States after each gate of the protocol (the initial state excluded), by
+    ``gates.apply_gate``."""
+    out = []
+    for gate in protocol.gates:
+        state = gates.apply_gate(state, gate)
+        out.append(state)
+    return out
+
+
 def dephasing_kernel(d: int, n_particles: int, rate: float, delta: float) -> np.ndarray:
     """exp(-rate * delta * hamming(a, b) / 2) over the sector's basis states,
     with Hamming distances taken from their full-Fock indices."""

@@ -21,7 +21,7 @@ from fermitope.fock import (
     superposition,
 )
 from fermitope.functional import quantum_functional
-from fermitope.gates import apply_protocol, build_protocol, protocol_states, target_state
+from fermitope.gates import apply_protocol, build_protocol, target_state
 from fermitope.noise import (
     NoiseParams,
     evolve_noisy_protocol,
@@ -32,6 +32,7 @@ from fermitope.noise import (
 )
 from fermitope.polytope import check_weakened, class_polytope, merit_values
 from fermitope.tomography import reconstruct_one_rdm
+from oracles import protocol_states
 
 SLATER = basis_vector(6, "101010")
 

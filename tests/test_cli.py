@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -489,6 +490,32 @@ class TestImport:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         return done.stdout.splitlines()[-1]
+
+    # fermitope.__all__: the public names, sorted.
+    PUBLIC = [
+        "BasisState", "EntropyValue", "GateOp", "LinearInequality", "MeritReport",
+        "MixedState", "NoiseParams", "PerturbationSpec", "PolytopeSpec", "Protocol",
+        "PulseSpec", "PureState", "RDMEstimate", "ShotResult", "Trajectory", "apply_gate",
+        "apply_ladder", "apply_protocol", "basis_vector", "build_protocol",
+        "check_m_fermion", "check_pure_bd", "check_weakened", "class_polytope",
+        "controlled_rotation", "dynamic_phase", "evolve_noisy_protocol", "fidelity",
+        "hill_climb_extremal", "invert_protocol", "loschmidt_echo", "max_tolerated_sigma",
+        "merit_values", "natural_occupations", "one_rdm", "phase_gate", "purity",
+        "purity_lower_bound", "quantum_functional", "random_pure_state",
+        "readout_sequence_offdiag", "reconstruct_one_rdm", "rotation",
+        "sample_perturbed_rdm", "sector_basis", "sector_dim", "shannon_entropy",
+        "simulate_occupation_counts", "superposition", "target_state",
+        "violation_probability", "wedge_embed",
+    ]
+
+    def test_all_is_the_public_names_the_imports_bind(self):
+        assert len(self.PUBLIC) == 52 and self.PUBLIC == sorted(self.PUBLIC)
+        assert fermitope.__all__ == self.PUBLIC
+        modules = [n for n in self.PUBLIC if isinstance(getattr(fermitope, n), types.ModuleType)]
+        assert modules == [] and not any(n.startswith("__") for n in self.PUBLIC)
+        namespace = {}
+        exec("from fermitope import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == self.PUBLIC
 
     def test_import_loads_no_scipy(self):
         """scipy loads on the first dynamic_phase call, not on import."""

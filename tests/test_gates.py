@@ -32,10 +32,10 @@ from fermitope.gates import (
     gate_matrix,
     invert_protocol,
     phase_gate,
-    protocol_states,
     rotation,
     target_state,
 )
+from oracles import protocol_states
 
 SLATER = basis_vector(6, "101010")
 

@@ -12,7 +12,7 @@ from fermitope.errors import (
     InvalidDimensionError, InvalidGateError, SectorMismatchError, StepSizeError,
 )
 from fermitope.fock import (
-    MixedState, basis_vector, maximally_mixed, natural_occupations, one_rdm, random_pure_state,
+    MixedState, basis_vector, natural_occupations, one_rdm, random_pure_state,
 )
 from fermitope.gates import (
     Protocol, build_protocol, controlled_rotation, phase_gate, rotation, target_state,
@@ -26,6 +26,7 @@ from fermitope.noise import (
     purity_lower_bound,
 )
 from fermitope.polytope import check_weakened, merit_values
+from oracles import maximally_mixed
 
 ZERO_NOISE = NoiseParams(dephasing_rate=0.0, emission_rate=0.0)
 PAPER_NOISE = NoiseParams()
@@ -266,7 +267,7 @@ class TestEvolveNoisyProtocol:
         trajectory, _ = evolve_noisy_protocol(protocol, ZERO_NOISE, DT, free_time=free_time)
         initial = target_state("slater")
         boundaries = np.cumsum([0] + [math.ceil(g.duration / DT) for g in protocol.gates])
-        states = [initial, *gates.protocol_states(initial, protocol)]
+        states = [initial, *oracles.protocol_states(initial, protocol)]
         for k, state in zip(boundaries, states, strict=True):
             want, _ = natural_occupations(one_rdm(state))
             assert np.max(np.abs(trajectory.lambdas[k] - want)) <= 1e-12

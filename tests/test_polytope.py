@@ -259,13 +259,30 @@ class TestRoundsMatchSequentialClimb:
 @pytest.mark.parametrize("k", [1, 31, 32])
 @pytest.mark.parametrize("rejections", [0, 1, 68, 69, 99])
 def test_round_steps_match_the_annealing_loop(rejections, k):
-    """A round's steps are _annealed's, bit for bit: rejections < _ANNEAL_AFTER
-    when a round starts, so k <= _ANNEAL_AFTER proposals anneal at most once."""
-    assert polytope._PROPOSALS <= polytope._ANNEAL_AFTER
+    """A round's steps, and the step and count after a round of n <= k
+    rejections, are the annealing loop's bit for bit: rejections <
+    _ANNEAL_AFTER when a round starts, so the k + 1 <= _ANNEAL_AFTER steps
+    of a round anneal at most once."""
+
+    def loop(step, rejections, n):
+        for _ in range(n):
+            rejections += 1
+            if rejections == polytope._ANNEAL_AFTER:
+                step, rejections = step * polytope._ANNEAL_FACTOR, 0
+        return step, rejections
+
+    assert polytope._PROPOSALS < polytope._ANNEAL_AFTER
     for step in (0.5, 0.5 * 0.95**613, np.float64(6.883993210159581e-08)):
         got = polytope._round_steps(step, rejections, k)
-        want = np.array([polytope._annealed(step, rejections, j)[0] for j in range(k)])
+        want = np.array([loop(step, rejections, j)[0] for j in range(k)])
         assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        for n in (k - 1, k):
+            # hill_climb_extremal's update when no proposal of the round is accepted
+            got = polytope._round_steps(step, rejections, k + 1)[n]
+            got_rejections = (rejections + n) % polytope._ANNEAL_AFTER
+            want, want_rejections = loop(step, rejections, n)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert got_rejections == want_rejections
 
 
 def test_one_eigvalsh_call_and_one_gram_product_per_round(monkeypatch):
