@@ -149,19 +149,19 @@ def _check_sites(gate: GateOp, d: int) -> None:
 def _gate_action(gate: GateOp, d: int, n_particles: int):
     """How the gate acts on the sector basis; every gate application reads it.
 
-    A phase gate is diagonal: the result is its phase vector p.  A rotation
-    or controlled rotation only mixes the pairs (src, dst) of
-    ``fock._pair_transitions``: the result is (src, dst, mix, c), and the
-    gate maps a[src] -> c a[src] - mix a[dst] and a[dst] -> c a[dst] +
-    mix a[src], with mix = sin(angle/2) times the pair's sign.
+    A phase gate is diagonal: the result is its phase vector p, a gather of
+    (e^{+i angle/2}, 1, e^{-i angle/2}) at n_i - n_j + 1 from the cached
+    ``fock._occupations``.  A rotation only mixes the pairs (src, dst) of
+    ``fock._pair_transitions``, a controlled rotation those whose control
+    row reads 1: the result is (src, dst, mix, c), and the gate maps
+    a[src] -> c a[src] - mix a[dst] and a[dst] -> c a[dst] + mix a[src],
+    with mix = sin(angle/2) times the pair's sign.
     """
     if gate.kind == "phase":
         i, j = gate.sites
-        ni, nj = fock._occupied(d, n_particles, i), fock._occupied(d, n_particles, j)
-        phase = np.ones(fock.sector_dim(d, n_particles), dtype=np.complex128)
-        phase[ni & ~nj] = np.exp(-1j * gate.angle / 2)
-        phase[nj & ~ni] = np.exp(+1j * gate.angle / 2)
-        return phase
+        occupations = fock._occupations(d, n_particles)
+        phases = np.array([np.exp(+1j * gate.angle / 2), 1.0, np.exp(-1j * gate.angle / 2)])
+        return phases[occupations[i - 1] - occupations[j - 1] + 1]
 
     if gate.kind == "rotation":
         control = None
@@ -171,47 +171,48 @@ def _gate_action(gate: GateOp, d: int, n_particles: int):
 
     src, dst, sign = fock._pair_transitions(d, n_particles, i, j)
     if control is not None:
-        keep = fock._occupied(d, n_particles, control)[src]
+        keep = fock._occupations(d, n_particles)[control - 1, src] == 1
         src, dst, sign = src[keep], dst[keep], sign[keep]
     return src, dst, math.sin(gate.angle / 2) * sign, math.cos(gate.angle / 2)
 
 
-def _apply_to_amplitudes(
-    amps: np.ndarray, gate: GateOp, d: int, n_particles: int
-) -> np.ndarray:
-    """Apply a gate along the last axis of an amplitude array."""
+def _apply_in_place(amps: np.ndarray, gate: GateOp, d: int, n_particles: int) -> None:
+    """Apply a gate along the last axis of an amplitude array, overwriting it."""
     if gate.kind == "phase":
-        return amps * _gate_action(gate, d, n_particles)
+        amps *= _gate_action(gate, d, n_particles)
+        return
     src, dst, mix, c = _gate_action(gate, d, n_particles)
-    out = amps.copy()
     a10 = amps[..., src]
     a01 = amps[..., dst]
-    out[..., src] = c * a10 - mix * a01
-    out[..., dst] = c * a01 + mix * a10
-    return out
+    amps[..., src] = c * a10 - mix * a01
+    amps[..., dst] = c * a01 + mix * a10
 
 
 def apply_gate(state: PureState, gate: GateOp) -> PureState:
     """Unitary, particle-number-conserving action of one gate."""
-    _check_sites(gate, state.d)
-    amps = _apply_to_amplitudes(
-        state.amplitudes, gate, state.d, state.n_particles
-    )
-    return PureState(state.d, state.n_particles, amps)
+    return _applied(state, (gate,))
 
 
 def gate_matrix(gate: GateOp, d: int, n_particles: int) -> np.ndarray:
     """Dense unitary of the gate on the sector basis."""
     _check_sites(gate, d)
-    dim = fock.sector_dim(d, n_particles)
-    rows = _apply_to_amplitudes(np.eye(dim, dtype=np.complex128), gate, d, n_particles)
+    rows = np.eye(fock.sector_dim(d, n_particles), dtype=np.complex128)
+    _apply_in_place(rows, gate, d, n_particles)
     return rows.T
 
 
 def apply_protocol(state: PureState, protocol: Protocol) -> PureState:
-    for gate in protocol.gates:
-        state = apply_gate(state, gate)
-    return state
+    return _applied(state, protocol.gates)
+
+
+def _applied(state: PureState, ops: tuple[GateOp, ...]) -> PureState:
+    """The state after ``ops``: every site checked first, one copy, one PureState."""
+    for gate in ops:
+        _check_sites(gate, state.d)
+    amps = state.amplitudes.copy()
+    for gate in ops:
+        _apply_in_place(amps, gate, state.d, state.n_particles)
+    return PureState(state.d, state.n_particles, amps)
 
 
 def invert_protocol(protocol: Protocol) -> Protocol:

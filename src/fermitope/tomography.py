@@ -22,7 +22,7 @@ import numpy as np
 from . import fock
 from .errors import InvalidDimensionError, InvalidGateError
 from .fock import MixedState, PureState, occupation_expectation
-from .gates import Protocol, _apply_to_amplitudes, phase_gate, rotation
+from .gates import Protocol, _apply_in_place, phase_gate, rotation
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def _readout_modes(d: int) -> np.ndarray:
             for part in ("real", "imag"):
                 rows = np.eye(d, dtype=np.complex128)
                 for gate in readout_sequence_offdiag(i, j, part).gates:
-                    rows = _apply_to_amplitudes(rows, gate, d, 1)
+                    _apply_in_place(rows, gate, d, 1)
                 stack.append(rows)
     modes = np.array(stack, dtype=np.complex128).reshape(d * d - d, d, d)
     modes.flags.writeable = False

@@ -20,6 +20,9 @@ The cases:
   MixedState.from_pure;
 - apply_ladder (every mode, both kinds) and wedge_embed from (6, 3) to
   (10, 5);
+- apply_protocol of random three-gate protocols (one gate of each kind) at
+  (12, 6) and (14, 7), and gate_matrix of the gates of three such protocols
+  at (6, 3);
 - random-protocol evolve_noisy_protocol runs at (6, 3), (8, 4) and (10, 5);
 - reconstruct_one_rdm(state, None) of the pure and mixed states up to (10, 5);
 - a 2,000-iteration hill climb per objective;
@@ -129,7 +132,7 @@ def _states():
 
 
 def _library_cases():
-    """(label, call) of the fock, noise and tomography cases beyond one_rdm up to (10, 5).
+    """(label, call) of the fock, gates, noise and tomography cases beyond one_rdm up to (10, 5).
 
     Each call reads the loop's current values, so it is run before the next is taken.
     """
@@ -158,6 +161,24 @@ def _library_cases():
         below = fock.random_pure_state(d, n - 2, d)
         yield f"wedge_embed ({d},{n})", lambda: _pure(fock.wedge_embed(below, vectors))
     durations = {"rotation": 20e-12, "controlled_rotation": 60e-12, "phase": 20e-12}
+    for d, n in ((12, 6), (14, 7), (6, 3)):
+        for seed in range(3):
+            rng, ops = np.random.default_rng(100 * d + seed), []
+            for kind in rng.permutation(tuple(durations)):
+                sites = rng.choice(d, size=3 if kind == "controlled_rotation" else 2, replace=False)
+                angle = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+                ops.append(gates.GateOp(str(kind), tuple(int(s) + 1 for s in sites), angle))
+            if d == 6:
+                for gate in ops:
+                    yield f"gate_matrix ({d},{n}) seed {seed} {gate.kind}", lambda: (
+                        gates.gate_matrix(gate, d, n)
+                    )
+                continue
+            protocol = gates.Protocol("random", tuple(ops))
+            state = fock.random_pure_state(d, n, seed)
+            yield f"apply_protocol ({d},{n}) seed {seed}", lambda: _pure(
+                gates.apply_protocol(state, protocol)
+            )
     params = noise.NoiseParams(dephasing_rate=1e10, emission_rate=2e9)
     for d in (6, 8, 10):
         for seed in range(2):

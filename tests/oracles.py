@@ -260,7 +260,7 @@ def readout_by_gates(state, shots, seed) -> tomography.RDMEstimate:
             for part in ("real", "imag"):
                 rows = np.eye(d, dtype=np.complex128)
                 for gate in tomography.readout_sequence_offdiag(i, j, part).gates:
-                    rows = gates._apply_to_amplitudes(rows, gate, d, 1)
+                    gates._apply_in_place(rows, gate, d, 1)
                 (lo, sig_lo), (hi, sig_hi) = read(rows.T @ gamma0 @ rows.conj(), [j - 1, j])
                 parts[part] = (hi - lo) / 2.0
                 errs[part] = math.sqrt(sig_lo**2 + sig_hi**2) / 2.0

@@ -73,9 +73,27 @@ class TestSectorBasis:
             basis = sector_basis(d, n)
             masks = fock._sector_masks(d, n)
             assert fock._positions(d, n, masks).tolist() == list(range(len(basis)))
+            table = fock._occupations(d, n)
+            assert table.dtype == np.int8 and table.shape == (d, len(basis))
+            assert not table.flags.writeable and table.flags.c_contiguous
             for site in range(1, d + 1):
-                want = [b.occupations[site - 1] == "1" for b in basis]
-                assert fock._occupied(d, n, site).tolist() == want
+                assert table[site - 1].tolist() == [int(b.occupations[site - 1]) for b in basis]
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_occupation_expectation_matches_dense_oracle(self, d):
+        for n in range(d + 1):
+            pure = random_pure_state(d, n, seed=d + 10 * n)
+            psi = pure.amplitudes
+            rho = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.eye(len(psi)) / len(psi)
+            mixed = MixedState(d, n, rho)
+            full = oracles.embed_state(pure)
+            for site in range(1, d + 1):
+                number = oracles.dense_creation(d, site) @ oracles.dense_annihilation(d, site)
+                want = np.vdot(full, number @ full).real
+                assert fock.occupation_expectation(pure, site) == pytest.approx(want, abs=1e-12)
+                block = oracles.restrict(number, d, n, n)
+                want = np.trace(mixed.matrix @ block).real
+                assert fock.occupation_expectation(mixed, site) == pytest.approx(want, abs=1e-12)
 
     def test_positions_refuse_a_mask_outside_the_sector(self):
         with pytest.raises(InvalidDimensionError, match=r"\|110000> is not in"):
@@ -625,6 +643,15 @@ class TestStateTypes:
         want = np.zeros(len(basis), dtype=complex)
         want[basis.index(occupations)] = 1.0
         assert state.amplitudes.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d,n", [(6, 3), (14, 7)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_one_non_finite_part_raises(self, d, n, bad, part):
+        amps = random_pure_state(d, n, seed=1).amplitudes.copy()
+        getattr(amps, part)[len(amps) // 2] = bad
+        with pytest.raises(InvalidDimensionError, match="^amplitudes must be finite$"):
+            PureState(d, n, amps)
 
     def test_amplitudes_are_immutable(self):
         state = basis_vector(6, "101010")

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
-from fermitope import montecarlo, polytope
+from fermitope import fock, gates, montecarlo, polytope, tomography
 from fermitope.errors import InvalidDimensionError, InvalidGateError, InvalidPulseError
 from fermitope.fock import (
+    PureState,
     basis_vector,
     natural_occupations,
     one_rdm,
@@ -238,6 +239,120 @@ class TestGateSequencesMatchDenseOracle:
             expected = expm(gen) @ expected
         got = apply_protocol(state, Protocol("random", tuple(sequence)))
         assert np.allclose(got.amplitudes, expected, atol=1e-12)
+
+
+def _copying_apply(amps: np.ndarray, gate: GateOp, d: int, n: int) -> np.ndarray:
+    """The gate applied along the last axis of a copy of ``amps``: the per-gate loop."""
+    action = gates._gate_action(gate, d, n)
+    if gate.kind == "phase":
+        return amps * action
+    src, dst, mix, c = action
+    out = amps.copy()
+    a10, a01 = amps[..., src], amps[..., dst]
+    out[..., src] = c * a10 - mix * a01
+    out[..., dst] = c * a01 + mix * a10
+    return out
+
+
+def _signed_zero_state(d: int, n: int, rng: np.random.Generator) -> PureState:
+    """Gaussian amplitudes, a third of whose parts are +0.0 or -0.0."""
+    dim = sector_dim(d, n)
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    for part in (x.real, x.imag):
+        at = rng.random(dim) < 1 / 3
+        part[at] = rng.choice([0.0, -0.0], size=np.count_nonzero(at))
+    return PureState(d, n, x)
+
+
+def _random_gates(d: int, count: int, rng: np.random.Generator) -> tuple[GateOp, ...]:
+    kinds = ("rotation", "phase") + (("controlled_rotation",) if d >= 3 else ())
+    ops = []
+    for _ in range(count):
+        kind = kinds[rng.integers(len(kinds))]
+        sites = rng.choice(d, size=3 if kind == "controlled_rotation" else 2, replace=False)
+        ops.append(GateOp(kind, tuple(int(s) + 1 for s in sites), float(rng.uniform(-7, 7))))
+    return tuple(ops)
+
+
+def _bits(x: np.ndarray) -> bytes:
+    return np.ascontiguousarray(x).view(np.uint64).tobytes()
+
+
+class TestInPlaceKernelKeepsBits:
+    """One copy and in-place gates give the bits of a copy per gate, signed zeros included."""
+
+    @pytest.mark.parametrize("d", range(2, 15))
+    def test_protocol_equals_sequential_gates(self, d):
+        rng = np.random.default_rng(d)
+        for n in sorted({1, d // 2, int(rng.integers(0, d + 1))}):
+            for _ in range(4):
+                state = _signed_zero_state(d, n, rng)
+                protocol = Protocol("random", _random_gates(d, int(rng.integers(1, 7)), rng))
+                got = apply_protocol(state, protocol).amplitudes
+                assert _bits(got) == _bits(protocol_states(state, protocol)[-1].amplitudes)
+                want = state.amplitudes
+                for gate in protocol.gates:
+                    want = _copying_apply(want, gate, d, n)
+                assert _bits(got) == _bits(want)
+            assert _bits(apply_protocol(state, Protocol("empty", ())).amplitudes) == _bits(
+                state.amplitudes
+            )
+
+    @pytest.mark.parametrize("at", range(4))
+    def test_bad_site_anywhere_raises_before_any_gate(self, at, monkeypatch):
+        ops = list(_random_gates(6, 3, np.random.default_rng(at)))
+        ops.insert(at, rotation(2, 7, 0.3))
+
+        def applied(*args):
+            raise AssertionError("a gate was applied")
+
+        monkeypatch.setattr(gates, "_apply_in_place", applied)
+        with pytest.raises(InvalidGateError, match="exceed d=6"):
+            apply_protocol(SLATER, Protocol("bad", tuple(ops)))
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_gate_actions_match_the_bit_tests_of_the_masks(self, d):
+        rng = np.random.default_rng(100 + d)
+        for n in range(d + 1):
+            masks = fock._sector_masks(d, n)
+
+            def occupied(site):
+                return (masks >> (d - site)) & 1 == 1
+
+            for gate in _random_gates(d, 4, rng):
+                if gate.kind == "phase":
+                    ni, nj = occupied(gate.sites[0]), occupied(gate.sites[1])
+                    want = np.ones(len(masks), dtype=np.complex128)
+                    want[ni & ~nj] = np.exp(-1j * gate.angle / 2)
+                    want[nj & ~ni] = np.exp(+1j * gate.angle / 2)
+                    assert _bits(gates._gate_action(gate, d, n)) == _bits(want)
+                elif gate.kind == "controlled_rotation":
+                    src, dst, sign = fock._pair_transitions(d, n, *gate.sites[1:])
+                    keep = occupied(gate.sites[0])[src]
+                    half = gate.angle / 2
+                    want = (src[keep], dst[keep], math.sin(half) * sign[keep], math.cos(half))
+                    got = gates._gate_action(gate, d, n)
+                    assert [np.asarray(x).tobytes() for x in got] == [
+                        np.asarray(x).tobytes() for x in want
+                    ]
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (4, 2), (6, 3), (7, 2), (8, 4)])
+    def test_gate_matrix_equals_a_copying_loop(self, d, n):
+        for gate in _random_gates(d, 6, np.random.default_rng(d + n)):
+            rows = _copying_apply(np.eye(sector_dim(d, n), dtype=np.complex128), gate, d, n)
+            assert _bits(gate_matrix(gate, d, n)) == _bits(rows.T)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_readout_modes_equal_a_copying_loop(self, d):
+        stack = []
+        for i in range(1, d + 1):
+            for j in range(i + 1, d + 1):
+                for part in ("real", "imag"):
+                    rows = np.eye(d, dtype=np.complex128)
+                    for gate in tomography.readout_sequence_offdiag(i, j, part).gates:
+                        rows = _copying_apply(rows, gate, d, 1)
+                    stack.append(rows)
+        assert _bits(tomography._readout_modes(d)) == _bits(np.array(stack))
 
 
 class TestProtocols:
