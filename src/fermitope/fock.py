@@ -258,12 +258,17 @@ class MixedState:
             raise InvalidDimensionError(f"density matrix must be {dim}x{dim}")
         if not np.all(np.isfinite(rho)):
             raise InvalidRDMError("density matrix must be finite")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+        # One work array holds rho^H - rho, then rho + 1e-10 I.
+        work = np.empty((dim, dim), dtype=np.complex128)
+        np.subtract(np.conjugate(rho.T, out=work), rho, out=work)
+        if np.max(np.abs(work)) > 1e-12:
             raise InvalidRDMError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
             raise InvalidRDMError("density matrix trace must be 1 within 1e-12")
+        np.copyto(work, rho)
+        work.reshape(-1)[:: dim + 1] += 1e-10
         try:  # rho + 1e-10 I has a Cholesky factor iff no eigenvalue is below -1e-10, to rounding
-            np.linalg.cholesky(rho + 1e-10 * np.eye(dim))
+            np.linalg.cholesky(work)
         except np.linalg.LinAlgError:
             raise InvalidRDMError("density matrix has an eigenvalue below -1e-10") from None
         rho = rho.copy()
@@ -333,18 +338,23 @@ def _pair_transitions(
 
     ``src`` indexes basis states with site i occupied and site j empty,
     in ascending order, ``dst`` the corresponding states with the particle
-    moved to j, and ``sign`` the parity of the occupied sites strictly
-    between i and j.  Over the (N-1)-states k with both sites empty,
-    a_j^+ a_i maps C[k, i] to C[k, j] with sign S[k, i] S[k, j].
+    moved to j, and ``sign`` (int8, +1 or -1) the parity of the occupied
+    sites strictly between i and j.  Over the (N-1)-states k with both
+    sites empty, a_j^+ a_i maps C[k, i] to C[k, j] with sign S[k, i] S[k, j],
+    and both indices ascend with k.  So the table of (j, i) is (dst, src,
+    sign) of (i, j), the same read-only arrays: only i < j builds any, 17 B
+    per transition and unordered pair (1.4 MB at (14, 7), 3.3 GB at (24, 12)).
     """
     for site in (i, j):
         _site_bit(d, site)
+    if i > j:
+        src, dst, sign = _pair_transitions(d, n_particles, j, i)
+        return dst, src, sign
     index, signs = _creation_table(d, n_particles)
     dim = math.comb(d, n_particles)
     rows = np.flatnonzero(signs[:, i - 1] * signs[:, j - 1])
-    rows = rows[np.argsort(index[rows, i - 1] % dim)]
     src, dst = index[rows, i - 1] % dim, index[rows, j - 1] % dim
-    sign = (signs[rows, i - 1] * signs[rows, j - 1]).astype(np.float64)
+    sign = signs[rows, i - 1] * signs[rows, j - 1]
     for arr in (src, dst, sign):
         arr.flags.writeable = False
     return src, dst, sign

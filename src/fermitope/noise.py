@@ -102,10 +102,14 @@ def evolve_noisy_protocol(
     phase slice is diagonal, so it joins the channel's kernel.  Fidelity,
     purity and the 1-RDM are computed over blocks of recorded states of
     about ``_BLOCK_BYTES``, so only the d x d 1-RDMs grow with the steps.
-    ``free_time`` appends channel-only evolution after the last gate.
-    Zero rates reproduce the noiseless protocol exactly.  A start that is
-    not a PureState, a run that needs more than ``_MAX_STEPS`` steps, or a
-    gate on a site beyond ``initial.d``, is refused before the first step.
+    Besides them the run holds four arrays of about the size of rho: the
+    recorded block (one state from (10, 5) up), the working state, one
+    spare and the float kernel; the final state is built in the working
+    state once the block is released.  ``free_time`` appends channel-only
+    evolution after the last gate.  Zero rates reproduce the noiseless
+    protocol exactly.  A start that is not a PureState, a run that needs
+    more than ``_MAX_STEPS`` steps, or a gate on a site beyond
+    ``initial.d``, is refused before the first step.
     """
     if initial is None:
         initial = gates.target_state("slater")
@@ -143,7 +147,9 @@ def evolve_noisy_protocol(
     times, fid, pur = np.empty((3, n_steps + 1))
     herm = np.empty((n_steps + 1, d, d), dtype=complex)
     psi = initial.normalized().amplitudes
-    w = np.vstack([np.outer(psi, psi.conj()), psi])
+    w = np.empty((len(psi) + 1, len(psi)), dtype=complex)
+    np.outer(psi, psi.conj(), out=w[:-1])
+    w[-1] = psi
     size = min(n_steps + 1, max(1, _BLOCK_BYTES // w.nbytes))
     start = 0
     for block_times, states in _trotter_blocks(zip(segments, plan), w, d, n, size):
@@ -161,8 +167,14 @@ def evolve_noisy_protocol(
         margin_ok = np.ones(len(times), dtype=bool)
 
     # Rounding moves tr rho over many steps (1.5e-12 after 78,573): restore it.
-    rho = states[-1, :-1]
-    final = MixedState(d, n, (rho + rho.conj().T) / (2.0 * np.trace(rho).real))
+    # (rho^H + rho) / (2 tr rho) is built in w, which holds the last state too,
+    # and the block is released before MixedState checks it.
+    rho, final = states[-1, :-1], w[:-1]
+    np.conjugate(rho.T, out=final)
+    final += rho
+    final /= 2.0 * np.trace(rho).real
+    del rho, states
+    final = MixedState(d, n, final)
     trajectory = Trajectory(
         times=times,
         fidelity=fid,
@@ -178,61 +190,76 @@ def evolve_noisy_protocol(
 
 def _trotter_blocks(planned_segments, w: np.ndarray, d: int, n: int, size: int):
     """Yield (times, states) for t = 0 and after every step, in blocks of
-    ``size`` states (the last may be shorter).  Like the start ``w``, which
-    is not changed, states[k, :-1] is rho and states[k, -1] is psi, the
-    same run without noise, as a row.  Both arrays are overwritten once the
-    next block is asked for.
+    ``size`` states (the last may be shorter).  states[k, :-1] is rho and
+    states[k, -1] is psi, the same run without noise, as a row.  The start
+    ``w`` is the working state: it is overwritten, and holds the last state
+    once the run ends.  Besides the block, the run holds one spare array of
+    w's shape and the float kernel.  Both arrays yielded are overwritten
+    once the next block is asked for.
     """
     times = np.zeros(size)
     states = np.empty((size,) + w.shape, dtype=complex)
-    slots = states.reshape(size, -1)
+    spare, kernel = np.empty_like(w), np.empty(w.shape)
     states[0], filled, t = w, 1, 0.0
-    w = w.copy()
     for (gate, rate, span), steps in planned_segments:
         delta = span / steps
         slice_ = None if gate is None else gate.scaled(1.0 / steps)
-        w, rotation, kernel, back = _segment(w, slice_, rate * delta, d, n)
+        rotation, factor, back = _segment(w, spare, kernel, slice_, rate * delta, d, n)
         for _ in range(steps):
             if filled == size:
                 yield times, states
                 filled = 0
-            _step(w, rotation, kernel)
+            _step(w, rotation, factor)
             t += delta
             times[filled] = t
             if back is None:
                 states[filled] = w
             else:
-                w.take(back, out=slots[filled], mode="clip")
+                _permute(w, back, spare, states[filled])
             filled += 1
         if back is not None:
-            w = w.take(back).reshape(w.shape)
+            _permute(w, back, spare, w)
     yield times[:filled], states[:filled]
 
 
-def _segment(w: np.ndarray, gate: GateOp | None, decay: float, d: int, n: int):
-    """(w, rotation, kernel, back) for the steps of one slice, or of free time.
+def _permute(x: np.ndarray, rows: np.ndarray, spare: np.ndarray, out: np.ndarray) -> None:
+    """out = x[rows][:, rows[:-1]], row-wise into ``spare``, then column-wise into ``out``.
+
+    ``out`` may be ``x``; ``spare`` shares memory with neither.
+    """
+    np.take(x, rows, axis=0, out=spare, mode="clip")
+    np.take(spare, rows[:-1], axis=1, out=out, mode="clip")
+
+
+def _segment(w: np.ndarray, spare, kernel, gate: GateOp | None, decay: float, d: int, n: int):
+    """(rotation, factor, back) for the steps of one slice, or of free time.
 
     A rotation slice maps each of its pairs (a, b) = (src, dst) to
     (c a - mix b, c b + mix a); with a and b swapped where mix < 0, every
     pair turns by the same real matrix r = [[c, -|mix|], [|mix|, c]].  So w
-    is returned in a basis ordered by the pairs' a, then their b, then the
-    rest, and ``rotation`` is r with the float views of the pairs' rows of
-    rho and of their columns of w, which hold psi too.  ``back`` gathers a
-    flattened state back to the sector basis.  A phase slice is diagonal:
-    rho -> p rho p^H and psi -> p psi join the dephasing ``kernel``, which
-    scales the coherence of two basis states by exp(-decay * hamming / 2).
+    is permuted in place to a basis ordered by the pairs' a, then their b,
+    then the rest, and ``rotation`` is r with the float views of the pairs'
+    rows of rho and of their columns of w, which hold psi too.  ``back``
+    permutes a state back to the sector basis (see _permute).  The float
+    ``kernel`` is filled with the dephasing factors, which scale the
+    coherence of two basis states by exp(-decay * hamming / 2), and is the
+    ``factor``.  A phase slice is diagonal: rho -> p rho p^H and psi -> p psi
+    join the kernel in ``spare``, which is then the ``factor``.
     """
     dim = w.shape[1]
-    order, rotation, back = np.arange(dim), None, None
+    masks, rotation, back = fock._sector_masks(d, n), None, None
     if gate is not None and gate.kind != "phase":
         src, dst, mix, c = gates._gate_action(gate, d, n)
         flip = np.signbit(mix)
-        rest = np.setdiff1d(order, np.concatenate([src, dst]), assume_unique=True)
-        order = np.concatenate([np.where(flip, dst, src), np.where(flip, src, dst), rest])
-        rows = np.append(order, dim)
-        w = w[rows[:, None], order]
-        inverse = np.argsort(rows)
-        back = (inverse[:, None] * dim + inverse[:dim]).ravel()
+        rest = np.ones(dim, dtype=bool)
+        rest[src] = rest[dst] = False
+        rows = np.concatenate(
+            [np.where(flip, dst, src), np.where(flip, src, dst), np.flatnonzero(rest), [dim]]
+        )
+        back = np.empty_like(rows)
+        back[rows] = np.arange(dim + 1)
+        _permute(w, rows, spare, w)
+        masks = masks[rows[:-1]]
         m, s = len(src), abs(mix[0]) if len(src) else 0.0
         floats = w.view(float)
         rotation = (
@@ -241,14 +268,20 @@ def _segment(w: np.ndarray, gate: GateOp | None, decay: float, d: int, n: int):
             floats[:, : 4 * m].reshape(dim + 1, 2, 2 * m),
         )
     # The kernel depends on the Hamming distance alone: one exp per distance.
-    masks = fock._sector_masks(d, n)[order]
-    hamming = np.bitwise_count(masks[:, None] ^ masks)
-    kernel = np.ones(w.shape)
-    kernel[:-1] = np.exp(-decay * np.arange(d + 1) / 2.0)[hamming]
-    if gate is not None and gate.kind == "phase":
-        phase = gates._gate_action(gate, d, n)
-        kernel = kernel * np.vstack([np.outer(phase, phase.conj()), phase])
-    return w, rotation, kernel, back
+    # The XOR and its bit count are written as intp into the idle spare, so
+    # the gather into the kernel allocates nothing.
+    hamming = spare.view(np.intp).reshape(-1)[: dim * dim].reshape(dim, dim)
+    np.bitwise_xor(masks[:, None], masks, out=hamming)
+    np.bitwise_count(hamming, out=hamming)
+    np.take(np.exp(-decay * np.arange(d + 1) / 2.0), hamming, out=kernel[:-1], mode="clip")
+    kernel[-1] = 1.0
+    if gate is None or gate.kind != "phase":
+        return rotation, kernel, back
+    phase = gates._gate_action(gate, d, n)
+    np.outer(phase, phase.conj(), out=spare[:-1])
+    spare[-1] = phase
+    spare *= kernel
+    return rotation, spare, back
 
 
 def _step(w: np.ndarray, rotation, kernel: np.ndarray) -> None:

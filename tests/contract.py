@@ -23,7 +23,12 @@ The cases:
 - apply_protocol of random three-gate protocols (one gate of each kind) at
   (12, 6) and (14, 7), and gate_matrix of the gates of three such protocols
   at (6, 3);
-- random-protocol evolve_noisy_protocol runs at (6, 3), (8, 4) and (10, 5);
+- gate_matrix at (8, 4) of a rotation and of two controlled rotations, with
+  the control at the lowest and at the highest other site, for every
+  ordered site pair (168);
+- random-protocol evolve_noisy_protocol runs at (6, 3), (8, 4) and (10, 5),
+  and one (10, 5) run with a rotation(7, 2), a controlled rotation, a phase
+  gate and free time;
 - reconstruct_one_rdm(state, None) of the pure and mixed states up to (10, 5);
 - a 2,000-iteration hill climb per objective;
 - criterion 9's CLI invocations, ``montecarlo`` for every base with and
@@ -37,7 +42,7 @@ The cases:
 Nothing is written to disk, bytecode included.  No golden hashes are kept:
 the bits follow numpy's Philox and LAPACK, so only two trees run on one
 machine can be compared.  The file is not named test_*, so pytest does not
-collect it.  Both trees, run side by side, take about 25 s on two cores.
+collect it.  Both trees, run side by side, take about 35 s on two cores.
 """
 
 import contextlib
@@ -179,6 +184,20 @@ def _library_cases():
             yield f"apply_protocol ({d},{n}) seed {seed}", lambda: _pure(
                 gates.apply_protocol(state, protocol)
             )
+    # Every ordered pair at (8, 4), so both orientations of each transition table.
+    for i in range(1, 9):
+        for j in range(1, 9):
+            if i == j:
+                continue
+            others = [k for k in range(1, 9) if k not in (i, j)]
+            angle = 0.3 + i - j
+            for gate in (
+                gates.rotation(i, j, angle),
+                gates.controlled_rotation(others[0], i, j, angle),
+                gates.controlled_rotation(others[-1], i, j, angle),
+            ):
+                case = f"gate_matrix (8,4) {gate.kind} {gate.sites}"
+                yield case, lambda: gates.gate_matrix(gate, 8, 4)
     params = noise.NoiseParams(dephasing_rate=1e10, emission_rate=2e9)
     for d in (6, 8, 10):
         for seed in range(2):
@@ -190,13 +209,21 @@ def _library_cases():
                 ops.append(gates.GateOp(str(kind), sites, angle, durations[kind]))
             protocol = gates.Protocol(f"random-{d}", tuple(ops))
             initial = fock.random_pure_state(d, d // 2, seed)
-
-            def run():
-                t, final = noise.evolve_noisy_protocol(protocol, params, 2e-12, initial=initial)
-                fields = (t.times, t.fidelity, t.purity, t.lambdas, t.f1, t.f2, t.margin_ok)
-                return (*fields, t.margin_epsilon, final.matrix)
-
-            yield f"evolve_noisy_protocol ({d},{d // 2}) seed {seed}", run
+            yield f"evolve_noisy_protocol ({d},{d // 2}) seed {seed}", lambda: _trajectory(
+                noise.evolve_noisy_protocol(protocol, params, 2e-12, initial=initial)
+            )
+    protocol = gates.Protocol(
+        "every-kind",
+        (
+            gates.rotation(7, 2, 1.1, durations["rotation"]),
+            gates.controlled_rotation(9, 3, 6, -2.0, durations["controlled_rotation"]),
+            gates.phase_gate(4, 8, 0.7, durations["phase"]),
+        ),
+    )
+    initial = fock.random_pure_state(10, 5, 2)
+    yield "evolve_noisy_protocol (10,5) every kind and free time", lambda: _trajectory(
+        noise.evolve_noisy_protocol(protocol, params, 2e-12, initial=initial, free_time=10e-12)
+    )
     for label, state in _states():
 
         def reconstruct():
@@ -209,6 +236,13 @@ def _library_cases():
 def _pure(state):
     """A PureState as its particle number and amplitudes."""
     return state.n_particles, state.amplitudes
+
+
+def _trajectory(run):
+    """A noisy run's trajectory columns, its margin epsilon and its final matrix."""
+    t, final = run
+    fields = (t.times, t.fidelity, t.purity, t.lambdas, t.f1, t.f2, t.margin_ok)
+    return (*fields, t.margin_epsilon, final.matrix)
 
 
 def run_cases() -> dict[str, str]:

@@ -3,7 +3,7 @@
 import json
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -395,6 +395,40 @@ class TestDensityKernel:
         assert peak < gathered_bytes
 
 
+class TestPairTransitions:
+    """One table per unordered site pair: (j, i) reads (i, j)'s arrays swapped."""
+
+    @pytest.mark.parametrize("d", [6, 8, 10])
+    def test_reversed_pair_is_the_swapped_table(self, d):
+        n = d // 2
+        masks = fock._sector_masks(d, n)
+        for i, j in permutations(range(1, d + 1), 2):
+            src, dst, sign = fock._pair_transitions(d, n, i, j)
+            back = fock._pair_transitions(d, n, j, i)
+            for got, want in zip(back, (dst, src, sign)):
+                assert np.shares_memory(got, want) and np.array_equal(got, want)
+            assert sign.dtype == np.int8 and set(np.unique(sign)) <= {-1, 1}
+            assert np.all(np.diff(src) > 0)
+            # Against the masks: i occupied and j empty, the particle moved to
+            # j, and the parity of the occupied sites strictly between them.
+            bit_i, bit_j = 1 << (d - i), 1 << (d - j)
+            want_src = np.flatnonzero((masks & bit_i != 0) & (masks & bit_j == 0))
+            between = (1 << (d - min(i, j))) - (1 << (d - max(i, j) + 1))
+            assert np.array_equal(src, want_src)
+            assert np.array_equal(dst, fock._positions(d, n, masks[src] ^ bit_i ^ bit_j))
+            parity = np.bitwise_count(masks[src] & between) & 1
+            assert np.array_equal(sign, 1 - 2 * parity.astype(np.int8))
+
+    def test_every_pair_at_ten_modes_holds_17_bytes_per_transition(self):
+        d, n = 10, 5
+        held = {}
+        for i, j in permutations(range(1, d + 1), 2):
+            for arr in fock._pair_transitions(d, n, i, j):
+                assert arr.base is None and not arr.flags.writeable
+                held[id(arr)] = arr.nbytes
+        assert sum(held.values()) == 17 * math.comb(8, 4) * 45
+
+
 class TestNaturalOccupations:
     def test_permutation_sort(self):
         lam, _ = natural_occupations(np.diag([0.0, 1, 1, 0, 1, 0]))
@@ -599,6 +633,62 @@ class TestStateTypes:
             for n in range(d + 1):
                 psi = random_pure_state(d, n, seed=d * 11 + n).amplitudes
                 assert MixedState(d, n, np.outer(psi, psi.conj())).matrix.shape == (len(psi),) * 2
+
+    @pytest.mark.parametrize("d, n", [(6, 3), (8, 4)])
+    def test_checks_keep_the_separate_array_outcomes(self, d, n):
+        """One work array decides as the checks on rho - rho^H and rho + 1e-10 I
+        did: deviations from Hermitian and eigenvalues on either side of the
+        thresholds, and off-diagonal zeros of both signs."""
+        dim = sector_dim(d, n)
+        rng = np.random.default_rng(d)
+
+        def separate(rho):
+            if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+                return "Hermitian"
+            try:
+                np.linalg.cholesky(rho + 1e-10 * np.eye(dim))
+            except np.linalg.LinAlgError:
+                return "eigenvalue"
+            return None
+
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        cases = []
+        for smallest in (-2e-10, -1.01e-10, -0.99e-10, 0.0):
+            lam = rng.uniform(0.0, 1.0, dim)
+            lam[0] = 0.0
+            lam *= (1.0 - smallest) / lam.sum()
+            lam[0] = smallest
+            rho = (q * lam) @ q.conj().T
+            cases.append((rho + rho.conj().T) / 2.0)
+        for skew in (0.9e-12, 1.1e-12, 1e-12):
+            rho = cases[-1].copy()
+            rho[0, 1] += skew
+            cases.append(rho)
+        diagonal = np.diag(rng.dirichlet(np.ones(dim))).astype(complex)
+        diagonal.real[~np.eye(dim, dtype=bool)] = -0.0
+        diagonal.imag[::2] = -0.0
+        cases.append(diagonal)
+        assert {separate(rho) for rho in cases} == {None, "Hermitian", "eigenvalue"}
+        for rho in cases:
+            want = separate(rho)
+            if want is None:
+                MixedState(d, n, rho)
+            else:
+                with pytest.raises(InvalidRDMError, match=want):
+                    MixedState(d, n, rho)
+
+    def test_checks_hold_two_matrices_beside_the_input(self):
+        """Beside the input: the work array and the Cholesky factor, then the copy kept."""
+        psi = random_pure_state(10, 5, seed=4).amplitudes
+        rho = np.outer(psi, psi.conj())
+        MixedState(10, 5, rho)
+        tracemalloc.start()
+        try:
+            MixedState(10, 5, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * rho.nbytes
 
     @pytest.mark.parametrize("smallest, accepted", [(-1e-9, False), (-1e-11, True)])
     def test_psd_threshold(self, smallest, accepted):

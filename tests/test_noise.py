@@ -315,8 +315,10 @@ class TestStepsAgainstDenseConjugation:
         start = np.vstack([rho, psi])
         steps, rate = 4, 1e10
         plan = [((gate, rate, gate.duration), steps)]
-        ((times, states),) = noise._trotter_blocks(plan, start, d, n, steps + 1)
+        work = start.copy()  # the working state: it ends as the last state
+        ((times, states),) = noise._trotter_blocks(plan, work, d, n, steps + 1)
         assert np.array_equal(states[0], start)
+        assert np.array_equal(states[-1], work)
         u = gates.gate_matrix(gate.scaled(1.0 / steps), d, n)
         kernel = oracles.dephasing_kernel(d, n, rate, gate.duration / steps)
         for state in states[1:]:
@@ -428,16 +430,38 @@ def traced_peak(run):
 
 
 class TestMemory:
-    def test_large_sector_run_holds_a_few_states(self):
-        # 41 recorded states of 1 MB each; the run may hold seven at once.
+    # A (10, 5) run holds the recorded block (one state), the working state,
+    # a spare and the float kernel, 3.5 rho; an in-place rotation's copy of
+    # its pair rows adds up to about half a rho.
+    RHO_BYTES = math.comb(10, 5) ** 2 * 16
+
+    def check_large_sector_run(self, protocol, free_time, n_states):
         initial = random_pure_state(10, 5, seed=2)
-        protocol = Protocol("one", (rotation(1, 10, 1.0, 20e-12),))
+        amplitudes = initial.amplitudes.copy()
         (trajectory, _), peak = traced_peak(
-            lambda: evolve_noisy_protocol(protocol, PAPER_NOISE, 2e-12, initial, 60e-12)
+            lambda: evolve_noisy_protocol(protocol, PAPER_NOISE, 2e-12, initial, free_time)
         )
-        assert len(trajectory.times) == 41
-        rho_bytes, herm_bytes = math.comb(10, 5) ** 2 * 16, 41 * 10 * 10 * 16
-        assert peak < 7 * rho_bytes + herm_bytes
+        assert len(trajectory.times) == n_states
+        assert peak < 4.5 * self.RHO_BYTES + n_states * 10 * 10 * 16
+        assert np.array_equal(initial.amplitudes, amplitudes)
+
+    def test_large_sector_run_holds_a_few_states(self):
+        # 41 recorded states of 1 MB each.
+        protocol = Protocol("one", (rotation(1, 10, 1.0, 20e-12),))
+        self.check_large_sector_run(protocol, 60e-12, 41)
+
+    def test_large_sector_run_of_every_gate_kind(self):
+        # A rotation with i > j, a controlled rotation, a phase gate (whose
+        # complex kernel takes the spare) and free time: 56 recorded states.
+        protocol = Protocol(
+            "every-kind",
+            (
+                rotation(7, 2, 1.1, 20e-12),
+                controlled_rotation(9, 3, 6, -2.0, 60e-12),
+                phase_gate(4, 8, 0.7, 20e-12),
+            ),
+        )
+        self.check_large_sector_run(protocol, 10e-12, 56)
 
     def test_long_run_does_not_hold_its_states(self):
         # 50,000 states of (20 + 1) x 20 entries would take 336 MB; the 1-RDMs
