@@ -205,13 +205,12 @@ The enclosures are made as each block is drawn.  The rows in doubt are
 those whose enclosure holds 0 or is not finite, and those that could be
 the least or the largest merit: the rows whose lower end is at most the
 least upper end so far, of the enclosures and of the merits resolved (and
-the same for the largest).  These bounds only tighten, so the draws of
-the rows in doubt as their block is drawn are set aside in a list.
-Before a block's rows would take it past _CHUNK_ROWS rows, and once more
-after the stream, the rows in the list are judged again by the bounds so
-far, those still in doubt go to eigvalsh in one call, and their merits
-tighten the bounds.  Every other row's enclosure [lo, hi] then has min v
-< lo <= hi < max v, and the least and the largest merit are resolved.
+the same for the largest).  Each block's rows in doubt go to eigvalsh in
+one call on that block, and their merits tighten both bounds.  These
+bounds only tighten, so a row out of doubt when its block is drawn stays
+so: every row left unresolved has an enclosure [lo, hi] with min v < lo
+<= hi < max v, and the least and the largest merit, each in doubt in its
+own block, are resolved.
 Once min v and max v give the edges, each block with rows whose
 enclosure reaches an edge is drawn again from the Philox state saved
 before it, up to its last such row, and those rows go to eigvalsh in one
@@ -227,9 +226,9 @@ one normal after another, so the blocks stacked are the one-shot draw,
 and no result depends on how samples are batched.  Samples are perturbed
 and diagonalised in the same blocks, their matrices in one workspace
 per call of merit_samples, merit_distribution or _resolve.  merit_samples
-keeps only the n merit values, merit_distribution two bounds per sample,
-one block's workspace and the draws of at most _CHUNK_ROWS rows set
-aside, and violation_probability only its count of violators.
+keeps only the n merit values, merit_distribution two bounds per sample
+and one block's workspace, and violation_probability only its count of
+violators.
 The search holds the pilot's block, then a few boolean masks over all n
 samples and the draws and indices of the samples kept at hi, the draws
 in pages of _CHUNK_ROWS rows (_KeptDraws), like the pilot's.  A pass at
@@ -282,6 +281,12 @@ _MIN_PIECE = 64
 
 # Bins of a merit histogram.
 _BINS = 200
+
+# Most bins accepted.  The edges, centers and counts take 8 B per bin each,
+# and np.histogram's binning more: 10**6 bins peaked at 32 MB traced
+# (n_samples = 20,000), while 2**40 would ask for 8 TiB, refused here before
+# any sample is drawn rather than by numpy's MemoryError after all of them.
+_MAX_BINS = 10**6
 
 # sigma* lies on the grid m * _STEP, 0 <= m <= _TOP, that 12 halvings of
 # [0, 0.5] resolve.  Both are exact binary fractions, so m * _STEP is the
@@ -850,14 +855,15 @@ def merit_distribution(
 
     Bit for bit np.mean(v < 0) and the histogram of v = ``merit_samples``,
     with eigvalsh run only on the rows whose sign or bin an enclosure leaves
-    in doubt (module docstring): once for the rows set aside in the stream
-    (once more for each chunk of them), and once for each block drawn
-    again for its rows over a bin edge.  Holds two floats per sample, one
-    block's workspace and at most a chunk of draws set aside.  A range of
-    merits too narrow for ``bins`` edges of finite width raises
-    InvalidDimensionError.
+    in doubt (module docstring): at most once for each block of the stream,
+    on its rows in doubt, and once for each block drawn again for its rows
+    over a bin edge.  Holds two floats per sample and one block's
+    workspace.  ``bins`` above _MAX_BINS, or a range of merits too narrow
+    for ``bins`` edges of finite width, raises InvalidDimensionError.
     """
     fock._checked_count(bins, "bins")
+    if bins > _MAX_BINS:
+        raise InvalidDimensionError(f"bins must be <= {_MAX_BINS:,}")
     states: list = []
     merit_fn, gamma0, blocks = _checked_base_and_blocks(
         base_state, merit, sigma, n_samples, seed, states
@@ -866,40 +872,24 @@ def merit_distribution(
     workspace = np.empty(_WORKSPACE_FLOATS * min(n_samples, _CHUNK_ROWS))
     # Some merit is at most least_upper and one at least largest_lower, each
     # an end of an enclosure or a merit resolved: only a row reaching past
-    # them can be an extreme.  Both only tighten, so a row out of doubt stays so.
+    # them can be an extreme.  Both only tighten, so a row out of doubt when
+    # its block is drawn stays so.
     least_upper, largest_lower = np.inf, -np.inf
-
-    def in_doubt(at) -> np.ndarray:
-        lo, hi = lower[at], upper[at]
-        finite = np.isfinite(lo) & np.isfinite(hi)
-        return ~finite | ((lo < 0.0) & (hi >= 0.0)) | (lo <= least_upper) | (hi >= largest_lower)
-
-    def resolve_set_aside() -> None:
-        """Resolve the rows set aside that the bounds so far leave in doubt."""
-        nonlocal least_upper, largest_lower
-        at, draws = (np.concatenate(parts) for parts in zip(*set_aside))
-        set_aside.clear()
-        rows = np.flatnonzero(in_doubt(at))
-        if len(rows):
-            values = _merit_values(gamma0, merit_fn, sigma, draws, rows, workspace)
-            lower[at[rows]] = upper[at[rows]] = values
-            least_upper = min(least_upper, values.min())
-            largest_lower = max(largest_lower, values.max())
-
-    set_aside: list = []  # (positions, draws) of the rows in doubt as their block was drawn
     for start, block in zip(range(0, n_samples, _CHUNK_ROWS), blocks):
         at = slice(start, start + len(block))
         lower[at], upper[at] = _merit_enclosures(gamma0, merit, sigma, block, workspace)
-        finite = np.isfinite(lower[at]) & np.isfinite(upper[at])
-        least_upper = min(least_upper, np.min(upper[at], where=finite, initial=np.inf))
-        largest_lower = max(largest_lower, np.max(lower[at], where=finite, initial=-np.inf))
-        rows = np.flatnonzero(in_doubt(at))
-        if len(rows) + sum(len(piece) for piece, _ in set_aside) > _CHUNK_ROWS:
-            resolve_set_aside()
+        lo, hi = lower[at], upper[at]
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        least_upper = min(least_upper, np.min(hi, where=finite, initial=np.inf))
+        largest_lower = max(largest_lower, np.max(lo, where=finite, initial=-np.inf))
+        rows = np.flatnonzero(
+            ~finite | ((lo < 0.0) & (hi >= 0.0)) | (lo <= least_upper) | (hi >= largest_lower)
+        )
         if len(rows):
-            set_aside.append((start + rows, block[rows]))
-    if set_aside:
-        resolve_set_aside()
+            values = _merit_values(gamma0, merit_fn, sigma, block, rows, workspace)
+            lo[rows] = hi[rows] = values
+            least_upper = min(least_upper, values.min())
+            largest_lower = max(largest_lower, values.max())
     # np.histogram's edges: the least and the largest merit were resolved, and
     # every row left has low < lo <= hi < high.  The blocks of the rows whose
     # enclosure reaches the next edge are drawn again, each up to its last

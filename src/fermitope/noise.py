@@ -239,7 +239,8 @@ def _segment(w: np.ndarray, spare, kernel, gate: GateOp | None, decay: float, d:
     pair turns by the same real matrix r = [[c, -|mix|], [|mix|, c]].  So w
     is permuted in place to a basis ordered by the pairs' a, then their b,
     then the rest, and ``rotation`` is r with the float views of the pairs'
-    rows of rho and of their columns of w, which hold psi too.  ``back``
+    rows of rho and of their columns of w, which hold psi too, each beside
+    the same view of ``spare``, which takes the step's products.  ``back``
     permutes a state back to the sector basis (see _permute).  The float
     ``kernel`` is filled with the dephasing factors, which scale the
     coherence of two basis states by exp(-decay * hamming / 2), and is the
@@ -261,11 +262,11 @@ def _segment(w: np.ndarray, spare, kernel, gate: GateOp | None, decay: float, d:
         _permute(w, rows, spare, w)
         masks = masks[rows[:-1]]
         m, s = len(src), abs(mix[0]) if len(src) else 0.0
-        floats = w.view(float)
+        floats = [w.view(float), spare.view(float)]
         rotation = (
             np.array([[c, -s], [s, c]]),
-            floats[: 2 * m].reshape(2, 2 * m * dim),
-            floats[:, : 4 * m].reshape(dim + 1, 2, 2 * m),
+            [x[: 2 * m].reshape(2, 2 * m * dim) for x in floats],
+            [x[:, : 4 * m].reshape(dim + 1, 2, 2 * m) for x in floats],
         )
     # The kernel depends on the Hamming distance alone: one exp per distance.
     # The XOR and its bit count are written as intp into the idle spare, so
@@ -287,9 +288,10 @@ def _segment(w: np.ndarray, spare, kernel, gate: GateOp | None, decay: float, d:
 def _step(w: np.ndarray, rotation, kernel: np.ndarray) -> None:
     """One Trotter step in place: the rotation slice, if any, then the kernel."""
     if rotation is not None:
-        r, rows, cols = rotation
-        np.matmul(r, rows, out=rows)
-        np.matmul(r, cols, out=cols)
+        r, *views = rotation
+        for part, product in views:  # np.matmul would copy a part that overlaps out
+            np.matmul(r, part, out=product)
+            np.copyto(part, product)
     w *= kernel
 
 

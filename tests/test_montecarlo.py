@@ -981,8 +981,8 @@ class TestMemory:
 
     def test_merit_distribution_holds_two_bounds_and_one_block(self):
         """5.2 MB: 1.6 MB of bounds and one block's draws, workspace and
-        temporaries.  At sigma = 0 (5.9 MB) every row is in doubt, and the
-        rows set aside for eigvalsh fill a chunk in every block."""
+        temporaries.  At sigma = 0 (5.3 MB) every row is in doubt, and each
+        block's rows go to eigvalsh in one call on that block."""
         for sigma in (0.05, 0.0):
             mc.merit_distribution("ghz", "f_w", sigma, 3_000, 0)
             peak = _traced_peak(lambda: mc.merit_distribution("ghz", "f_w", sigma, self.N, 0))
@@ -1026,6 +1026,14 @@ class TestHistogram:
         """numpy raises a bare ValueError for bins=0."""
         with pytest.raises(InvalidDimensionError, match="bins must be >= 1"):
             merit_histogram("ghz", "f_w", 0.05, 100, seed=1, bins=bins)
+
+    @pytest.mark.parametrize("bins", [mc._MAX_BINS + 1, 2**40])
+    def test_bins_above_the_bound_rejected_before_any_draw(self, bins, drawn_rows):
+        """Unbounded, 2**40 bins would draw every sample before numpy's MemoryError (8 TiB)."""
+        for run in (mc.merit_distribution, merit_histogram):
+            with pytest.raises(InvalidDimensionError, match="bins must be <= 1,000,000"):
+                run("ghz", "f_w", 0.05, 100, 1, bins)
+        assert drawn_rows == []
 
     def test_histogram_totals(self):
         centers, counts = merit_histogram("ghz", "f_w", 0.05, 5_000, seed=1, bins=50)
@@ -1114,19 +1122,32 @@ class TestMeritDistribution:
             mc.merit_distribution(base, merit, 0.05, 20_000, 0)
             assert sum(resolved) <= 30, (base, sum(resolved))
 
-    def test_one_eigvalsh_call_for_the_stream_and_one_per_block_drawn_again(self, monkeypatch):
-        """The rows set aside in the stream are judged again by the final bounds
-        and resolved at once: here the least and the largest merit, and at most
-        one row more (4-8 rows without the second judgement).  Each block drawn
-        again for the rows over an edge is resolved by one call of its own,
-        right after it is drawn.  epr at sigma = 0.01 draws the most blocks again."""
-        events, eigvalsh, draw_block = [], np.linalg.eigvalsh, mc._draw_block
-        monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda a: events.append(len(a)) or eigvalsh(a)
-        )
-        monkeypatch.setattr(
-            mc, "_draw_block", lambda *args: events.append("draw") or draw_block(*args)
-        )
+    def test_one_eigvalsh_call_per_block_right_after_it_is_drawn(self, monkeypatch):
+        """Each block's rows in doubt, in the stream (among them the least and
+        the largest merit) or over an edge in a block drawn again, are
+        resolved by one call on that block, before the next block is drawn.
+        epr at sigma = 0.01 draws the most blocks again."""
+        events, merit_values, draw_block = [], mc._merit_values, mc._draw_block
+
+        def draw(*args):
+            events.append(("draw", draw_block(*args)))
+            return events[-1][1]
+
+        def call(*args):
+            events.append(("call", args[3], len(args[4])))
+            return merit_values(*args)
+
+        monkeypatch.setattr(mc, "_draw_block", draw)
+        monkeypatch.setattr(mc, "_merit_values", call)
+
+        def calls_after_their_blocks() -> list[int]:
+            for before, event in zip(events, events[1:]):
+                if event[0] == "call":
+                    assert before[0] == "draw" and before[1] is event[1]
+                    assert 0 < event[2] <= len(event[1])
+            assert events[0][0] == "draw"
+            return [event[2] for event in events if event[0] == "call"]
+
         n = 20_000
         stream = -(-n // mc._CHUNK_ROWS)
         redrawn = []
@@ -1134,20 +1155,19 @@ class TestMeritDistribution:
             for base, merit in CANONICAL:
                 events.clear()
                 mc.merit_distribution(base, merit, sigma, n, 0)
-                draws = [i for i, event in enumerate(events) if event == "draw"]
+                calls = calls_after_their_blocks()
+                draws = [i for i, event in enumerate(events) if event[0] == "draw"]
                 end = draws[stream] if len(draws) > stream else len(events)
-                calls = [rows for rows in events[:end] if rows != "draw"]
-                assert len(calls) == 1 and calls[0] <= 3, (base, sigma, calls)
-                again, k = events[end:], len(draws) - stream
-                assert again[::2] == ["draw"] * k and len(again) == 2 * k, (base, sigma, again)
-                assert all(0 < rows <= mc._CHUNK_ROWS for rows in again[1::2]), (base, sigma)
+                in_stream = sum(event[0] == "call" for event in events[:end])
+                assert 1 <= in_stream <= stream, (base, sigma, calls)
+                again, k = [event[0] for event in events[end:]], len(draws) - stream
+                assert again == ["draw", "call"] * k, (base, sigma, again)
                 redrawn.append(k)
         assert max(redrawn) >= 2
-        # At sigma = 0 every row is in doubt: the rows set aside are resolved
-        # before the next block's would overflow a chunk, so no call holds more.
+        # At sigma = 0 every row is in doubt: one call per block, of all its rows.
         events.clear()
         mc.merit_distribution("w", "f_epr", 0.0, n, 0)
-        calls = [rows for rows in events if rows != "draw"]
+        calls = calls_after_their_blocks()
         assert sum(calls) == n and max(calls) == mc._CHUNK_ROWS and len(calls) == stream
 
     @pytest.mark.parametrize("depth", [mc._BISECTIONS, 64])
